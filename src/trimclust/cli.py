@@ -87,7 +87,9 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--improvement-threshold", type=float, default=1e-3)
     s.add_argument("--rounds", type=int, default=None)
     s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--prune", action="store_true", help="benchmark mode subset pruning")
+    s.add_argument("--prune", action="store_true",
+                   help="skip subsets that cannot beat the incumbent; applies only to "
+                        "per-subset black-box calls (--solver local-search)")
     s.add_argument("--out", default=None)
 
     o = sub.add_parser("oracle", help="exact optimum by brute force")
@@ -150,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
             rep = solve_with_outliers(
                 inst, params, solver, seed=args.seed, rounds=args.rounds, prune=args.prune
             )
-        except (SolverBudgetExceeded, RuntimeError) as exc:
+        except (SolverBudgetExceeded, RuntimeError, ValueError) as exc:
             print(f"solve failed: {exc}", file=sys.stderr)
             return 2
         payload = {"kind": "solve-report", "version": 1, "instance": args.instance}

@@ -38,6 +38,7 @@ from .metric import (
 from .reduction import (
     CandidateSpace,
     ReductionReport,
+    _check_exact_engine,
     _run_rounds,
     default_rounds,
     per_subset_best_exact,
@@ -227,6 +228,8 @@ def colorful_solve(
     if params.z != inst.z:
         raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
     rounds = default_rounds() if rounds is None else rounds
+    space = CandidateSpace.subsets(inst.facilities, inst.k)
+    _check_exact_engine(solver, prune, space)
     aug = build_augmented_instance(inst)
     kwargs = {} if baseline_exact_budget is None else {"exact_budget": baseline_exact_budget}
     base = baseline_solve(aug, **kwargs)
@@ -240,7 +243,7 @@ def colorful_solve(
         seed,
         build_cs=lambda rng: build_colored_coreset(rp, cinst, params, rng),
         enum_subsets=lambda ccs: enumerate_colorful_subsets(ccs, cinst.budgets),
-        space=CandidateSpace.subsets(inst.facilities, inst.k),
+        space=space,
         generic_black_box=None if solver.kind == "exact" else _plain_bb(inst, solver),
         objective=lambda C: (colorful_cost(cinst, C), colorful_outliers(cinst, C)),
         prune=prune,
@@ -448,6 +451,7 @@ def matroid_median_solve(
     if params.z != inst.z:
         raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
     rounds = default_rounds() if rounds is None else rounds
+    _check_exact_engine(solver, prune)
 
     base = matroid_baseline(inst, matroid, baseline_budget, heuristic_baseline)
     rp = ring_partition(inst, base.centers, params.tau)
@@ -552,6 +556,7 @@ def colorful_matroid_solve(
     if params.z != inst.z:
         raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
     rounds = default_rounds() if rounds is None else rounds
+    _check_exact_engine(solver, prune)
 
     base = matroid_baseline(inst, matroid, baseline_budget, heuristic_baseline)
     rp = ring_partition(inst, base.centers, params.tau)

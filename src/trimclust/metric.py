@@ -29,6 +29,14 @@ PointId = int
 _TRIANGLE_CHECK_SEED = 0x7461_6272  # fixed; the check must not consume user randomness
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Reject NaN and inf, which would make every cost comparison false."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"{what} must be finite; entry {where} is {float(values[where])}")
+
+
 class DistanceOracle:
     """Read-only pairwise distances over a fixed universe of points."""
 
@@ -54,6 +62,7 @@ class MatrixOracle(DistanceOracle):
         m = np.ascontiguousarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("distance matrix must be square")
+        _check_finite(m, "distance matrix")
         if check:
             if m.size and m.min() < 0.0:
                 raise ValueError("distances must be nonnegative")
@@ -95,6 +104,7 @@ class EuclideanOracle(DistanceOracle):
         c = np.ascontiguousarray(coords, dtype=float)
         if c.ndim != 2:
             raise ValueError("coords must be a 2-D array (n_points, dimension)")
+        _check_finite(c, "coords")
         self.coords = c
         self.n_points = c.shape[0]
 

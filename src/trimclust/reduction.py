@@ -9,16 +9,23 @@ trimmed cost of its centers.
 
 The exact black box admits heavy amortization across subsets (the per-point,
 per-candidate distance minima do not depend on the evicted subset), so the
-driver uses a batched engine for it; the generic per-subset path remains for
-local search and for differential testing, and both produce identical
-candidate streams.
+round loop uses a batched engine for it.  Per chunk of candidate sets the engine
+computes the weighted minima ``wm = w * min_d`` once; the cost of evicting T
+is the full weighted sum minus ``wm[T0] + wm[T1] + ...``, added in T's own
+order.  Subsets are grouped by size, so each size is one numpy gather-sum
+over an ``(n_T, size)`` index array, worked through in row blocks of about
+``_BLOCK_ELEMENTS`` costs, which bounds the engine's extra memory by the
+block and not by the number of subsets.  Only the distinct winning candidates
+are unranked into center tuples.  The generic per-subset path remains for
+local search and for differential testing; both return the same answers
+except where two candidates' costs differ only by rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -50,6 +57,10 @@ from .solvers import (
 
 DEFAULT_FAILURE_TARGET = 0.05
 
+# cap on elements of one (subsets x candidate-sets) cost block of the batched
+# exact engine; much larger blocks raise peak memory and run no faster
+_BLOCK_ELEMENTS = 65_536
+
 
 def default_rounds(failure_target: float = DEFAULT_FAILURE_TARGET) -> int:
     """Repetitions needed to push a constant per-round failure odds below target."""
@@ -65,8 +76,7 @@ def enumerate_outlier_subsets(cs: WeightedCoreset, m: int) -> Iterator[tuple[int
     n = len(cs.union)
     if m > n:
         raise ValueError(f"m={m} exceeds the {n} coreset entries")
-    for size in range(m + 1):
-        yield from combinations(range(n), size)
+    return chain.from_iterable(combinations(range(n), size) for size in range(m + 1))
 
 
 def evaluate_candidate(
@@ -156,6 +166,22 @@ def _combo_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
     return tuple(combo)
 
 
+def _subsets_by_size(
+    subsets: Sequence[tuple[int, ...]],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(positions, (n_T, size) entry indices) for each subset size present."""
+    sizes = np.fromiter(map(len, subsets), dtype=np.intp, count=len(subsets))
+    flat = np.fromiter(
+        chain.from_iterable(subsets), dtype=np.intp, count=int(sizes.sum())
+    )
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for size in np.unique(sizes):
+        pos = np.flatnonzero(sizes == size)
+        groups.append((pos, flat[starts[pos][:, None] + np.arange(size)]))
+    return groups
+
+
 def per_subset_best_exact(
     dist: DistanceOracle,
     points: Sequence[PointId],
@@ -171,6 +197,14 @@ def per_subset_best_exact(
     found, with ties toward the earliest candidate in enumeration order (the
     lexicographically smallest center tuple).  Raises SolverBudgetExceeded if
     the candidate space itself is too large.
+
+    Per candidate chunk, ``wm = w * min_d`` holds every entry's weighted
+    distance to every candidate set, and the cost of T is
+    ``w @ min_d - (wm[T0] + wm[T1] + ...)``, the evicted rows added in T's own
+    order.  Subsets are grouped by size so each group is one gather-sum over
+    an ``(n_T, size)`` index array, taken in row blocks of about
+    ``_BLOCK_ELEMENTS`` costs so memory stays bounded whatever the number of
+    subsets.  Only the distinct winning candidates are unranked.
     """
     if space.count > budget:
         raise SolverBudgetExceeded(
@@ -182,25 +216,61 @@ def per_subset_best_exact(
     if z != 1.0:
         d = d**z
     w = np.asarray(weights, dtype=float)
-    n_T = len(subsets)
-    best_cost = np.full(n_T, np.inf)
-    best_idx = np.full(n_T, -1, dtype=np.int64)
+    groups = _subsets_by_size(subsets)
+    best_cost = np.full(len(subsets), np.inf)
+    best_idx = np.full(len(subsets), -1, dtype=np.int64)
     offset = 0
     for chunk in space.chunks(len(points)):
         min_d = d[:, chunk].min(axis=2)  # (n_points, chunk_size)
         full = w @ min_d
-        for ti, T in enumerate(subsets):
-            if T:
-                rows = list(T)
-                costs = full - w[rows] @ min_d[rows, :]
-            else:
-                costs = full
-            j = int(np.argmin(costs))
-            if costs[j] < best_cost[ti]:
-                best_cost[ti] = costs[j]
-                best_idx[ti] = offset + j
+        wm = w[:, None] * min_d
+        per = max(1, _BLOCK_ELEMENTS // min_d.shape[1])
+        for pos, rows in groups:
+            for lo in range(0, len(pos), per):
+                block = rows[lo : lo + per]
+                if block.shape[1] == 0:
+                    costs = np.broadcast_to(full, (len(block), len(full)))
+                else:
+                    removed = wm[block[:, 0]]
+                    for col in range(1, block.shape[1]):
+                        removed += wm[block[:, col]]
+                    costs = np.subtract(full, removed, out=removed)
+                j = costs.argmin(axis=1)
+                vals = costs[np.arange(len(j)), j]
+                p = pos[lo : lo + per]
+                better = vals < best_cost[p]
+                best_cost[p[better]] = vals[better]
+                best_idx[p[better]] = offset + j[better]
         offset += chunk.shape[0]
-    return [space.centers_at(int(i)) for i in best_idx]
+    winners, which = np.unique(best_idx, return_inverse=True)
+    if len(winners) and winners[0] < 0:
+        raise ValueError("no candidate center set has a finite cost")
+    centers = [space.centers_at(int(i)) for i in winners]
+    return [centers[i] for i in which.tolist()]
+
+
+def _check_exact_engine(
+    solver: SolverHandle, prune: bool, space: CandidateSpace | None = None
+) -> None:
+    """Refuse up front what the batched exact engine would only find out late.
+
+    The exact black box answers every subset of a round in one batched call,
+    so there is no per-subset call for pruning to skip.  A k-subset candidate
+    space over the solver's budget would be refused in every round, after the
+    baseline had already run.
+    """
+    if solver.kind != "exact":
+        return
+    if prune:
+        raise ValueError(
+            "pruning applies only to per-subset black-box calls (local search); "
+            "the exact black box answers all subsets in one batched call"
+        )
+    if space is not None and space.count > solver.enumeration_budget:
+        raise SolverBudgetExceeded(
+            f"{space.count} candidate center sets exceed the exact solver's "
+            f"budget {solver.enumeration_budget}"
+        )
 
 
 @dataclass(frozen=True)
@@ -262,14 +332,12 @@ def _run_rounds(
         evaluated = 0
         skipped = 0
         seen: set[tuple[PointId, ...]] = set()
+        answers_seen: set[tuple[PointId, ...]] = set()
 
         if solver.kind == "exact" and generic_black_box is None:
-            try:
-                answers = per_subset_best_exact(
-                    inst.dist, pts, w, space, inst.z, subsets, solver.enumeration_budget
-                )
-            except SolverBudgetExceeded:
-                answers = [None] * len(subsets)  # type: ignore[list-item]
+            answers = per_subset_best_exact(
+                inst.dist, pts, w, space, inst.z, subsets, solver.enumeration_budget
+            )
         else:
             answers = _per_subset_generic(
                 inst, pts, w, subsets, generic_black_box, solver,
@@ -281,6 +349,10 @@ def _run_rounds(
             if centers is None:
                 skipped += 1
                 continue
+            # answers repeat heavily: skip a repeated answer before sorting it
+            if centers in answers_seen:
+                continue
+            answers_seen.add(centers)
             key = tuple(sorted(centers))
             if key in seen:
                 continue
@@ -379,6 +451,8 @@ def solve_with_outliers(
     rounds = default_rounds() if rounds is None else rounds
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    space = CandidateSpace.subsets(inst.facilities, inst.k)
+    _check_exact_engine(solver, prune, space)
 
     aug = build_augmented_instance(inst)
     kwargs = {} if baseline_exact_budget is None else {"exact_budget": baseline_exact_budget}
@@ -393,7 +467,7 @@ def solve_with_outliers(
         seed,
         build_cs=lambda rng: build_coreset(rp, params, rng),
         enum_subsets=lambda cs: enumerate_outlier_subsets(cs, min(inst.m, len(cs.union))),
-        space=CandidateSpace.subsets(inst.facilities, inst.k),
+        space=space,
         generic_black_box=None if solver.kind == "exact" else _plain_black_box(inst, solver),
         objective=lambda C: evaluate_candidate(C, inst),
         prune=prune,

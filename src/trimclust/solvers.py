@@ -149,7 +149,8 @@ def exact_kmedian(
         if costs[i] < best_cost:
             best_cost = float(costs[i])
             best_combo = tuple(chunk[i])
-    assert best_combo is not None
+    if best_combo is None:
+        raise ValueError("no candidate center set has a finite cost")
     return tuple(fac[i] for i in best_combo)
 
 
@@ -324,7 +325,8 @@ def exact_outlier_oracle(
         if costs[i] < best_cost:
             best_cost = float(costs[i])
             best_combo = tuple(chunk[i])
-    assert best_combo is not None
+    if best_combo is None:
+        raise ValueError("no candidate center set has a finite cost")
     centers = tuple(fac[i] for i in best_combo)
     cost = trimmed_cost(inst.dist, X, centers, m, inst.z)
     outliers = farthest_points(inst.dist, X, centers, m, inst.z)

@@ -56,6 +56,23 @@ def test_instance_rejects_garbage(tmp_path):
         fileio.load_instance(p)
 
 
+def test_instance_rejects_nan_coordinate(tmp_path):
+    inst, _ = generate_planted(
+        PlantedConfig(
+            clusters=2, points_per_cluster=5, spread=1.0, outlier_count=1,
+            outlier_distance_factor=20.0, dimension=2, seed=5,
+        )
+    )
+    p = tmp_path / "nan.inst"
+    fileio.save_instance(inst, p)
+    lines = p.read_text().splitlines()
+    pid, role, x, y = lines[-1].split(",")
+    lines[-1] = ",".join([pid, role, "nan", y])
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        fileio.load_instance(p)
+
+
 def test_colors_round_trip(rng, tmp_path):
     inst = random_instance(rng, 8, 3, k=1, m=2)
     colors = {p: 1 + (p % 2) for p in inst.clients}

@@ -209,6 +209,16 @@ def test_matrix_oracle_validation():
     )
     with pytest.raises(ValueError):
         MatrixOracle(bad_triangle, triangle_samples=2000)
+    with pytest.raises(ValueError, match="finite"):
+        MatrixOracle(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_euclidean_oracle_rejects_non_finite(rng, bad):
+    coords = rng.uniform(0.0, 100.0, size=(20, 2))
+    coords[7, 0] = bad
+    with pytest.raises(ValueError, match=r"coords must be finite; entry \(7, 0\)"):
+        EuclideanOracle(coords)
 
 
 def test_matrix_matches_euclidean(rng):

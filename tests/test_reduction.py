@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from trimclust import (
     CoresetParams,
+    EuclideanOracle,
     SolverHandle,
     baseline_solve,
     build_augmented_instance,
@@ -22,7 +25,17 @@ from trimclust import (
     solve_with_outliers,
     trimmed_cost,
 )
+from trimclust import extensions, reduction
+from trimclust.extensions import (
+    ColorfulInstance,
+    build_colored_coreset,
+    colorful_solve,
+    enumerate_colorful_subsets,
+    matroid_median_solve,
+)
+from trimclust.matroids import PartitionMatroid, matroid_bases
 from trimclust.reduction import CandidateSpace, _per_subset_generic, per_subset_best_exact
+from trimclust.solvers import SolverBudgetExceeded
 from trimclust.bench import report_to_dict
 from trimclust.rng import generator_for
 from conftest import line_instance, random_instance, shared_point_instance
@@ -174,6 +187,45 @@ def test_all_refused_raises(rng):
         solve_with_outliers(inst, lossless_params(inst), tiny_budget, seed=1, rounds=1)
 
 
+def _no_baseline(monkeypatch):
+    """Make any baseline run fail the test, in every module that calls one."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the baseline ran before the refusal")
+
+    for mod in (reduction, extensions):
+        monkeypatch.setattr(mod, "baseline_solve", boom)
+    monkeypatch.setattr(extensions, "matroid_baseline", boom)
+
+
+def test_exact_budget_decided_before_baseline(rng, monkeypatch):
+    _no_baseline(monkeypatch)
+    inst = shared_point_instance(rng, 12, k=2, m=1)  # C(12, 2) = 66 candidate sets
+    solver = SolverHandle.exact(enumeration_budget=10)
+    with pytest.raises(SolverBudgetExceeded, match=r"66 candidate center sets .* budget 10"):
+        solve_with_outliers(inst, lossless_params(inst), solver, seed=1, rounds=1)
+    colors = {p: 1 + p % 2 for p in inst.clients}
+    cinst = ColorfulInstance(base=inst, colors=colors, budgets=(1, 0))
+    with pytest.raises(SolverBudgetExceeded, match=r"66 candidate center sets .* budget 10"):
+        colorful_solve(cinst, lossless_params(inst), solver, seed=1, rounds=1)
+
+
+def test_prune_refused_on_exact_path(rng, monkeypatch):
+    _no_baseline(monkeypatch)
+    inst = random_instance(rng, 10, 4, k=2, m=1)
+    matroid = PartitionMatroid([(inst.facilities[:2], 1), (inst.facilities[2:], 1)])
+    message = "pruning applies only to per-subset black-box calls"
+    with pytest.raises(ValueError, match=message):
+        solve_with_outliers(
+            inst, lossless_params(inst), SolverHandle.exact(), seed=1, rounds=1, prune=True
+        )
+    with pytest.raises(ValueError, match=message):
+        matroid_median_solve(
+            inst, matroid, lossless_params(inst), SolverHandle.exact(), seed=1, rounds=1,
+            prune=True,
+        )
+
+
 def test_params_z_mismatch_rejected(rng):
     inst = random_instance(rng, 6, 3, k=1, m=1, z=2.0)
     with pytest.raises(ValueError):
@@ -242,6 +294,88 @@ def test_batched_engine_matches_per_subset_calls(rng):
             )
         )
         assert batched == generic
+
+
+def _reference_best_exact(dist, points, weights, space, z, subsets):
+    """The per-subset loop the batched engine replaced, kept as its reference."""
+    d = dist.pairwise(points, space.col_ids)
+    if z != 1.0:
+        d = d**z
+    w = np.asarray(weights, dtype=float)
+    best_cost = np.full(len(subsets), np.inf)
+    best_idx = np.full(len(subsets), -1, dtype=np.int64)
+    offset = 0
+    for chunk in space.chunks(len(points)):
+        min_d = d[:, chunk].min(axis=2)
+        full = w @ min_d
+        for ti, T in enumerate(subsets):
+            if T:
+                rows = list(T)
+                costs = full - w[rows] @ min_d[rows, :]
+            else:
+                costs = full
+            j = int(np.argmin(costs))
+            if costs[j] < best_cost[ti]:
+                best_cost[ti] = costs[j]
+                best_idx[ti] = offset + j
+        offset += chunk.shape[0]
+    return [space.centers_at(int(i)) for i in best_idx]
+
+
+def _with_twin_facilities(inst):
+    """Move every second facility onto the one before it, so candidate sets tie."""
+    coords = inst.dist.coords.copy()
+    fac = inst.facilities
+    for a, b in zip(fac[::2], fac[1::2]):
+        coords[b] = coords[a]
+    return replace(inst, dist=EuclideanOracle(coords))
+
+
+def _plain_case(rng):
+    inst = _with_twin_facilities(random_instance(rng, 16, 8, k=2, m=3, z=2.0))
+    cs = _coreset_for(inst, s=3, seed=int(rng.integers(1 << 16)))
+    return inst, cs, list(enumerate_outlier_subsets(cs, 3)), CandidateSpace.subsets(
+        inst.facilities, inst.k
+    )
+
+
+def _colorful_case(rng):
+    inst = _with_twin_facilities(random_instance(rng, 18, 7, k=2, m=3))
+    cinst = ColorfulInstance(
+        base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(2, 1)
+    )
+    base = baseline_solve(build_augmented_instance(inst), exact_budget=3000)
+    rp = ring_partition(inst, base.centers, tau=1.0)
+    cs = build_colored_coreset(rp, cinst, practical(3), generator_for(int(rng.integers(99)), 1, 0))
+    subsets = list(enumerate_colorful_subsets(cs, cinst.budgets))
+    sizes = [len(T) for T in subsets]
+    assert sizes != sorted(sizes)  # the stream is not in size order
+    return inst, cs, subsets, CandidateSpace.subsets(inst.facilities, inst.k)
+
+
+def _matroid_case(rng):
+    inst = _with_twin_facilities(random_instance(rng, 16, 9, k=3, m=2))
+    fac = inst.facilities
+    matroid = PartitionMatroid([(fac[0:3], 1), (fac[3:6], 1), (fac[6:9], 1)])
+    cs = _coreset_for(inst, s=3, seed=int(rng.integers(1 << 16)))
+    space = CandidateSpace.from_center_sets(matroid_bases(matroid))
+    return inst, cs, list(enumerate_outlier_subsets(cs, 2)), space
+
+
+@pytest.mark.parametrize("case", [_plain_case, _colorful_case, _matroid_case])
+def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
+    # small chunks and blocks, so candidate chunks and row blocks are crossed
+    monkeypatch.setattr(reduction, "_CHUNK_ELEMENTS", 150)
+    monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 20)
+    for _ in range(4):
+        inst, cs, subsets, space = case(rng)
+        pts, _ = cs.union.as_arrays()
+        # integer weights as a sampled coreset has, so evicted rows are scaled
+        w = rng.integers(1, 6, size=len(pts)).astype(float)
+        assert len(list(space.chunks(len(pts)))) > 2
+        want = _reference_best_exact(inst.dist, pts, w, space, inst.z, subsets)
+        got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, subsets, 10**6)
+        assert got == want
 
 
 def test_theory_mode_pipeline(rng):
