@@ -41,6 +41,7 @@ from .coreset import (
     verify_ring_bounds,
 )
 from .solvers import (
+    CandidateSpace,
     SolverBudgetExceeded,
     SolverHandle,
     exact_kmedian,
@@ -50,7 +51,6 @@ from .solvers import (
     solve_outlier_free,
 )
 from .reduction import (
-    CandidateSpace,
     ReductionReport,
     RoundRecord,
     default_rounds,

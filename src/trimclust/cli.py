@@ -116,6 +116,12 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--out", default=None)
 
     args = ap.parse_args(argv)
+    if "instance" in args:
+        try:
+            inst = fileio.load_instance(args.instance)
+        except (OSError, ValueError) as exc:
+            print(f"cannot load instance {args.instance}: {exc}", file=sys.stderr)
+            return 2
 
     if args.verb == "generate":
         cfg = PlantedConfig(
@@ -136,7 +142,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.verb == "solve":
-        inst = fileio.load_instance(args.instance)
         params = _params_for(args, inst.z)
         spec: dict = {"kind": args.solver}
         if args.solver == "local-search":
@@ -161,7 +166,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.verb == "oracle":
-        inst = fileio.load_instance(args.instance)
         try:
             sol = exact_outlier_oracle(inst, budget=args.budget)
         except SolverBudgetExceeded as exc:
@@ -186,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if ok else 1
 
     if args.verb == "coreset-dump":
-        inst = fileio.load_instance(args.instance)
         params = _params_for(args, inst.z)
         base = baseline_solve(build_augmented_instance(inst))
         rp = ring_partition(inst, base.centers, params.tau)
@@ -198,7 +201,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.verb == "check-rings":
-        inst = fileio.load_instance(args.instance)
         base = baseline_solve(build_augmented_instance(inst))
         rp = ring_partition(inst, base.centers, args.tau)
         rep = verify_ring_bounds(rp, inst)

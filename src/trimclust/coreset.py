@@ -35,7 +35,7 @@ from .metric import (
     trimmed_cost,
     trimmed_sum,
 )
-from .solvers import SolverHandle, _local_search, exact_kmedian
+from .solvers import CandidateSpace, SolverHandle, _local_search, exact_kmedian
 
 DEFAULT_BASELINE_EXACT_BUDGET = 50_000
 
@@ -136,9 +136,7 @@ def baseline_solve(
     if inst_aug.m != 0:
         raise ValueError("baseline expects an outlier-free instance (m = 0)")
     X = list(inst_aug.clients)
-    k_eff = min(inst_aug.k, len(inst_aug.facilities))
-    n_combos = math.comb(len(inst_aug.facilities), k_eff)
-    if n_combos <= exact_budget:
+    if CandidateSpace.subsets(inst_aug.facilities, inst_aug.k).count <= exact_budget:
         centers = exact_kmedian(
             inst_aug.dist, X, None, inst_aug.facilities, inst_aug.k, inst_aug.z,
             budget=exact_budget,

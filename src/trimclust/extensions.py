@@ -25,7 +25,7 @@ from .coreset import (
     baseline_solve,
     build_augmented_instance,
     build_coreset,
-    ring_partition,
+    ring_partition,  # noqa: F401  (re-exported; the driver makes the rings)
 )
 from .metric import (
     MetricInstance,
@@ -35,50 +35,26 @@ from .metric import (
     farthest_points,
     trimmed_cost,
 )
-from .reduction import (
-    CandidateSpace,
-    ReductionReport,
-    _check_exact_engine,
-    _run_rounds,
-    default_rounds,
-    per_subset_best_exact,
-    solve_with_outliers,
-)
+from .reduction import _run_rounds, per_subset_best_exact, solve_with_outliers
 from .matroids import (
     MatroidOracle,
     direct_sum_matroid,
     matroid_bases,
 )
-from .solvers import SolverBudgetExceeded, SolverHandle, DEFAULT_ENUMERATION_BUDGET
+from .solvers import (
+    DEFAULT_ENUMERATION_BUDGET,
+    CandidateSpace,
+    SolverHandle,
+    _cost_block,
+    _refuse_over_budget,
+    argmin_trimmed,
+)
 
-
-def kz_solve_with_outliers(
-    inst: MetricInstance,
-    params: CoresetParams,
-    solver: SolverHandle,
-    *,
-    seed: int,
-    rounds: int | None = None,
-    prune: bool = False,
-    baseline_exact_budget: int | None = None,
-) -> ReductionReport:
-    """The reduction under powered costs d**z; z=1 reproduces the base solve.
-
-    The z-awareness lives in the shared machinery (powered costs, the
-    z-dependent ring radius, sample sizing, and ring-sum factors), so this is
-    the same pipeline entered with z read off the instance.
-    """
-    if inst.z < 1:
-        raise ValueError("z must be >= 1")
-    return solve_with_outliers(
-        inst,
-        params,
-        solver,
-        seed=seed,
-        rounds=rounds,
-        prune=prune,
-        baseline_exact_budget=baseline_exact_budget,
-    )
+# The reduction under powered costs d**z is the base pipeline entered with z
+# read off the instance: the z-awareness lives in the shared machinery
+# (powered costs, the z-dependent ring radius, sample sizing, and ring-sum
+# factors), so z=1 reproduces the base solve.
+kz_solve_with_outliers = solve_with_outliers
 
 
 # ---------------------------------------------------------------------------
@@ -224,93 +200,17 @@ def colorful_solve(
     baseline_exact_budget: int | None = None,
 ) -> Solution:
     """Color-budgeted reduction; enumeration honors budgets, solving is color-blind."""
-    inst = cinst.base
-    if params.z != inst.z:
-        raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
-    rounds = default_rounds() if rounds is None else rounds
-    space = CandidateSpace.subsets(inst.facilities, inst.k)
-    _check_exact_engine(solver, prune, space)
-    aug = build_augmented_instance(inst)
-    kwargs = {} if baseline_exact_budget is None else {"exact_budget": baseline_exact_budget}
-    base = baseline_solve(aug, **kwargs)
-    rp = ring_partition(inst, base.centers, params.tau)
-
-    best, _, _, _ = _run_rounds(
-        inst,
-        params,
-        solver,
-        rounds,
-        seed,
-        build_cs=lambda rng: build_colored_coreset(rp, cinst, params, rng),
-        enum_subsets=lambda ccs: enumerate_colorful_subsets(ccs, cinst.budgets),
-        space=space,
-        generic_black_box=None if solver.kind == "exact" else _plain_bb(inst, solver),
-        objective=lambda C: (colorful_cost(cinst, C), colorful_outliers(cinst, C)),
-        prune=prune,
-        prune_ground=None,
+    return _solve_variant(
+        cinst.base, cinst, None, params, solver,
+        seed=seed, rounds=rounds, prune=prune, baseline_budget=baseline_exact_budget,
     )
-    return best
 
 
 def colorful_oracle(
     cinst: ColorfulInstance, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> Solution:
     """Exact colorful optimum by enumerating center sets with per-color trimming."""
-    inst = cinst.base
-    space = CandidateSpace.subsets(inst.facilities, inst.k)
-    best_idx = _argmin_colorful(cinst, space, budget)
-    centers = space.centers_at(best_idx)
-    return Solution(
-        centers=centers,
-        outliers=colorful_outliers(cinst, centers),
-        cost=colorful_cost(cinst, centers),
-        candidate_tag="oracle",
-    )
-
-
-def _argmin_colorful(cinst: ColorfulInstance, space: CandidateSpace, budget: int) -> int:
-    if space.count > budget:
-        raise SolverBudgetExceeded(
-            f"{space.count} candidate center sets exceed budget {budget}"
-        )
-    inst = cinst.base
-    X = list(inst.clients)
-    d = inst.power_distances(X, space.col_ids)
-    row_of = {p: i for i, p in enumerate(X)}
-    groups = []
-    for t in range(1, cinst.ell + 1):
-        cls = cinst.color_class(t)
-        if cls:
-            groups.append((np.asarray([row_of[p] for p in cls]), cinst.budgets[t - 1]))
-    best_cost = math.inf
-    best_idx = -1
-    offset = 0
-    for chunk in space.chunks(len(X)):
-        vals = d[:, chunk].min(axis=2)
-        costs = np.zeros(vals.shape[1])
-        for rows, m_t in groups:
-            sub = vals[rows]
-            keep = len(rows) - m_t
-            if keep == 0:
-                continue
-            if m_t == 0:
-                costs += sub.sum(axis=0)
-            else:
-                costs += np.partition(sub, keep - 1, axis=0)[:keep].sum(axis=0)
-        j = int(np.argmin(costs))
-        if costs[j] < best_cost:
-            best_cost = float(costs[j])
-            best_idx = offset + j
-        offset += chunk.shape[0]
-    return best_idx
-
-
-def _plain_bb(inst: MetricInstance, solver: SolverHandle):
-    from .solvers import solve_outlier_free
-
-    return lambda p, w: solve_outlier_free(
-        inst.dist, p, w, inst.facilities, inst.k, inst.z, solver
-    )
+    return _variant_oracle(cinst.base, cinst, None, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +288,7 @@ def matroid_local_search(
     if len(current) < matroid.rank:
         raise ValueError("could not build a basis greedily; oracle inconsistent")
 
-    d = dist.pairwise(points, ground)
-    if z != 1.0:
-        d = d**z
-    if weights is not None:
-        d = d * np.asarray(weights, dtype=float)[:, None]
+    d = _cost_block(dist, points, weights, ground, z)
     col = {g: i for i, g in enumerate(ground)}
 
     def total(cset: Sequence[PointId]) -> float:
@@ -447,53 +343,10 @@ def matroid_median_solve(
     heuristic when the solver handle asks for local search); every returned
     center set is independent.
     """
-    _check_matroid_instance(inst, matroid)
-    if params.z != inst.z:
-        raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
-    rounds = default_rounds() if rounds is None else rounds
-    _check_exact_engine(solver, prune)
-
-    base = matroid_baseline(inst, matroid, baseline_budget, heuristic_baseline)
-    rp = ring_partition(inst, base.centers, params.tau)
-    bases = matroid_bases(matroid, solver.enumeration_budget)
-    space = CandidateSpace.from_center_sets(bases)
-
-    if solver.kind == "exact":
-        generic_bb = None
-    else:
-        generic_bb = lambda p, w: matroid_local_search(
-            inst.dist, p, w, matroid, inst.z, solver
-        )[0]
-
-    def objective(C):
-        if not matroid.is_independent(C):
-            raise AssertionError(f"candidate {C} is not independent")
-        return (
-            trimmed_cost(inst.dist, inst.clients, C, inst.m, inst.z),
-            farthest_points(inst.dist, inst.clients, C, inst.m, inst.z),
-        )
-
-    best, _, _, _ = _run_rounds(
-        inst,
-        params,
-        solver,
-        rounds,
-        seed,
-        build_cs=lambda rng: build_coreset(rp, params, rng),
-        enum_subsets=lambda cs: _enum_plain(cs, inst.m),
-        space=space,
-        generic_black_box=generic_bb,
-        objective=objective,
-        prune=prune,
-        prune_ground=matroid.ground_set,
+    return _solve_variant(
+        inst, None, matroid, params, solver, seed=seed, rounds=rounds, prune=prune,
+        baseline_budget=baseline_budget, heuristic_baseline=heuristic_baseline,
     )
-    return best
-
-
-def _enum_plain(cs: WeightedCoreset, m: int) -> Iterator[tuple[int, ...]]:
-    from .reduction import enumerate_outlier_subsets
-
-    return enumerate_outlier_subsets(cs, min(m, len(cs.union)))
 
 
 def matroid_median_oracle(
@@ -502,35 +355,7 @@ def matroid_median_oracle(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> Solution:
     """Exact matroid-constrained optimum: best basis under farthest-m trimming."""
-    _check_matroid_instance(inst, matroid)
-    bases = matroid_bases(matroid, budget)
-    space = CandidateSpace.from_center_sets(bases)
-    X = list(inst.clients)
-    best_cost = math.inf
-    best_idx = -1
-    d = inst.power_distances(X, space.col_ids)
-    keep = len(X) - inst.m
-    offset = 0
-    for chunk in space.chunks(len(X)):
-        vals = d[:, chunk].min(axis=2)
-        if keep == 0:
-            costs = np.zeros(vals.shape[1])
-        elif inst.m == 0:
-            costs = vals.sum(axis=0)
-        else:
-            costs = np.partition(vals, keep - 1, axis=0)[:keep].sum(axis=0)
-        j = int(np.argmin(costs))
-        if costs[j] < best_cost:
-            best_cost = float(costs[j])
-            best_idx = offset + j
-        offset += chunk.shape[0]
-    centers = space.centers_at(best_idx)
-    return Solution(
-        centers=centers,
-        outliers=farthest_points(inst.dist, X, centers, inst.m, inst.z),
-        cost=trimmed_cost(inst.dist, X, centers, inst.m, inst.z),
-        candidate_tag="oracle",
-    )
+    return _variant_oracle(inst, None, matroid, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -551,45 +376,10 @@ def colorful_matroid_solve(
     heuristic_baseline: bool = False,
 ) -> Solution:
     """Color-budgeted enumeration with matroid-feasible candidates."""
-    inst = cinst.base
-    _check_matroid_instance(inst, matroid)
-    if params.z != inst.z:
-        raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
-    rounds = default_rounds() if rounds is None else rounds
-    _check_exact_engine(solver, prune)
-
-    base = matroid_baseline(inst, matroid, baseline_budget, heuristic_baseline)
-    rp = ring_partition(inst, base.centers, params.tau)
-    bases = matroid_bases(matroid, solver.enumeration_budget)
-    space = CandidateSpace.from_center_sets(bases)
-
-    if solver.kind == "exact":
-        generic_bb = None
-    else:
-        generic_bb = lambda p, w: matroid_local_search(
-            inst.dist, p, w, matroid, inst.z, solver
-        )[0]
-
-    def objective(C):
-        if not matroid.is_independent(C):
-            raise AssertionError(f"candidate {C} is not independent")
-        return (colorful_cost(cinst, C), colorful_outliers(cinst, C))
-
-    best, _, _, _ = _run_rounds(
-        inst,
-        params,
-        solver,
-        rounds,
-        seed,
-        build_cs=lambda rng: build_colored_coreset(rp, cinst, params, rng),
-        enum_subsets=lambda ccs: enumerate_colorful_subsets(ccs, cinst.budgets),
-        space=space,
-        generic_black_box=generic_bb,
-        objective=objective,
-        prune=prune,
-        prune_ground=matroid.ground_set,
+    return _solve_variant(
+        cinst.base, cinst, matroid, params, solver, seed=seed, rounds=rounds, prune=prune,
+        baseline_budget=baseline_budget, heuristic_baseline=heuristic_baseline,
     )
-    return best
 
 
 def colorful_matroid_oracle(
@@ -598,15 +388,105 @@ def colorful_matroid_oracle(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> Solution:
     """Exhaustive optimum over matroid bases under per-color trimming."""
-    inst = cinst.base
-    _check_matroid_instance(inst, matroid)
-    bases = matroid_bases(matroid, budget)
-    space = CandidateSpace.from_center_sets(bases)
-    best_idx = _argmin_colorful(cinst, space, budget)
-    centers = space.centers_at(best_idx)
-    return Solution(
-        centers=centers,
-        outliers=colorful_outliers(cinst, centers),
-        cost=colorful_cost(cinst, centers),
-        candidate_tag="oracle",
-    )
+    return _variant_oracle(cinst.base, cinst, matroid, budget)
+
+
+# ---------------------------------------------------------------------------
+# one solve and one oracle along the two axes: color budgets, matroid centers
+# ---------------------------------------------------------------------------
+
+
+def _candidates(
+    inst: MetricInstance, matroid: MatroidOracle | None, budget: int
+) -> CandidateSpace:
+    """Every k-subset of the facilities, or the matroid's bases (refused over budget)."""
+    if matroid is None:
+        return CandidateSpace.subsets(inst.facilities, inst.k)
+    return CandidateSpace.from_center_sets(matroid_bases(matroid, budget))
+
+
+def _scorer(inst: MetricInstance, cinst: ColorfulInstance | None):
+    """Cost and outliers of a center set: farthest-m or per-color trimming."""
+    if cinst is None:
+        return lambda C: (
+            trimmed_cost(inst.dist, inst.clients, C, inst.m, inst.z),
+            farthest_points(inst.dist, inst.clients, C, inst.m, inst.z),
+        )
+    return lambda C: (colorful_cost(cinst, C), colorful_outliers(cinst, C))
+
+
+def _solve_variant(
+    inst: MetricInstance,
+    cinst: ColorfulInstance | None,
+    matroid: MatroidOracle | None,
+    params: CoresetParams,
+    solver: SolverHandle,
+    *,
+    seed: int,
+    rounds: int | None,
+    prune: bool,
+    baseline_budget: int | None,
+    heuristic_baseline: bool = False,
+) -> Solution:
+    """The reduction under per-color budgets (``cinst``), matroid centers, or both.
+
+    Budgets choose the coreset flavor, the subset stream and the trimming;
+    a matroid chooses the baseline, the candidate space and the local-search
+    black box, and every candidate is checked for independence.
+    """
+    if matroid is None:
+        kwargs = {} if baseline_budget is None else {"exact_budget": baseline_budget}
+        baseline = lambda: baseline_solve(build_augmented_instance(inst), **kwargs)
+        black_box = None
+    else:
+        _check_matroid_instance(inst, matroid)
+        baseline = lambda: matroid_baseline(inst, matroid, baseline_budget, heuristic_baseline)
+        black_box = lambda p, w: matroid_local_search(inst.dist, p, w, matroid, inst.z, solver)[0]
+    if cinst is None:
+        build_cs = lambda rp, rng: build_coreset(rp, params, rng)
+        enum_subsets = None
+    else:
+        build_cs = lambda rp, rng: build_colored_coreset(rp, cinst, params, rng)
+        enum_subsets = lambda ccs: enumerate_colorful_subsets(ccs, cinst.budgets)
+    score = _scorer(inst, cinst)
+
+    def objective(C):
+        if matroid is not None and not matroid.is_independent(C):
+            raise AssertionError(f"candidate {C} is not independent")
+        return score(C)
+
+    return _run_rounds(
+        inst, params, solver, seed=seed, rounds=rounds, prune=prune,
+        space=lambda: _candidates(inst, matroid, solver.enumeration_budget),
+        baseline=baseline,
+        build_cs=build_cs,
+        objective=objective,
+        enum_subsets=enum_subsets,
+        black_box=black_box,
+        prune_ground=None if matroid is None else matroid.ground_set,
+    ).best
+
+
+def _variant_oracle(
+    inst: MetricInstance,
+    cinst: ColorfulInstance | None,
+    matroid: MatroidOracle | None,
+    budget: int,
+) -> Solution:
+    """Exhaustive optimum over the candidate space under the variant's trimming."""
+    if matroid is not None:
+        _check_matroid_instance(inst, matroid)
+    space = _refuse_over_budget(_candidates(inst, matroid, budget), budget)
+    X = list(inst.clients)
+    if cinst is None:
+        groups = [(slice(None), inst.m)]
+    else:
+        row = {p: i for i, p in enumerate(X)}
+        groups = []
+        for t in range(1, cinst.ell + 1):
+            if cls := cinst.color_class(t):
+                groups.append((np.asarray([row[p] for p in cls]), cinst.budgets[t - 1]))
+    d = inst.power_distances(X, space.col_ids)
+    centers = space.centers_at(argmin_trimmed(d, space, groups))
+    cost, outliers = _scorer(inst, cinst)(centers)
+    return Solution(centers=centers, outliers=outliers, cost=cost, candidate_tag="oracle")

@@ -1,15 +1,13 @@
 """Matroid independence oracles: uniform, partition, explicit, and direct sums.
 
 Oracles answer "is this subset of the ground set independent" and memoize
-answers behind a lock, so they are safe to query from several threads.  The
-axioms (empty set independent, downward closure, exchange) can be verified
-exhaustively on small ground sets with `check_matroid_axioms`.
+the answers.  The axioms (empty set independent, downward closure, exchange)
+can be verified exhaustively on small ground sets with `check_matroid_axioms`.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
@@ -29,18 +27,13 @@ class MatroidOracle:
         self.rank = int(rank)
         self._ground = frozenset(self.ground_set)
         self._cache: dict[frozenset, bool] = {}
-        self._lock = threading.Lock()
 
     def is_independent(self, S: Iterable[PointId]) -> bool:
         fs = frozenset(int(x) for x in S)
-        with self._lock:
-            hit = self._cache.get(fs)
-        if hit is not None:
-            return hit
-        ans = fs <= self._ground and self._independent(fs)
-        with self._lock:
-            self._cache[fs] = ans
-        return ans
+        hit = self._cache.get(fs)
+        if hit is None:
+            hit = self._cache[fs] = fs <= self._ground and self._independent(fs)
+        return hit
 
     def _independent(self, fs: frozenset) -> bool:
         raise NotImplementedError

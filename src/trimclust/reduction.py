@@ -2,6 +2,12 @@
 instance with the black-box solver, and keep the candidate that scores best on
 the original instance.
 
+`_run_rounds` is the one driver behind every solve entry point, here and in
+`extensions`.  It checks the arguments, builds the candidate space, runs the
+baseline and the ring partition, and then the rounds; the entry points only
+choose its pieces: the baseline, the coreset flavor, the subset stream, the
+candidate space, the black box and the objective.
+
 Candidate selection always re-evaluates centers on the full original instance
 (cheap), never on coreset costs, so sampling noise can degrade quality but
 never soundness: the returned solution is feasible and its cost is the true
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -33,6 +39,7 @@ import numpy as np
 from .coreset import (
     BaselineResult,
     CoresetParams,
+    RingPartition,
     WeightedCoreset,
     baseline_solve,
     build_augmented_instance,
@@ -49,9 +56,9 @@ from .metric import (
 )
 from .rng import TAG_ROUND, generator_for
 from .solvers import (
+    CandidateSpace,
     SolverBudgetExceeded,
     SolverHandle,
-    _CHUNK_ELEMENTS,
     solve_outlier_free,
 )
 
@@ -86,84 +93,6 @@ def evaluate_candidate(
     cost = trimmed_cost(inst.dist, inst.clients, C, inst.m, inst.z)
     outliers = farthest_points(inst.dist, inst.clients, C, inst.m, inst.z)
     return cost, outliers
-
-
-@dataclass(frozen=True)
-class CandidateSpace:
-    """The center sets the black box may return.
-
-    Either every ``k``-subset of ``col_ids`` (generated lazily, in
-    lexicographic order) or an explicit tuple of index tuples into
-    ``col_ids`` (used for matroid bases).
-    """
-
-    col_ids: tuple[PointId, ...]
-    k: int | None
-    explicit: tuple[tuple[int, ...], ...] | None
-
-    @classmethod
-    def subsets(cls, facilities: Sequence[PointId], k: int) -> "CandidateSpace":
-        ids = tuple(sorted(int(f) for f in facilities))
-        return cls(col_ids=ids, k=min(k, len(ids)), explicit=None)
-
-    @classmethod
-    def from_center_sets(
-        cls, center_sets: Sequence[Sequence[PointId]]
-    ) -> "CandidateSpace":
-        ids = tuple(sorted({int(c) for cset in center_sets for c in cset}))
-        index = {c: i for i, c in enumerate(ids)}
-        explicit = tuple(tuple(index[int(c)] for c in sorted(cset)) for cset in center_sets)
-        return cls(col_ids=ids, k=None, explicit=explicit)
-
-    @property
-    def count(self) -> int:
-        if self.explicit is not None:
-            return len(self.explicit)
-        assert self.k is not None
-        return math.comb(len(self.col_ids), self.k)
-
-    def chunks(self, n_rows: int) -> Iterator[np.ndarray]:
-        """Index arrays (chunk, set_size) over all candidate sets, in order."""
-        if self.explicit is not None:
-            if not self.explicit:
-                return
-            width = max(1, len(self.explicit[0]))
-            per = max(1, _CHUNK_ELEMENTS // max(1, n_rows * width))
-            for lo in range(0, len(self.explicit), per):
-                yield np.asarray(self.explicit[lo : lo + per], dtype=np.intp)
-            return
-        assert self.k is not None
-        per = max(1, _CHUNK_ELEMENTS // max(1, n_rows * max(1, self.k)))
-        it = combinations(range(len(self.col_ids)), self.k)
-        while True:
-            block = list(islice(it, per))
-            if not block:
-                return
-            yield np.asarray(block, dtype=np.intp)
-
-    def centers_at(self, idx: int) -> tuple[PointId, ...]:
-        if self.explicit is not None:
-            return tuple(self.col_ids[i] for i in self.explicit[idx])
-        assert self.k is not None
-        combo = _combo_unrank(len(self.col_ids), self.k, idx)
-        return tuple(self.col_ids[i] for i in combo)
-
-
-def _combo_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
-    """The rank-th k-combination of range(n) in lexicographic order."""
-    combo = []
-    prev = -1
-    for slot in range(k, 0, -1):
-        c = prev + 1
-        while True:
-            block = math.comb(n - c - 1, slot - 1)
-            if rank < block:
-                break
-            rank -= block
-            c += 1
-        combo.append(c)
-        prev = c
-    return tuple(combo)
 
 
 def _subsets_by_size(
@@ -249,9 +178,7 @@ def per_subset_best_exact(
     return [centers[i] for i in which.tolist()]
 
 
-def _check_exact_engine(
-    solver: SolverHandle, prune: bool, space: CandidateSpace | None = None
-) -> None:
+def _check_exact_engine(solver: SolverHandle, prune: bool, space: CandidateSpace) -> None:
     """Refuse up front what the batched exact engine would only find out late.
 
     The exact black box answers every subset of a round in one batched call,
@@ -266,7 +193,7 @@ def _check_exact_engine(
             "pruning applies only to per-subset black-box calls (local search); "
             "the exact black box answers all subsets in one batched call"
         )
-    if space is not None and space.count > solver.enumeration_budget:
+    if space.count > solver.enumeration_budget:
         raise SolverBudgetExceeded(
             f"{space.count} candidate center sets exceed the exact solver's "
             f"budget {solver.enumeration_budget}"
@@ -302,29 +229,48 @@ def _run_rounds(
     inst: MetricInstance,
     params: CoresetParams,
     solver: SolverHandle,
-    rounds: int,
+    *,
     seed: int,
-    build_cs: Callable[[np.random.Generator], object],
-    enum_subsets: Callable[[object], Iterator[tuple[int, ...]]],
-    space: CandidateSpace,
-    generic_black_box: Callable[[np.ndarray, np.ndarray], tuple[PointId, ...]] | None,
-    objective: Callable[[tuple[PointId, ...]], tuple[float, tuple[PointId, ...]]],
+    rounds: int | None,
     prune: bool,
-    prune_ground: Sequence[PointId] | None,
-) -> tuple[Solution, tuple[RoundRecord, ...], int, int]:
-    """Shared round loop; returns (best, per_round, evaluated, skipped).
+    space: Callable[[], CandidateSpace],
+    baseline: Callable[[], BaselineResult],
+    build_cs: Callable[[RingPartition, np.random.Generator], object],
+    objective: Callable[[tuple[PointId, ...]], tuple[float, tuple[PointId, ...]]],
+    enum_subsets: Callable[[object], Iterator[tuple[int, ...]]] | None = None,
+    black_box: Callable[[np.ndarray, np.ndarray], tuple[PointId, ...]] | None = None,
+    prune_ground: Sequence[PointId] | None = None,
+) -> ReductionReport:
+    """The one solve driver behind every solve entry point.
 
-    ``build_cs`` may return any coreset flavor exposing ``union`` (a
-    WeightedPointSet) and ``lossless``; ``enum_subsets`` receives it whole so
-    variant-specific enumeration (per-color budgets) can see the provenance.
+    Checks the arguments, builds the candidate space (so an over-budget space
+    is refused before the baseline runs), then runs the baseline, the ring
+    partition and the rounds.  ``build_cs`` may return any coreset flavor
+    exposing ``union`` (a WeightedPointSet) and ``lossless``; ``enum_subsets``
+    receives it whole so variant-specific enumeration (per-color budgets) can
+    see the provenance, and defaults to every subset of at most m entries.
+    ``black_box`` answers one subset at a time and defaults to the configured
+    outlier-free solver; the exact solver answers a round in one batched call.
     """
+    if params.z != inst.z:
+        raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
+    rounds = default_rounds() if rounds is None else rounds
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    cands = space()
+    _check_exact_engine(solver, prune, cands)
+    base = baseline()
+    rp = ring_partition(inst, base.centers, params.tau)
+    if enum_subsets is None:
+        enum_subsets = lambda cs: enumerate_outlier_subsets(cs, min(inst.m, len(cs.union)))
+
     best: Solution | None = None
     records: list[RoundRecord] = []
     total_eval = 0
     total_skip = 0
     for r in range(rounds):
         rng = generator_for(seed, TAG_ROUND, r)
-        cs = build_cs(rng)
+        cs = build_cs(rp, rng)
         union = cs.union
         pts, w = union.as_arrays()
         subsets = list(enum_subsets(cs))
@@ -334,13 +280,13 @@ def _run_rounds(
         seen: set[tuple[PointId, ...]] = set()
         answers_seen: set[tuple[PointId, ...]] = set()
 
-        if solver.kind == "exact" and generic_black_box is None:
+        if solver.kind == "exact":
             answers = per_subset_best_exact(
-                inst.dist, pts, w, space, inst.z, subsets, solver.enumeration_budget
+                inst.dist, pts, w, cands, inst.z, subsets, solver.enumeration_budget
             )
         else:
             answers = _per_subset_generic(
-                inst, pts, w, subsets, generic_black_box, solver,
+                inst, pts, w, subsets, black_box, solver,
                 prune=prune, prune_ground=prune_ground,
                 incumbent=lambda: best.cost if best is not None else math.inf,
             )
@@ -379,7 +325,17 @@ def _run_rounds(
         )
     if best is None:
         raise RuntimeError("every candidate was refused by the black-box solver")
-    return best, tuple(records), total_eval, total_skip
+    eps = params.epsilon
+    return ReductionReport(
+        best=best,
+        candidates_evaluated=total_eval,
+        skipped=total_skip,
+        rounds=rounds,
+        per_round=tuple(records),
+        seed=seed,
+        baseline=base,
+        epsilon_factor=(1 + eps) / (1 - eps),
+    )
 
 
 def _per_subset_generic(
@@ -399,12 +355,11 @@ def _per_subset_generic(
     the nearest point of the candidate ground, so if that total already beats
     the incumbent the subset cannot produce a better candidate.
     """
-    if black_box is None:
-        bb = lambda p, ww: solve_outlier_free(
+    bb = black_box or (
+        lambda p, ww: solve_outlier_free(
             inst.dist, p, ww, inst.facilities, inst.k, inst.z, solver
         )
-    else:
-        bb = black_box
+    )
     lower = None
     if prune:
         ground = tuple(prune_ground if prune_ground is not None else inst.facilities)
@@ -446,47 +401,11 @@ def solve_with_outliers(
     candidate across all rounds is returned, with its cost re-evaluated on the
     original instance.
     """
-    if params.z != inst.z:
-        raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
-    rounds = default_rounds() if rounds is None else rounds
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    space = CandidateSpace.subsets(inst.facilities, inst.k)
-    _check_exact_engine(solver, prune, space)
-
-    aug = build_augmented_instance(inst)
     kwargs = {} if baseline_exact_budget is None else {"exact_budget": baseline_exact_budget}
-    base = baseline_solve(aug, **kwargs)
-    rp = ring_partition(inst, base.centers, params.tau)
-
-    best, records, evaluated, skipped = _run_rounds(
-        inst,
-        params,
-        solver,
-        rounds,
-        seed,
-        build_cs=lambda rng: build_coreset(rp, params, rng),
-        enum_subsets=lambda cs: enumerate_outlier_subsets(cs, min(inst.m, len(cs.union))),
-        space=space,
-        generic_black_box=None if solver.kind == "exact" else _plain_black_box(inst, solver),
+    return _run_rounds(
+        inst, params, solver, seed=seed, rounds=rounds, prune=prune,
+        space=lambda: CandidateSpace.subsets(inst.facilities, inst.k),
+        baseline=lambda: baseline_solve(build_augmented_instance(inst), **kwargs),
+        build_cs=lambda rp, rng: build_coreset(rp, params, rng),
         objective=lambda C: evaluate_candidate(C, inst),
-        prune=prune,
-        prune_ground=None,
-    )
-    eps = params.epsilon
-    return ReductionReport(
-        best=best,
-        candidates_evaluated=evaluated,
-        skipped=skipped,
-        rounds=rounds,
-        per_round=records,
-        seed=seed,
-        baseline=base,
-        epsilon_factor=(1 + eps) / (1 - eps),
-    )
-
-
-def _plain_black_box(inst: MetricInstance, solver: SolverHandle):
-    return lambda p, w: solve_outlier_free(
-        inst.dist, p, w, inst.facilities, inst.k, inst.z, solver
     )

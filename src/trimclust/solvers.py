@@ -5,6 +5,11 @@ instances and as ground truth in tests; enumeration is refused beyond an
 explicit budget.  Local search is the classical single-swap heuristic, a
 5-approximation for the median objective (z=1) and a plain heuristic for
 z > 1.
+
+Every exhaustive search over center sets, here and in the variants, is one
+call of `argmin_trimmed` over a `CandidateSpace`: per candidate chunk, take
+each point's distance to its nearest candidate center, trim each group of
+points by its outlier budget, sum, and keep the first minimum.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -94,22 +99,129 @@ def expand_unweighted(wps: WeightedPointSet) -> tuple[PointId, ...]:
     return tuple(out)
 
 
-def _candidate_combos(facilities: Sequence[PointId], k: int) -> tuple[list[PointId], int, int]:
-    """Sorted facility ids, effective k, and the number of candidate sets."""
-    fac = sorted(int(f) for f in facilities)
-    k_eff = min(k, len(fac))
-    return fac, k_eff, math.comb(len(fac), k_eff)
+@dataclass(frozen=True)
+class CandidateSpace:
+    """The center sets a solver may return.
+
+    Either every ``k``-subset of ``col_ids`` (generated lazily, in
+    lexicographic order) or an explicit tuple of index tuples into
+    ``col_ids`` (used for matroid bases).
+    """
+
+    col_ids: tuple[PointId, ...]
+    k: int | None
+    explicit: tuple[tuple[int, ...], ...] | None
+
+    @classmethod
+    def subsets(cls, facilities: Sequence[PointId], k: int) -> "CandidateSpace":
+        ids = tuple(sorted(int(f) for f in facilities))
+        return cls(col_ids=ids, k=min(k, len(ids)), explicit=None)
+
+    @classmethod
+    def from_center_sets(
+        cls, center_sets: Sequence[Sequence[PointId]]
+    ) -> "CandidateSpace":
+        ids = tuple(sorted({int(c) for cset in center_sets for c in cset}))
+        index = {c: i for i, c in enumerate(ids)}
+        explicit = tuple(tuple(index[int(c)] for c in sorted(cset)) for cset in center_sets)
+        return cls(col_ids=ids, k=None, explicit=explicit)
+
+    @property
+    def count(self) -> int:
+        if self.explicit is not None:
+            return len(self.explicit)
+        return math.comb(len(self.col_ids), self.k)
+
+    def chunks(self, n_rows: int) -> Iterator[np.ndarray]:
+        """Index arrays (chunk, set_size) over all candidate sets, in order."""
+        if self.explicit is not None:
+            width = len(self.explicit[0]) if self.explicit else 0
+            combos: Iterator[tuple[int, ...]] = iter(self.explicit)
+        else:
+            width = self.k
+            combos = combinations(range(len(self.col_ids)), self.k)
+        per = max(1, _CHUNK_ELEMENTS // max(1, n_rows * max(1, width)))
+        while block := list(islice(combos, per)):
+            yield np.asarray(block, dtype=np.intp)
+
+    def centers_at(self, idx: int) -> tuple[PointId, ...]:
+        if self.explicit is not None:
+            combo = self.explicit[idx]
+        else:
+            combo = _combo_unrank(len(self.col_ids), self.k, idx)
+        return tuple(self.col_ids[i] for i in combo)
 
 
-def _iter_combo_chunks(n_fac: int, k_eff: int, n_rows: int) -> Iterator[np.ndarray]:
-    """Index arrays (chunk, k_eff) over combinations of range(n_fac), in order."""
-    per_chunk = max(1, _CHUNK_ELEMENTS // max(1, n_rows * k_eff))
-    it = combinations(range(n_fac), k_eff)
-    while True:
-        block = list(islice(it, per_chunk))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.intp)
+def _combo_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
+    """The rank-th k-combination of range(n) in lexicographic order."""
+    combo = []
+    prev = -1
+    for slot in range(k, 0, -1):
+        c = prev + 1
+        while True:
+            block = math.comb(n - c - 1, slot - 1)
+            if rank < block:
+                break
+            rank -= block
+            c += 1
+        combo.append(c)
+        prev = c
+    return tuple(combo)
+
+
+def _cost_block(dist: DistanceOracle, points, weights, cols, z: float) -> np.ndarray:
+    """Weighted d(p, c)**z, one row per point and one column per entry of ``cols``."""
+    d = dist.pairwise(points, cols)
+    if z != 1.0:
+        d = d**z
+    return d if weights is None else d * np.asarray(weights, dtype=float)[:, None]
+
+
+def _refuse_over_budget(space: CandidateSpace, budget: int) -> CandidateSpace:
+    if space.count > budget:
+        raise SolverBudgetExceeded(
+            f"{space.count} candidate center sets exceed budget {budget}"
+        )
+    return space
+
+
+def argmin_trimmed(
+    d: np.ndarray,
+    space: CandidateSpace,
+    groups: Sequence[tuple[np.ndarray | slice, int]],
+) -> int:
+    """Index in ``space`` of the candidate set with the least trimmed cost.
+
+    ``d`` holds one row per point and one column per ``space.col_ids`` entry
+    (already powered and weighted).  Each group ``(rows, drop)`` keeps the
+    ``len(rows) - drop`` smallest distances of its rows to the candidate set;
+    a candidate's cost is the sum over groups.  Ties go to the earliest
+    candidate in enumeration order.  A group of every row is passed as
+    ``slice(None)``, so its rows are a view, not a copy.
+    """
+    best_cost = math.inf
+    best_idx = -1
+    offset = 0
+    for chunk in space.chunks(d.shape[0]):
+        vals = d[:, chunk].min(axis=2)
+        costs = np.zeros(vals.shape[1])
+        for rows, drop in groups:
+            sub = vals[rows]
+            keep = len(sub) - drop
+            if keep <= 0:
+                continue
+            if drop == 0:
+                costs += sub.sum(axis=0)
+            else:
+                costs += np.partition(sub, keep - 1, axis=0)[:keep].sum(axis=0)
+        j = int(np.argmin(costs))
+        if costs[j] < best_cost:
+            best_cost = float(costs[j])
+            best_idx = offset + j
+        offset += chunk.shape[0]
+    if best_idx < 0:
+        raise ValueError("no candidate center set has a finite cost")
+    return best_idx
 
 
 def exact_kmedian(
@@ -127,31 +239,12 @@ def exact_kmedian(
     Raises SolverBudgetExceeded instead of silently attempting an enumeration
     larger than ``budget``.
     """
-    fac, k_eff, n_combos = _candidate_combos(facilities, k)
-    if k_eff == len(fac):
-        return tuple(fac)
-    if n_combos > budget:
-        raise SolverBudgetExceeded(
-            f"{n_combos} candidate center sets exceed budget {budget}"
-        )
-    d = dist.pairwise(points, fac)
-    if z != 1.0:
-        d = d**z
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    if w is not None:
-        d = d * w[:, None]
-    best_cost = math.inf
-    best_combo: tuple[int, ...] | None = None
-    for chunk in _iter_combo_chunks(len(fac), k_eff, d.shape[0]):
-        vals = d[:, chunk].min(axis=2)
-        costs = vals.sum(axis=0)
-        i = int(np.argmin(costs))
-        if costs[i] < best_cost:
-            best_cost = float(costs[i])
-            best_combo = tuple(chunk[i])
-    if best_combo is None:
-        raise ValueError("no candidate center set has a finite cost")
-    return tuple(fac[i] for i in best_combo)
+    space = CandidateSpace.subsets(facilities, k)
+    if space.k == len(space.col_ids):
+        return space.col_ids
+    _refuse_over_budget(space, budget)
+    d = _cost_block(dist, points, weights, space.col_ids, z)
+    return space.centers_at(argmin_trimmed(d, space, [(slice(None), 0)]))
 
 
 @dataclass
@@ -172,20 +265,11 @@ def _local_search(
     handle: SolverHandle,
     initial: Sequence[PointId] | None,
 ) -> LocalSearchResult:
-    fac, k_eff, _ = _candidate_combos(facilities, k)
+    fac = sorted(int(f) for f in facilities)
+    k_eff = min(k, len(fac))
+    d = _cost_block(dist, points, weights, fac, z)
     if k_eff == len(fac):
-        d = dist.pairwise(points, fac)
-        if z != 1.0:
-            d = d**z
-        if weights is not None:
-            d = d * np.asarray(weights, dtype=float)[:, None]
         return LocalSearchResult(tuple(fac), float(d.min(axis=1).sum()), 0, True)
-
-    d = dist.pairwise(points, fac)
-    if z != 1.0:
-        d = d**z
-    if weights is not None:
-        d = d * np.asarray(weights, dtype=float)[:, None]
 
     index_of = {f: i for i, f in enumerate(fac)}
     if initial is None:
@@ -298,36 +382,10 @@ def exact_outlier_oracle(
     argmin (ties toward the lexicographically smallest center tuple) is
     returned with its canonical outlier set.
     """
-    fac, k_eff, n_combos = _candidate_combos(inst.facilities, inst.k)
-    if n_combos > budget:
-        raise SolverBudgetExceeded(
-            f"{n_combos} candidate center sets exceed budget {budget}"
-        )
+    space = _refuse_over_budget(CandidateSpace.subsets(inst.facilities, inst.k), budget)
     X = list(inst.clients)
-    n, m = len(X), inst.m
-    keep = n - m
-    d = inst.power_distances(X, fac)
-    best_cost = math.inf
-    best_combo: tuple[int, ...] | None = None
-    if k_eff == len(fac):
-        chunks: Iterable[np.ndarray] = [np.arange(len(fac), dtype=np.intp)[None, :]]
-    else:
-        chunks = _iter_combo_chunks(len(fac), k_eff, n)
-    for chunk in chunks:
-        vals = d[:, chunk].min(axis=2)
-        if keep == 0:
-            costs = np.zeros(vals.shape[1])
-        elif m == 0:
-            costs = vals.sum(axis=0)
-        else:
-            costs = np.partition(vals, keep - 1, axis=0)[:keep].sum(axis=0)
-        i = int(np.argmin(costs))
-        if costs[i] < best_cost:
-            best_cost = float(costs[i])
-            best_combo = tuple(chunk[i])
-    if best_combo is None:
-        raise ValueError("no candidate center set has a finite cost")
-    centers = tuple(fac[i] for i in best_combo)
-    cost = trimmed_cost(inst.dist, X, centers, m, inst.z)
-    outliers = farthest_points(inst.dist, X, centers, m, inst.z)
+    d = inst.power_distances(X, space.col_ids)
+    centers = space.centers_at(argmin_trimmed(d, space, [(slice(None), inst.m)]))
+    cost = trimmed_cost(inst.dist, X, centers, inst.m, inst.z)
+    outliers = farthest_points(inst.dist, X, centers, inst.m, inst.z)
     return Solution(centers=centers, outliers=outliers, cost=cost, candidate_tag="oracle")

@@ -195,3 +195,23 @@ def test_solve_prune_with_exact_solver_refused(tmp_path, capsys):
     ])
     assert rc == 2
     assert "pruning applies only to per-subset black-box calls" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["solve", "oracle", "coreset-dump", "check-rings"])
+def test_unloadable_instance_is_one_line_and_exit_2(tmp_path, capsys, verb):
+    extra = {
+        "solve": ["--seed", "1"],
+        "oracle": [],
+        "coreset-dump": ["--seed", "1", "--out", str(tmp_path / "cs.txt")],
+        "check-rings": [],
+    }[verb]
+    bad = _generate(tmp_path, name="nan.txt")
+    lines = bad.read_text().splitlines()
+    pid, role, x, y = lines[-1].split(",")
+    lines[-1] = ",".join([pid, role, "nan", y])
+    bad.write_text("\n".join(lines) + "\n")
+    missing = tmp_path / "missing.txt"
+    for path, why in ((bad, "finite"), (missing, "No such file")):
+        assert main([verb, "--instance", str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and why in err

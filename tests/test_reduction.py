@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 from itertools import combinations
 
 import numpy as np
@@ -25,10 +28,11 @@ from trimclust import (
     solve_with_outliers,
     trimmed_cost,
 )
-from trimclust import extensions, reduction
+from trimclust import extensions, reduction, solvers
 from trimclust.extensions import (
     ColorfulInstance,
     build_colored_coreset,
+    colorful_matroid_solve,
     colorful_solve,
     enumerate_colorful_subsets,
     matroid_median_solve,
@@ -208,6 +212,16 @@ def test_exact_budget_decided_before_baseline(rng, monkeypatch):
     cinst = ColorfulInstance(base=inst, colors=colors, budgets=(1, 0))
     with pytest.raises(SolverBudgetExceeded, match=r"66 candidate center sets .* budget 10"):
         colorful_solve(cinst, lossless_params(inst), solver, seed=1, rounds=1)
+    # matroid bases: C(30, 3) = 4,060 sets to check against a budget of 1,000
+    inst = random_instance(rng, 12, 30, k=3, m=1)
+    fac = inst.facilities
+    matroid = PartitionMatroid([(fac[0:10], 1), (fac[10:20], 1), (fac[20:30], 1)])
+    cinst = ColorfulInstance(base=inst, colors=colors, budgets=(1, 0))
+    solver = SolverHandle.exact(enumeration_budget=1000)
+    with pytest.raises(SolverBudgetExceeded, match=r"4060 candidate bases exceed budget 1000"):
+        matroid_median_solve(inst, matroid, lossless_params(inst), solver, seed=1, rounds=1)
+    with pytest.raises(SolverBudgetExceeded, match=r"4060 candidate bases exceed budget 1000"):
+        colorful_matroid_solve(cinst, matroid, lossless_params(inst), solver, seed=1, rounds=1)
 
 
 def test_prune_refused_on_exact_path(rng, monkeypatch):
@@ -224,6 +238,29 @@ def test_prune_refused_on_exact_path(rng, monkeypatch):
             inst, matroid, lossless_params(inst), SolverHandle.exact(), seed=1, rounds=1,
             prune=True,
         )
+
+
+@pytest.mark.parametrize("rounds", [0, -1])
+@pytest.mark.parametrize(
+    "solver", [SolverHandle.exact(), SolverHandle.local_search()], ids=["exact", "local"]
+)
+def test_rounds_below_one_refused_before_baseline(rng, monkeypatch, rounds, solver):
+    _no_baseline(monkeypatch)
+    inst = random_instance(rng, 10, 4, k=2, m=1)
+    params = lossless_params(inst)
+    matroid = PartitionMatroid([(inst.facilities[:2], 1), (inst.facilities[2:], 1)])
+    cinst = ColorfulInstance(
+        base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(1, 0)
+    )
+    kw = dict(seed=1, rounds=rounds)
+    for call in (
+        lambda: solve_with_outliers(inst, params, solver, **kw),
+        lambda: colorful_solve(cinst, params, solver, **kw),
+        lambda: matroid_median_solve(inst, matroid, params, solver, **kw),
+        lambda: colorful_matroid_solve(cinst, matroid, params, solver, **kw),
+    ):
+        with pytest.raises(ValueError, match="rounds must be >= 1"):
+            call()
 
 
 def test_params_z_mismatch_rejected(rng):
@@ -365,7 +402,7 @@ def _matroid_case(rng):
 @pytest.mark.parametrize("case", [_plain_case, _colorful_case, _matroid_case])
 def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
     # small chunks and blocks, so candidate chunks and row blocks are crossed
-    monkeypatch.setattr(reduction, "_CHUNK_ELEMENTS", 150)
+    monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 150)
     monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 20)
     for _ in range(4):
         inst, cs, subsets, space = case(rng)
@@ -401,3 +438,56 @@ def test_candidate_space_unrank(rng):
     combos = list(combinations(range(10), 3))
     for rank in [0, 1, 17, 50, len(combos) - 1]:
         assert space.centers_at(rank) == tuple(10 + i for i in combos[rank])
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer wraps layer functions by name
+# ---------------------------------------------------------------------------
+
+
+def _benchmark_tracing():
+    """benchmarks/tracing.py, loaded by path (the benchmarks are not a package)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_hooks_resolve():
+    tracing = _benchmark_tracing()
+    for module, attr, _ in tracing.WRAPPED:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_benchmark_trace_sees_every_layer(rng):
+    # each solve entry point must still call its layers through the wrapped
+    # module names, or a traced benchmark run loses their spans
+    tracing = _benchmark_tracing()
+    inst = random_instance(rng, 10, 6, k=2, m=1)
+    fac = inst.facilities
+    matroid = PartitionMatroid([(fac[:3], 1), (fac[3:], 1)])
+    cinst = ColorfulInstance(
+        base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(1, 0)
+    )
+    params, solver, kw = lossless_params(inst), SolverHandle.exact(), dict(seed=1, rounds=1)
+    solves = [
+        lambda: solve_with_outliers(inst, params, solver, **kw),
+        lambda: colorful_solve(cinst, params, solver, **kw),
+        lambda: matroid_median_solve(inst, matroid, params, solver, **kw),
+        lambda: colorful_matroid_solve(cinst, matroid, params, solver, **kw),
+    ]
+    tracer = tracing.Tracer()
+    with tracer.installed(matroid):
+        for sid, solve in enumerate(solves):
+            with tracer.span("solve", sid):
+                solve()
+    _, problems = tracing.layer_metrics(tracer, {sid: len(inst.clients) for sid in range(4)})
+    assert problems == []
+    layers = {"baseline", "rings", "build", "enumerate", "blackbox", "rescore"}
+    for sid in range(4):
+        root = next(
+            i for i, s in enumerate(tracer.spans) if s.name == "solve" and s.solve_id == sid
+        )
+        assert layers <= {s.name for s in tracer.spans if s.parent == root}, sid

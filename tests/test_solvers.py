@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from trimclust import (
+    ColorfulInstance,
+    EuclideanOracle,
+    PartitionMatroid,
     SolverBudgetExceeded,
     SolverHandle,
     WeightedPointSet,
@@ -18,6 +23,9 @@ from trimclust import (
     trimmed_cost,
     weighted_trimmed_cost,
 )
+from trimclust import solvers
+from trimclust.extensions import colorful_matroid_oracle, colorful_oracle, matroid_median_oracle
+from trimclust.solvers import CandidateSpace, argmin_trimmed
 from conftest import line_instance, random_instance
 
 
@@ -209,3 +217,75 @@ def test_oracle_solution_is_consistent(rng):
     sol = exact_outlier_oracle(inst)
     assert len(sol.centers) <= inst.k and len(sol.outliers) == inst.m
     assert sol.cost == trimmed_cost(inst.dist, inst.clients, sol.centers, inst.m, inst.z)
+
+
+# ---------------------------------------------------------------------------
+# the trimmed-argmin kernel
+# ---------------------------------------------------------------------------
+
+
+def _argmin_loop(d, space, groups):
+    """Plain per-candidate reference for argmin_trimmed."""
+    col = {c: j for j, c in enumerate(space.col_ids)}
+    all_rows = np.arange(d.shape[0])
+    best, best_idx = math.inf, -1
+    for i in range(space.count):
+        cols = [col[c] for c in space.centers_at(i)]
+        cost = 0.0
+        for rows, drop in groups:
+            mins = sorted(float(d[r, cols].min()) for r in all_rows[rows])
+            cost += sum(mins[: len(mins) - drop])
+        if cost < best:
+            best, best_idx = cost, i
+    return best_idx
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_argmin_trimmed_matches_per_candidate_loop(rng, monkeypatch, explicit):
+    # 1-D integer coordinates make every sum exact on both sides, and twin
+    # facilities make ties between candidate sets real
+    monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 100)  # two candidates a chunk
+    for _ in range(6):
+        inst = random_instance(rng, 12, 8, k=3, m=0, integer=True, dim=1)
+        coords = inst.dist.coords.copy()
+        fac = inst.facilities
+        for a, b in zip(fac[::2], fac[1::2]):
+            coords[b] = coords[a]
+        if explicit:
+            combos = list(combinations(fac, 3))
+            picks = rng.permutation(len(combos))[:30]
+            space = CandidateSpace.from_center_sets([combos[i] for i in picks])
+        else:
+            space = CandidateSpace.subsets(fac, 3)
+        d = EuclideanOracle(coords).pairwise(inst.clients, space.col_ids)
+        assert len(list(space.chunks(d.shape[0]))) > 2
+        rows = rng.permutation(12)
+        for groups in (
+            [(slice(None), 0)],
+            [(slice(None), 4)],
+            [(slice(None), 12)],  # every row dropped: all candidates cost 0
+            [(rows[:5], 0), (rows[5:9], 2), (rows[9:], 3)],
+        ):
+            assert argmin_trimmed(d, space, groups) == _argmin_loop(d, space, groups)
+
+
+@pytest.mark.parametrize(
+    "oracle", ["plain", "colorful", "matroid", "colorful_matroid"]
+)
+def test_oracles_refuse_when_no_cost_is_finite(rng, oracle):
+    # every distance overflows at this scale, so every powered cost is inf
+    inst = random_instance(rng, 8, 6, k=2, m=2, z=2.0)
+    inst = replace(inst, dist=EuclideanOracle(inst.dist.coords * 1e200))
+    fac = inst.facilities
+    matroid = PartitionMatroid([(fac[:3], 1), (fac[3:], 1)])
+    cinst = ColorfulInstance(
+        base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(1, 1)
+    )
+    call = {
+        "plain": lambda: exact_outlier_oracle(inst),
+        "colorful": lambda: colorful_oracle(cinst),
+        "matroid": lambda: matroid_median_oracle(inst, matroid),
+        "colorful_matroid": lambda: colorful_matroid_oracle(cinst, matroid),
+    }[oracle]
+    with pytest.raises(ValueError, match="no candidate center set has a finite cost"):
+        call()
