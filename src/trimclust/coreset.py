@@ -35,7 +35,13 @@ from .metric import (
     trimmed_cost,
     trimmed_sum,
 )
-from .solvers import CandidateSpace, SolverHandle, _local_search, exact_kmedian
+from .solvers import (
+    CandidateSpace,
+    SolverHandle,
+    _cost_block,
+    _local_search,
+    exact_kmedian,
+)
 
 DEFAULT_BASELINE_EXACT_BUDGET = 50_000
 
@@ -78,7 +84,8 @@ class CoresetParams:
     def sample_size(self, n: int, k: int, m: int) -> int:
         """Per-ring sample size s (n is the instance size)."""
         if self.mode == "practical":
-            assert self.practical_s is not None
+            if self.practical_s is None:
+                raise ValueError("practical mode needs practical_s >= 1")
             return self.practical_s
         base = (
             self.c_theory
@@ -136,7 +143,8 @@ def baseline_solve(
     if inst_aug.m != 0:
         raise ValueError("baseline expects an outlier-free instance (m = 0)")
     X = list(inst_aug.clients)
-    if CandidateSpace.subsets(inst_aug.facilities, inst_aug.k).count <= exact_budget:
+    space = CandidateSpace.subsets(inst_aug.facilities, inst_aug.k)
+    if space.count <= exact_budget:
         centers = exact_kmedian(
             inst_aug.dist, X, None, inst_aug.facilities, inst_aug.k, inst_aug.z,
             budget=exact_budget,
@@ -144,12 +152,12 @@ def baseline_solve(
         cost = trimmed_cost(inst_aug.dist, X, centers, 0, inst_aug.z)
         return BaselineResult(tuple(centers), cost, "exact", 1.0, True)
     handle = handle or SolverHandle.local_search(inst_aug.z)
-    res = _local_search(
-        inst_aug.dist, X, None, inst_aug.facilities, inst_aug.k, inst_aug.z, handle, None
-    )
-    cost = trimmed_cost(inst_aug.dist, X, res.centers, 0, inst_aug.z)
+    d = _cost_block(inst_aug.dist, X, None, space.col_ids, inst_aug.z)
+    res = _local_search(d, space.k, handle)
+    centers = tuple(space.col_ids[i] for i in res.centers)
+    cost = trimmed_cost(inst_aug.dist, X, centers, 0, inst_aug.z)
     guarantee = 5.0 if inst_aug.z == 1.0 else None
-    return BaselineResult(tuple(res.centers), cost, "local_search", guarantee, res.converged)
+    return BaselineResult(centers, cost, "local_search", guarantee, res.converged)
 
 
 @dataclass(frozen=True)

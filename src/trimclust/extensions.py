@@ -5,12 +5,15 @@ All variants share the round driver from `reduction`; they differ in how the
 coreset is grouped (per color), which center sets are candidates (matroid
 bases instead of all k-subsets), and how candidates are scored (per-color
 trimming).  Each solve has an exhaustive oracle counterpart for testing.
+
+Under a matroid, the local-search black box and the heuristic baseline are
+the one single-swap search of `solvers._local_search`, restricted to swaps
+that keep the centers independent; no approximation factor is claimed.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, product
 from typing import Iterator, Sequence
@@ -44,8 +47,10 @@ from .matroids import (
 from .solvers import (
     DEFAULT_ENUMERATION_BUDGET,
     CandidateSpace,
+    SolverBudgetExceeded,
     SolverHandle,
     _cost_block,
+    _local_search,
     _refuse_over_budget,
     argmin_trimmed,
 )
@@ -239,15 +244,18 @@ def matroid_baseline(
     """Baseline for the matroid variant: centers independent in the direct sum.
 
     Exact mode enumerates (basis of the matroid) x (m clients); the heuristic
-    flag switches to independence-respecting local search with no claimed
-    factor.
+    flag, or an enumeration over ``budget``, switches to independence-respecting
+    local search with no claimed factor.
     """
     m_aug = direct_sum_matroid(matroid, inst.clients, inst.m)
     X = list(inst.clients)
     if not heuristic:
-        bases_f = matroid_bases(matroid, budget)
+        try:
+            bases_f = matroid_bases(matroid, budget)
+        except SolverBudgetExceeded:
+            bases_f = None
         client_picks = list(combinations(sorted(inst.clients), min(inst.m, len(X))))
-        if len(bases_f) * len(client_picks) > budget:
+        if bases_f is None or len(bases_f) * len(client_picks) > budget:
             heuristic = True
         else:
             cands = [tuple(sorted(b + y)) for b in bases_f for y in client_picks]
@@ -275,54 +283,18 @@ def matroid_local_search(
 ) -> tuple[tuple[PointId, ...], bool]:
     """Single swaps among bases of the matroid; heuristic, no factor claimed.
 
-    Starts from the greedy basis (ascending ids) and applies the best
-    cost-improving independent swap until none clears the threshold.
+    The one single-swap search of `solvers._local_search`, restricted to
+    independent swaps: it starts from the greedy basis (ascending ids) and
+    makes the cheapest independent swap that clears the threshold until none
+    does.  Returns the centers and whether the search converged.
     """
-    ground = list(matroid.ground_set)
-    current: list[PointId] = []
-    for g in ground:
-        if len(current) == matroid.rank:
-            break
-        if matroid.is_independent(current + [g]):
-            current.append(g)
-    if len(current) < matroid.rank:
-        raise ValueError("could not build a basis greedily; oracle inconsistent")
-
+    ground = matroid.ground_set
     d = _cost_block(dist, points, weights, ground, z)
-    col = {g: i for i, g in enumerate(ground)}
-
-    def total(cset: Sequence[PointId]) -> float:
-        return float(d[:, [col[c] for c in cset]].min(axis=1).sum())
-
-    cost = total(current)
-    converged = False
-    for _ in range(handle.iteration_cap):
-        best_swap: tuple[float, int, PointId] | None = None
-        cur_set = set(current)
-        for i, c in enumerate(current):
-            for f in ground:
-                if f in cur_set:
-                    continue
-                trial = current[:i] + current[i + 1 :] + [f]
-                if not matroid.is_independent(trial):
-                    continue
-                t_cost = total(trial)
-                if t_cost < cost * (1.0 - handle.improvement_threshold) and (
-                    best_swap is None or t_cost < best_swap[0]
-                ):
-                    best_swap = (t_cost, i, f)
-        if best_swap is None:
-            converged = True
-            break
-        cost, i, f = best_swap
-        current = sorted(current[:i] + current[i + 1 :] + [f])
-    if not converged:
-        warnings.warn(
-            f"matroid local search hit the iteration cap ({handle.iteration_cap})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return tuple(sorted(current)), converged
+    res = _local_search(
+        d, matroid.rank, handle,
+        independent=lambda cols: matroid.is_independent([ground[i] for i in cols]),
+    )
+    return tuple(ground[i] for i in res.centers), res.converged
 
 
 def matroid_median_solve(
@@ -452,7 +424,7 @@ def _solve_variant(
 
     def objective(C):
         if matroid is not None and not matroid.is_independent(C):
-            raise AssertionError(f"candidate {C} is not independent")
+            raise RuntimeError(f"candidate {C} is not independent in the matroid")
         return score(C)
 
     return _run_rounds(

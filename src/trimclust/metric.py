@@ -18,7 +18,7 @@ of values, not on accumulation order.  That makes equalities such as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -160,9 +160,6 @@ class MetricInstance:
         """Block of d(p, c)**z values."""
         d = self.dist.pairwise(points, centers)
         return d if self.z == 1.0 else d**self.z
-
-    def without_outliers(self) -> "MetricInstance":
-        return replace(self, m=0)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@ instance with the black-box solver, and keep the candidate that scores best on
 the original instance.
 
 `_run_rounds` is the one driver behind every solve entry point, here and in
-`extensions`.  It checks the arguments, builds the candidate space, runs the
-baseline and the ring partition, and then the rounds; the entry points only
-choose its pieces: the baseline, the coreset flavor, the subset stream, the
-candidate space, the black box and the objective.
+`extensions`.  It checks the arguments, builds the candidate space (exact
+black box only), runs the baseline and the ring partition, and then the
+rounds; the entry points only choose its pieces: the baseline, the coreset
+flavor, the subset stream, the candidate space, the black box and the
+objective.
 
 Candidate selection always re-evaluates centers on the full original instance
 (cheap), never on coreset costs, so sampling noise can degrade quality but
@@ -186,8 +187,6 @@ def _check_exact_engine(solver: SolverHandle, prune: bool, space: CandidateSpace
     space over the solver's budget would be refused in every round, after the
     baseline had already run.
     """
-    if solver.kind != "exact":
-        return
     if prune:
         raise ValueError(
             "pruning applies only to per-subset black-box calls (local search); "
@@ -243,8 +242,9 @@ def _run_rounds(
 ) -> ReductionReport:
     """The one solve driver behind every solve entry point.
 
-    Checks the arguments, builds the candidate space (so an over-budget space
-    is refused before the baseline runs), then runs the baseline, the ring
+    Checks the arguments, builds the candidate space when the exact black box
+    will read it (so an over-budget space is refused before the baseline
+    runs; local search never reads it), then runs the baseline, the ring
     partition and the rounds.  ``build_cs`` may return any coreset flavor
     exposing ``union`` (a WeightedPointSet) and ``lossless``; ``enum_subsets``
     receives it whole so variant-specific enumeration (per-color budgets) can
@@ -257,8 +257,9 @@ def _run_rounds(
     rounds = default_rounds() if rounds is None else rounds
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    cands = space()
-    _check_exact_engine(solver, prune, cands)
+    if solver.kind == "exact":  # only the exact black box reads the candidate space
+        cands = space()
+        _check_exact_engine(solver, prune, cands)
     base = baseline()
     rp = ring_partition(inst, base.centers, params.tau)
     if enum_subsets is None:

@@ -6,6 +6,11 @@ explicit budget.  Local search is the classical single-swap heuristic, a
 5-approximation for the median objective (z=1) and a plain heuristic for
 z > 1.
 
+Every local search, here and in the variants, is one call of `_local_search`
+over a weighted, powered cost block: the plain solver and the baselines with
+every swap allowed, the matroid black box and the matroid baseline with only
+the swaps an independence test accepts (a heuristic; no factor is claimed).
+
 Every exhaustive search over center sets, here and in the variants, is one
 call of `argmin_trimmed` over a `CandidateSpace`: per candidate chunk, take
 each point's distance to its nearest candidate center, trim each group of
@@ -18,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -256,62 +261,72 @@ class LocalSearchResult:
 
 
 def _local_search(
-    dist: DistanceOracle,
-    points: Sequence[PointId],
-    weights: Sequence[float] | None,
-    facilities: Sequence[PointId],
+    d: np.ndarray,
     k: int,
-    z: float,
     handle: SolverHandle,
-    initial: Sequence[PointId] | None,
+    initial: Sequence[int] | None = None,
+    independent: Callable[[list[int]], bool] | None = None,
 ) -> LocalSearchResult:
-    fac = sorted(int(f) for f in facilities)
-    k_eff = min(k, len(fac))
-    d = _cost_block(dist, points, weights, fac, z)
-    if k_eff == len(fac):
-        return LocalSearchResult(tuple(fac), float(d.min(axis=1).sum()), 0, True)
+    """Single-swap local search over the columns of a cost block.
 
-    index_of = {f: i for i, f in enumerate(fac)}
-    if initial is None:
-        current = list(range(k_eff))  # first k facility ids (fac is sorted)
-    else:
-        current = sorted(index_of[int(f)] for f in initial)
-        if len(set(current)) != k_eff:
+    ``d`` holds one row per point and one column per facility (already
+    powered and weighted, see `_cost_block`); centers are column indices.
+    Without ``initial`` the search starts from the greedy basis over
+    ascending columns under ``independent`` (the first ``k`` columns when
+    there is no test).  Each iteration prices every (position, outside
+    column) swap at once and makes the cheapest one that passes
+    ``independent`` and clears the improvement threshold, ties going to the
+    earliest (position, column); it stops when no swap does.
+    """
+    n_cols = d.shape[1]
+    if k == n_cols:
+        return LocalSearchResult(tuple(range(n_cols)), float(d.min(axis=1).sum()), 0, True)
+    if initial is not None:
+        current = sorted(int(c) for c in initial)
+        if len(set(current)) != k:
             raise ValueError("initial centers must be k distinct facilities")
+    else:
+        current = []
+        for j in range(n_cols):
+            if len(current) == k:
+                break
+            if independent is None or independent(current + [j]):
+                current.append(j)
+        if len(current) < k:
+            raise ValueError("could not build a basis greedily; oracle inconsistent")
 
-    def total(cols: Sequence[int]) -> float:
-        return float(d[:, cols].min(axis=1).sum())
-
-    cost = total(current)
-    threshold = handle.improvement_threshold
+    rows = np.arange(d.shape[0])
+    cost = float(d[:, current].min(axis=1).sum())
+    swap_costs = np.empty((k, n_cols - k))
     converged = False
     it = 0
     for it in range(1, handle.iteration_cap + 1):
         vals = d[:, current]
         arg = vals.argmin(axis=1)
-        d1 = vals[np.arange(vals.shape[0]), arg]
+        d1 = vals[rows, arg]
         masked = vals.copy()
-        masked[np.arange(vals.shape[0]), arg] = np.inf
-        d2 = masked.min(axis=1) if k_eff > 1 else np.full(vals.shape[0], np.inf)
+        masked[rows, arg] = np.inf
+        d2 = masked.min(axis=1) if k > 1 else np.full(len(rows), np.inf)
 
-        outside = [j for j in range(len(fac)) if j not in set(current)]
+        inside = np.zeros(n_cols, dtype=bool)
+        inside[current] = True
+        outside = np.flatnonzero(~inside)
         d_out = d[:, outside]
-        best_gain_cost = cost
-        best_swap: tuple[int, int] | None = None
-        for pos in range(k_eff):
+        for pos in range(k):
             fallback = np.where(arg == pos, d2, d1)
-            cand_costs = np.minimum(fallback[:, None], d_out).sum(axis=0)
-            j = int(np.argmin(cand_costs))
-            if cand_costs[j] < best_gain_cost:
-                best_gain_cost = float(cand_costs[j])
-                best_swap = (pos, outside[j])
-        if best_swap is None or best_gain_cost >= (1.0 - threshold) * cost:
+            swap_costs[pos] = np.minimum(fallback[:, None], d_out).sum(axis=0)
+        flat = swap_costs.ravel()
+        below = np.flatnonzero(flat < (1.0 - handle.improvement_threshold) * cost)
+        for idx in below[np.argsort(flat[below], kind="stable")]:
+            pos, j = divmod(int(idx), len(outside))
+            trial = current[:pos] + current[pos + 1 :] + [int(outside[j])]
+            if independent is None or independent(trial):
+                current = sorted(trial)
+                cost = float(flat[idx])
+                break
+        else:
             converged = True
             break
-        pos, new_col = best_swap
-        current[pos] = new_col
-        current.sort()
-        cost = best_gain_cost
     if not converged:
         warnings.warn(
             f"local search hit the iteration cap ({handle.iteration_cap}); "
@@ -319,7 +334,7 @@ def _local_search(
             RuntimeWarning,
             stacklevel=3,
         )
-    return LocalSearchResult(tuple(fac[i] for i in current), cost, it, converged)
+    return LocalSearchResult(tuple(current), cost, it, converged)
 
 
 def local_search_kmedian(
@@ -337,23 +352,25 @@ def local_search_kmedian(
     """Single-swap local search; deterministic from the default initialization.
 
     ``restarts`` extra runs from random initial centers (requires ``rng``) may
-    only improve the result.
+    only improve the result.  The cost block is built once for all runs.
     """
     handle = handle or SolverHandle.local_search(z)
-    best = _local_search(dist, points, weights, facilities, k, z, handle, initial)
+    space = CandidateSpace.subsets(facilities, k)
+    fac = space.col_ids
+    d = _cost_block(dist, points, weights, fac, z)
+    if initial is not None:
+        index_of = {f: i for i, f in enumerate(fac)}
+        initial = [index_of[int(f)] for f in initial]
+    best = _local_search(d, space.k, handle, initial)
     if restarts:
         if rng is None:
             raise ValueError("random restarts need an rng")
-        fac = sorted(int(f) for f in facilities)
-        k_eff = min(k, len(fac))
         for _ in range(restarts):
-            init = rng.choice(len(fac), size=k_eff, replace=False)
-            res = _local_search(
-                dist, points, weights, facilities, k, z, handle, [fac[i] for i in init]
-            )
+            init = rng.choice(len(fac), size=space.k, replace=False)
+            res = _local_search(d, space.k, handle, init)
             if res.cost < best.cost:
                 best = res
-    return best.centers
+    return tuple(fac[i] for i in best.centers)
 
 
 def solve_outlier_free(

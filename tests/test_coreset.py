@@ -366,6 +366,14 @@ def test_params_validation():
         CoresetParams(tau=0.5, practical_s=5)
 
 
+def test_sample_size_refuses_practical_s_cleared_after_construction():
+    # the dataclass is mutable, so the check at construction is not enough
+    params = CoresetParams(mode="practical", practical_s=5)
+    params.practical_s = None
+    with pytest.raises(ValueError, match="practical_s"):
+        params.sample_size(10, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # concentration harness
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from trimclust import (
     solve_with_outliers,
     trimmed_cost,
 )
+from trimclust import extensions
 from trimclust.bench import report_to_dict
 from conftest import random_instance, shared_point_instance
 
@@ -228,6 +229,41 @@ def test_matroid_heuristic_paths(rng):
     )
     assert matroid.is_independent(heur.centers)
     assert heur.cost >= exact.cost - 1e-12
+
+
+def test_matroid_local_search_solve_builds_no_bases(rng):
+    # C(30, 3) = 4,060 candidate sets exceed both budgets; local search and
+    # the heuristic baseline need no list of bases, so the solve goes ahead
+    inst = random_instance(rng, 12, 30, k=3, m=1)
+    fac = inst.facilities
+    matroid = PartitionMatroid([(fac[0:10], 1), (fac[10:20], 1), (fac[20:30], 1)])
+    cinst = ColorfulInstance(
+        base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(1, 0)
+    )
+    solver = SolverHandle(kind="local_search", beta_guarantee=5.0, enumeration_budget=1000)
+    for solve, oracle in (
+        (lambda: matroid_median_solve(
+            inst, matroid, lossless(inst), solver, seed=1, rounds=1, baseline_budget=1000
+        ), lambda: matroid_median_oracle(inst, matroid)),
+        (lambda: colorful_matroid_solve(
+            cinst, matroid, lossless(inst), solver, seed=1, rounds=1, baseline_budget=1000
+        ), lambda: colorful_matroid_oracle(cinst, matroid)),
+    ):
+        sol = solve()
+        assert matroid.is_independent(sol.centers) and len(sol.centers) == 3
+        assert sol.cost >= oracle().cost - 1e-9
+
+
+def test_dependent_candidate_is_a_named_error(rng, monkeypatch):
+    inst, matroid = _matroid_instance(rng, 8, [[0, 1], [2, 3]], k=2, m=1)
+    fac = inst.facilities
+    monkeypatch.setattr(
+        extensions, "matroid_local_search", lambda *a: ((fac[0], fac[1]), True)
+    )
+    with pytest.raises(RuntimeError, match=r"candidate .* is not independent"):
+        matroid_median_solve(
+            inst, matroid, lossless(inst), SolverHandle.local_search(), seed=1, rounds=1
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from trimclust import (
     SolverBudgetExceeded,
     SolverHandle,
     WeightedPointSet,
+    direct_sum_matroid,
     exact_kmedian,
     exact_outlier_oracle,
     expand_unweighted,
@@ -24,7 +26,12 @@ from trimclust import (
     weighted_trimmed_cost,
 )
 from trimclust import solvers
-from trimclust.extensions import colorful_matroid_oracle, colorful_oracle, matroid_median_oracle
+from trimclust.extensions import (
+    colorful_matroid_oracle,
+    colorful_oracle,
+    matroid_local_search,
+    matroid_median_oracle,
+)
 from trimclust.solvers import CandidateSpace, argmin_trimmed
 from conftest import line_instance, random_instance
 
@@ -163,6 +170,158 @@ def test_handle_validation():
         SolverHandle(kind="simplex", beta_guarantee=1)
     assert SolverHandle.local_search(2.0).beta_guarantee == "heuristic"
     assert SolverHandle.local_search(1.0).beta_guarantee == 5.0
+
+
+# ---------------------------------------------------------------------------
+# the single-swap local search kernel, against the two loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _plain_swap_loop(dist, points, weights, facilities, k, z, handle):
+    """Reference: the per-position swap loop over sorted facility ids."""
+    fac = sorted(int(f) for f in facilities)
+    k_eff = min(k, len(fac))
+    d = solvers._cost_block(dist, points, weights, fac, z)
+    if k_eff == len(fac):
+        return tuple(fac), float(d.min(axis=1).sum()), 0, True
+    current = list(range(k_eff))
+    cost = float(d[:, current].min(axis=1).sum())
+    converged = False
+    it = 0
+    for it in range(1, handle.iteration_cap + 1):
+        vals = d[:, current]
+        arg = vals.argmin(axis=1)
+        d1 = vals[np.arange(vals.shape[0]), arg]
+        masked = vals.copy()
+        masked[np.arange(vals.shape[0]), arg] = np.inf
+        d2 = masked.min(axis=1) if k_eff > 1 else np.full(vals.shape[0], np.inf)
+        outside = [j for j in range(len(fac)) if j not in set(current)]
+        d_out = d[:, outside]
+        best_gain_cost = cost
+        best_swap = None
+        for pos in range(k_eff):
+            fallback = np.where(arg == pos, d2, d1)
+            cand_costs = np.minimum(fallback[:, None], d_out).sum(axis=0)
+            j = int(np.argmin(cand_costs))
+            if cand_costs[j] < best_gain_cost:
+                best_gain_cost = float(cand_costs[j])
+                best_swap = (pos, outside[j])
+        if best_swap is None or best_gain_cost >= (1.0 - handle.improvement_threshold) * cost:
+            converged = True
+            break
+        pos, new_col = best_swap
+        current[pos] = new_col
+        current.sort()
+        cost = best_gain_cost
+    return tuple(fac[i] for i in current), cost, it, converged
+
+
+def _matroid_swap_loop(dist, points, weights, matroid, z, handle):
+    """Reference: rescore every independent (position, facility) swap from scratch."""
+    ground = list(matroid.ground_set)
+    current = []
+    for g in ground:
+        if len(current) == matroid.rank:
+            break
+        if matroid.is_independent(current + [g]):
+            current.append(g)
+    d = solvers._cost_block(dist, points, weights, ground, z)
+    col = {g: i for i, g in enumerate(ground)}
+
+    def total(cset):
+        return float(d[:, [col[c] for c in cset]].min(axis=1).sum())
+
+    cost = total(current)
+    converged = False
+    for _ in range(handle.iteration_cap):
+        best_swap = None
+        cur_set = set(current)
+        for i, c in enumerate(current):
+            for f in ground:
+                if f in cur_set:
+                    continue
+                trial = current[:i] + current[i + 1 :] + [f]
+                if not matroid.is_independent(trial):
+                    continue
+                t_cost = total(trial)
+                if t_cost < cost * (1.0 - handle.improvement_threshold) and (
+                    best_swap is None or t_cost < best_swap[0]
+                ):
+                    best_swap = (t_cost, i, f)
+        if best_swap is None:
+            converged = True
+            break
+        cost, i, f = best_swap
+        current = sorted(current[:i] + current[i + 1 :] + [f])
+    return tuple(sorted(current)), converged
+
+
+def _swap_cases(rng):
+    """Small 1-D integer instances (exact sums, frequent ties) and search settings.
+
+    Thresholds 1/4 and 1/2 make the improvement bar an exact value that swap
+    costs can meet; an iteration cap of 1 stops most searches early.
+    """
+    for trial in range(120):
+        inst = line_instance(
+            rng.integers(0, 12, size=int(rng.integers(3, 9))),
+            rng.integers(0, 12, size=int(rng.integers(2, 8))),
+            k=1, m=0, z=(1.0, 2.0)[trial % 2],
+        )
+        weights = None if trial % 3 == 0 else rng.integers(1, 4, size=len(inst.clients))
+        handle = SolverHandle(
+            kind="local_search", beta_guarantee="heuristic",
+            iteration_cap=1 if trial % 5 == 0 else 200,
+            improvement_threshold=(1e-3, 0.25, 0.5)[trial % 4 % 3],
+        )
+        yield inst, weights, handle
+
+
+def _run_warned(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call()
+    return out, any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+def test_local_search_kernel_matches_plain_swap_loop(rng):
+    capped = 0
+    for inst, weights, handle in _swap_cases(rng):
+        X, fac = inst.clients, inst.facilities
+        for k in range(1, len(fac) + 1):
+            want = _plain_swap_loop(inst.dist, X, weights, fac, k, inst.z, handle)
+            d = solvers._cost_block(inst.dist, X, weights, fac, inst.z)
+            got, warned = _run_warned(lambda: solvers._local_search(d, k, handle))
+            assert (tuple(fac[i] for i in got.centers), got.cost, got.iterations,
+                    got.converged) == want
+            assert warned == (not got.converged)
+            capped += not got.converged
+    assert capped > 0
+
+
+def test_matroid_local_search_matches_swap_loop(rng):
+    capped = 0
+    for inst, weights, handle in _swap_cases(rng):
+        X, fac = inst.clients, list(inst.facilities)
+        cut = sorted(rng.choice(np.arange(1, len(fac)), size=min(2, len(fac) - 1),
+                                replace=False).tolist()) if len(fac) > 1 else []
+        parts = [p for p in np.split(np.asarray(fac), cut) if len(p)]
+        # capacities up to the part size; all full gives rank = |ground|
+        full = rng.integers(3) == 0
+        part_m = PartitionMatroid(
+            [(p, len(p) if full else int(rng.integers(1, len(p) + 1))) for p in parts]
+        )
+        m = int(rng.integers(0, len(X)))
+        for matroid, w in ((part_m, weights), (direct_sum_matroid(part_m, X, m), None)):
+            want = _matroid_swap_loop(inst.dist, X, w, matroid, inst.z, handle)
+            got, warned = _run_warned(
+                lambda: matroid_local_search(inst.dist, X, w, matroid, inst.z, handle)
+            )
+            assert got == want
+            assert matroid.is_independent(got[0]) and len(got[0]) == matroid.rank
+            assert warned == (not got[1])
+            capped += not got[1]
+    assert capped > 0
 
 
 # ---------------------------------------------------------------------------
