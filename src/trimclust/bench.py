@@ -71,7 +71,6 @@ def report_to_dict(rep: ReductionReport) -> dict[str, Any]:
     return {
         "best": solution_to_dict(rep.best),
         "candidates_evaluated": rep.candidates_evaluated,
-        "skipped": rep.skipped,
         "rounds": rep.rounds,
         "seed": rep.seed,
         "epsilon_factor": rep.epsilon_factor,
@@ -90,7 +89,6 @@ def report_to_dict(rep: ReductionReport) -> dict[str, Any]:
                 "coreset_lossless": r.coreset_lossless,
                 "best_cost": r.best_cost,
                 "evaluated": r.evaluated,
-                "skipped": r.skipped,
             }
             for r in rep.per_round
         ],

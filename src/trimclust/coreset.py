@@ -132,7 +132,6 @@ def build_augmented_instance(inst: MetricInstance) -> MetricInstance:
 def baseline_solve(
     inst_aug: MetricInstance,
     exact_budget: int = DEFAULT_BASELINE_EXACT_BUDGET,
-    handle: SolverHandle | None = None,
 ) -> BaselineResult:
     """Solve the (outlier-free) augmented instance, exactly when affordable.
 
@@ -151,9 +150,8 @@ def baseline_solve(
         )
         cost = trimmed_cost(inst_aug.dist, X, centers, 0, inst_aug.z)
         return BaselineResult(tuple(centers), cost, "exact", 1.0, True)
-    handle = handle or SolverHandle.local_search(inst_aug.z)
     d = _cost_block(inst_aug.dist, X, None, space.col_ids, inst_aug.z)
-    res = _local_search(d, space.k, handle)
+    res = _local_search(d, space.k, SolverHandle.local_search(inst_aug.z))
     centers = tuple(space.col_ids[i] for i in res.centers)
     cost = trimmed_cost(inst_aug.dist, X, centers, 0, inst_aug.z)
     guarantee = 5.0 if inst_aug.z == 1.0 else None
@@ -252,7 +250,7 @@ def _band_index(d: float, R: float, phi: int) -> int:
     if j > phi:
         if d <= 2.0**phi * R * (1.0 + 1e-9):
             return phi
-        raise AssertionError(
+        raise RuntimeError(
             f"distance {d} exceeds the outermost band 2**{phi} * {R}"
         )
     return j
@@ -379,12 +377,12 @@ def build_coreset(
         union_w.extend(wps.weights)
         entry_rings.extend([key] * len(wps))
         if wps.total_weight != len(pts):
-            raise AssertionError(f"ring {key}: weight {wps.total_weight} != |ring| {len(pts)}")
+            raise RuntimeError(f"ring {key}: weight {wps.total_weight} != |ring| {len(pts)}")
 
     union = WeightedPointSet(tuple(union_pts), tuple(union_w))
     bound = coreset_size_bound(s, rp.k, rp.m, rp.phi)
     if len(union) > bound:
-        raise AssertionError(f"coreset has {len(union)} entries, above the bound {bound}")
+        raise RuntimeError(f"coreset has {len(union)} entries, above the bound {bound}")
     return WeightedCoreset(
         groups=groups,
         is_small=small,

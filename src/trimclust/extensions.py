@@ -201,14 +201,9 @@ def colorful_solve(
     *,
     seed: int,
     rounds: int | None = None,
-    prune: bool = False,
-    baseline_exact_budget: int | None = None,
 ) -> Solution:
     """Color-budgeted reduction; enumeration honors budgets, solving is color-blind."""
-    return _solve_variant(
-        cinst.base, cinst, None, params, solver,
-        seed=seed, rounds=rounds, prune=prune, baseline_budget=baseline_exact_budget,
-    )
+    return _solve_variant(cinst.base, cinst, None, params, solver, seed=seed, rounds=rounds)
 
 
 def colorful_oracle(
@@ -238,36 +233,33 @@ def matroid_baseline(
     inst: MetricInstance,
     matroid: MatroidOracle,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    heuristic: bool = False,
-    handle: SolverHandle | None = None,
 ) -> BaselineResult:
     """Baseline for the matroid variant: centers independent in the direct sum.
 
-    Exact mode enumerates (basis of the matroid) x (m clients); the heuristic
-    flag, or an enumeration over ``budget``, switches to independence-respecting
-    local search with no claimed factor.
+    When (bases of the matroid) x (m-subsets of the clients) fits ``budget``,
+    every such union is a candidate and the best is found exactly (tau = 1).
+    Otherwise, or when the bases alone exceed ``budget``, it is the
+    independence-respecting local search over the direct sum, with no claimed
+    factor.  The client picks are counted before any of them is built.
     """
-    m_aug = direct_sum_matroid(matroid, inst.clients, inst.m)
     X = list(inst.clients)
-    if not heuristic:
-        try:
-            bases_f = matroid_bases(matroid, budget)
-        except SolverBudgetExceeded:
-            bases_f = None
-        client_picks = list(combinations(sorted(inst.clients), min(inst.m, len(X))))
-        if bases_f is None or len(bases_f) * len(client_picks) > budget:
-            heuristic = True
-        else:
-            cands = [tuple(sorted(b + y)) for b in bases_f for y in client_picks]
-            space = CandidateSpace.from_center_sets(cands)
-            best = per_subset_best_exact(
-                inst.dist, X, np.ones(len(X)), space, inst.z, [()], budget
-            )[0]
-            cost = trimmed_cost(inst.dist, X, best, 0, inst.z)
-            return BaselineResult(tuple(sorted(best)), cost, "exact", 1.0, True)
-    handle = handle or SolverHandle.local_search(inst.z)
+    m = min(inst.m, len(X))
+    try:
+        bases_f = matroid_bases(matroid, budget)
+    except SolverBudgetExceeded:
+        bases_f = None
+    if bases_f is not None and len(bases_f) * math.comb(len(X), m) <= budget:
+        picks = list(combinations(sorted(inst.clients), m))
+        cands = [tuple(sorted(b + y)) for b in bases_f for y in picks]
+        space = CandidateSpace.from_center_sets(cands)
+        best = per_subset_best_exact(
+            inst.dist, X, np.ones(len(X)), space, inst.z, [()], budget
+        )[0]
+        cost = trimmed_cost(inst.dist, X, best, 0, inst.z)
+        return BaselineResult(tuple(sorted(best)), cost, "exact", 1.0, True)
+    m_aug = direct_sum_matroid(matroid, inst.clients, inst.m)
     centers, converged = matroid_local_search(
-        inst.dist, X, None, m_aug, inst.z, handle
+        inst.dist, X, None, m_aug, inst.z, SolverHandle.local_search(inst.z)
     )
     cost = trimmed_cost(inst.dist, X, centers, 0, inst.z)
     return BaselineResult(tuple(centers), cost, "local_search", None, converged)
@@ -305,9 +297,6 @@ def matroid_median_solve(
     *,
     seed: int,
     rounds: int | None = None,
-    prune: bool = False,
-    baseline_budget: int = DEFAULT_ENUMERATION_BUDGET,
-    heuristic_baseline: bool = False,
 ) -> Solution:
     """Outlier reduction with centers constrained to independent sets.
 
@@ -315,10 +304,7 @@ def matroid_median_solve(
     heuristic when the solver handle asks for local search); every returned
     center set is independent.
     """
-    return _solve_variant(
-        inst, None, matroid, params, solver, seed=seed, rounds=rounds, prune=prune,
-        baseline_budget=baseline_budget, heuristic_baseline=heuristic_baseline,
-    )
+    return _solve_variant(inst, None, matroid, params, solver, seed=seed, rounds=rounds)
 
 
 def matroid_median_oracle(
@@ -343,15 +329,9 @@ def colorful_matroid_solve(
     *,
     seed: int,
     rounds: int | None = None,
-    prune: bool = False,
-    baseline_budget: int = DEFAULT_ENUMERATION_BUDGET,
-    heuristic_baseline: bool = False,
 ) -> Solution:
     """Color-budgeted enumeration with matroid-feasible candidates."""
-    return _solve_variant(
-        cinst.base, cinst, matroid, params, solver, seed=seed, rounds=rounds, prune=prune,
-        baseline_budget=baseline_budget, heuristic_baseline=heuristic_baseline,
-    )
+    return _solve_variant(cinst.base, cinst, matroid, params, solver, seed=seed, rounds=rounds)
 
 
 def colorful_matroid_oracle(
@@ -396,23 +376,20 @@ def _solve_variant(
     *,
     seed: int,
     rounds: int | None,
-    prune: bool,
-    baseline_budget: int | None,
-    heuristic_baseline: bool = False,
 ) -> Solution:
     """The reduction under per-color budgets (``cinst``), matroid centers, or both.
 
     Budgets choose the coreset flavor, the subset stream and the trimming;
-    a matroid chooses the baseline, the candidate space and the local-search
-    black box, and every candidate is checked for independence.
+    a matroid chooses the baseline (under the solver's enumeration budget),
+    the candidate space and the local-search black box, and every candidate
+    is checked for independence.
     """
     if matroid is None:
-        kwargs = {} if baseline_budget is None else {"exact_budget": baseline_budget}
-        baseline = lambda: baseline_solve(build_augmented_instance(inst), **kwargs)
+        baseline = lambda: baseline_solve(build_augmented_instance(inst))
         black_box = None
     else:
         _check_matroid_instance(inst, matroid)
-        baseline = lambda: matroid_baseline(inst, matroid, baseline_budget, heuristic_baseline)
+        baseline = lambda: matroid_baseline(inst, matroid, solver.enumeration_budget)
         black_box = lambda p, w: matroid_local_search(inst.dist, p, w, matroid, inst.z, solver)[0]
     if cinst is None:
         build_cs = lambda rp, rng: build_coreset(rp, params, rng)
@@ -428,14 +405,13 @@ def _solve_variant(
         return score(C)
 
     return _run_rounds(
-        inst, params, solver, seed=seed, rounds=rounds, prune=prune,
+        inst, params, solver, seed=seed, rounds=rounds,
         space=lambda: _candidates(inst, matroid, solver.enumeration_budget),
         baseline=baseline,
         build_cs=build_cs,
         objective=objective,
         enum_subsets=enum_subsets,
         black_box=black_box,
-        prune_ground=None if matroid is None else matroid.ground_set,
     ).best
 
 

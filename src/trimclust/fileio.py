@@ -308,8 +308,3 @@ def coreset_parts_to_text(
 def dump_json(obj: Any) -> str:
     """Canonical JSON: sorted keys, fixed layout, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def write_json(obj: Any, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_json(obj))

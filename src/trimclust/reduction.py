@@ -58,8 +58,8 @@ from .metric import (
 from .rng import TAG_ROUND, generator_for
 from .solvers import (
     CandidateSpace,
-    SolverBudgetExceeded,
     SolverHandle,
+    _refuse_over_budget,
     solve_outlier_free,
 )
 
@@ -136,10 +136,7 @@ def per_subset_best_exact(
     ``_BLOCK_ELEMENTS`` costs so memory stays bounded whatever the number of
     subsets.  Only the distinct winning candidates are unranked.
     """
-    if space.count > budget:
-        raise SolverBudgetExceeded(
-            f"{space.count} candidate center sets exceed budget {budget}"
-        )
+    _refuse_over_budget(space, budget)
     if space.count == 0:
         raise ValueError("empty candidate space")
     d = dist.pairwise(points, space.col_ids)
@@ -179,26 +176,6 @@ def per_subset_best_exact(
     return [centers[i] for i in which.tolist()]
 
 
-def _check_exact_engine(solver: SolverHandle, prune: bool, space: CandidateSpace) -> None:
-    """Refuse up front what the batched exact engine would only find out late.
-
-    The exact black box answers every subset of a round in one batched call,
-    so there is no per-subset call for pruning to skip.  A k-subset candidate
-    space over the solver's budget would be refused in every round, after the
-    baseline had already run.
-    """
-    if prune:
-        raise ValueError(
-            "pruning applies only to per-subset black-box calls (local search); "
-            "the exact black box answers all subsets in one batched call"
-        )
-    if space.count > solver.enumeration_budget:
-        raise SolverBudgetExceeded(
-            f"{space.count} candidate center sets exceed the exact solver's "
-            f"budget {solver.enumeration_budget}"
-        )
-
-
 @dataclass(frozen=True)
 class RoundRecord:
     round: int
@@ -207,7 +184,6 @@ class RoundRecord:
     coreset_lossless: bool
     best_cost: float | None
     evaluated: int
-    skipped: int
 
 
 @dataclass(frozen=True)
@@ -216,7 +192,6 @@ class ReductionReport:
 
     best: Solution
     candidates_evaluated: int
-    skipped: int
     rounds: int
     per_round: tuple[RoundRecord, ...]
     seed: int
@@ -231,24 +206,24 @@ def _run_rounds(
     *,
     seed: int,
     rounds: int | None,
-    prune: bool,
     space: Callable[[], CandidateSpace],
     baseline: Callable[[], BaselineResult],
     build_cs: Callable[[RingPartition, np.random.Generator], object],
     objective: Callable[[tuple[PointId, ...]], tuple[float, tuple[PointId, ...]]],
     enum_subsets: Callable[[object], Iterator[tuple[int, ...]]] | None = None,
     black_box: Callable[[np.ndarray, np.ndarray], tuple[PointId, ...]] | None = None,
-    prune_ground: Sequence[PointId] | None = None,
 ) -> ReductionReport:
     """The one solve driver behind every solve entry point.
 
     Checks the arguments, builds the candidate space when the exact black box
     will read it (so an over-budget space is refused before the baseline
     runs; local search never reads it), then runs the baseline, the ring
-    partition and the rounds.  ``build_cs`` may return any coreset flavor
-    exposing ``union`` (a WeightedPointSet) and ``lossless``; ``enum_subsets``
-    receives it whole so variant-specific enumeration (per-color budgets) can
-    see the provenance, and defaults to every subset of at most m entries.
+    partition and the rounds.  Every subset of every round gets an answer,
+    and each distinct answer is rescored once per round with ``objective``.
+    ``build_cs`` may return any coreset flavor exposing ``union`` (a
+    WeightedPointSet) and ``lossless``; ``enum_subsets`` receives it whole so
+    variant-specific enumeration (per-color budgets) can see the provenance,
+    and defaults to every subset of at most m entries.
     ``black_box`` answers one subset at a time and defaults to the configured
     outlier-free solver; the exact solver answers a round in one batched call.
     """
@@ -258,8 +233,7 @@ def _run_rounds(
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if solver.kind == "exact":  # only the exact black box reads the candidate space
-        cands = space()
-        _check_exact_engine(solver, prune, cands)
+        cands = _refuse_over_budget(space(), solver.enumeration_budget)
     base = baseline()
     rp = ring_partition(inst, base.centers, params.tau)
     if enum_subsets is None:
@@ -268,7 +242,6 @@ def _run_rounds(
     best: Solution | None = None
     records: list[RoundRecord] = []
     total_eval = 0
-    total_skip = 0
     for r in range(rounds):
         rng = generator_for(seed, TAG_ROUND, r)
         cs = build_cs(rp, rng)
@@ -277,7 +250,6 @@ def _run_rounds(
         subsets = list(enum_subsets(cs))
         round_best: float | None = None
         evaluated = 0
-        skipped = 0
         seen: set[tuple[PointId, ...]] = set()
         answers_seen: set[tuple[PointId, ...]] = set()
 
@@ -286,16 +258,9 @@ def _run_rounds(
                 inst.dist, pts, w, cands, inst.z, subsets, solver.enumeration_budget
             )
         else:
-            answers = _per_subset_generic(
-                inst, pts, w, subsets, black_box, solver,
-                prune=prune, prune_ground=prune_ground,
-                incumbent=lambda: best.cost if best is not None else math.inf,
-            )
+            answers = _per_subset_generic(inst, pts, w, subsets, black_box, solver)
 
         for T, centers in zip(subsets, answers):
-            if centers is None:
-                skipped += 1
-                continue
             # answers repeat heavily: skip a repeated answer before sorting it
             if centers in answers_seen:
                 continue
@@ -312,7 +277,6 @@ def _run_rounds(
                 tag = f"r{r}:T{','.join(map(str, T))}"
                 best = Solution(centers=key, outliers=outliers, cost=cost, candidate_tag=tag)
         total_eval += evaluated
-        total_skip += skipped
         records.append(
             RoundRecord(
                 round=r,
@@ -321,16 +285,12 @@ def _run_rounds(
                 coreset_lossless=cs.lossless,
                 best_cost=round_best,
                 evaluated=evaluated,
-                skipped=skipped,
             )
         )
-    if best is None:
-        raise RuntimeError("every candidate was refused by the black-box solver")
     eps = params.epsilon
     return ReductionReport(
         best=best,
         candidates_evaluated=total_eval,
-        skipped=total_skip,
         rounds=rounds,
         per_round=tuple(records),
         seed=seed,
@@ -346,43 +306,22 @@ def _per_subset_generic(
     subsets: Sequence[tuple[int, ...]],
     black_box: Callable[[np.ndarray, np.ndarray], tuple[PointId, ...]] | None,
     solver: SolverHandle,
-    prune: bool,
-    prune_ground: Sequence[PointId] | None,
-    incumbent: Callable[[], float],
-) -> Iterator[tuple[PointId, ...] | None]:
-    """Per-subset black-box calls, optionally skipping provably useless subsets.
+) -> Iterator[tuple[PointId, ...]]:
+    """One black-box call per subset: solve the coreset with T's entries evicted.
 
-    The pruning bound: each kept entry costs at least its weighted distance to
-    the nearest point of the candidate ground, so if that total already beats
-    the incumbent the subset cannot produce a better candidate.
+    ``black_box`` defaults to the configured outlier-free solver over the
+    instance's facilities.  Answers are yielded in subset order.
     """
     bb = black_box or (
         lambda p, ww: solve_outlier_free(
             inst.dist, p, ww, inst.facilities, inst.k, inst.z, solver
         )
     )
-    lower = None
-    if prune:
-        ground = tuple(prune_ground if prune_ground is not None else inst.facilities)
-        dmin = inst.dist.pairwise(pts, ground).min(axis=1)
-        if inst.z != 1.0:
-            dmin = dmin**inst.z
-        lower = dmin * w
-    total_lower = float(lower.sum()) if lower is not None else 0.0
-
     for T in subsets:
-        if lower is not None:
-            lb = total_lower - (float(lower[list(T)].sum()) if T else 0.0)
-            if lb > incumbent():
-                yield None
-                continue
         mask = np.ones(len(pts), dtype=bool)
         if T:
             mask[list(T)] = False
-        try:
-            yield bb(pts[mask], w[mask])
-        except SolverBudgetExceeded:
-            yield None
+        yield bb(pts[mask], w[mask])
 
 
 def solve_with_outliers(
@@ -392,8 +331,6 @@ def solve_with_outliers(
     *,
     seed: int,
     rounds: int | None = None,
-    prune: bool = False,
-    baseline_exact_budget: int | None = None,
 ) -> ReductionReport:
     """Full pipeline: baseline, rings, coreset, subset enumeration, selection.
 
@@ -402,11 +339,10 @@ def solve_with_outliers(
     candidate across all rounds is returned, with its cost re-evaluated on the
     original instance.
     """
-    kwargs = {} if baseline_exact_budget is None else {"exact_budget": baseline_exact_budget}
     return _run_rounds(
-        inst, params, solver, seed=seed, rounds=rounds, prune=prune,
+        inst, params, solver, seed=seed, rounds=rounds,
         space=lambda: CandidateSpace.subsets(inst.facilities, inst.k),
-        baseline=lambda: baseline_solve(build_augmented_instance(inst), **kwargs),
+        baseline=lambda: baseline_solve(build_augmented_instance(inst)),
         build_cs=lambda rp, rng: build_coreset(rp, params, rng),
         objective=lambda C: evaluate_candidate(C, inst),
     )

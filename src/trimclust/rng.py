@@ -9,7 +9,6 @@ and never on call order.  Tags:
 * ``TAG_TRIAL``      one stream per Monte-Carlo trial of the concentration harness
 * ``TAG_GENERATE``   the planted-instance generator
 * ``TAG_EXPERIMENT`` per-instance seeds inside an experiment suite
-* ``TAG_RESTART``    optional random restarts of local search
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ TAG_ROUND = 1
 TAG_TRIAL = 2
 TAG_GENERATE = 3
 TAG_EXPERIMENT = 4
-TAG_RESTART = 5
 
 
 def child_sequence(seed: int, *key: int) -> np.random.SeedSequence:

@@ -346,13 +346,11 @@ def local_search_kmedian(
     z: float = 1.0,
     handle: SolverHandle | None = None,
     initial: Sequence[PointId] | None = None,
-    restarts: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> tuple[PointId, ...]:
     """Single-swap local search; deterministic from the default initialization.
 
-    ``restarts`` extra runs from random initial centers (requires ``rng``) may
-    only improve the result.  The cost block is built once for all runs.
+    The search starts from ``initial`` (facility ids) or, by default, from the
+    first k facilities in ascending id order.
     """
     handle = handle or SolverHandle.local_search(z)
     space = CandidateSpace.subsets(facilities, k)
@@ -360,16 +358,10 @@ def local_search_kmedian(
     d = _cost_block(dist, points, weights, fac, z)
     if initial is not None:
         index_of = {f: i for i, f in enumerate(fac)}
+        if unknown := [int(f) for f in initial if int(f) not in index_of]:
+            raise ValueError(f"initial centers {unknown} are not facilities")
         initial = [index_of[int(f)] for f in initial]
     best = _local_search(d, space.k, handle, initial)
-    if restarts:
-        if rng is None:
-            raise ValueError("random restarts need an rng")
-        for _ in range(restarts):
-            init = rng.choice(len(fac), size=space.k, replace=False)
-            res = _local_search(d, space.k, handle, init)
-            if res.cost < best.cost:
-                best = res
     return tuple(fac[i] for i in best.centers)
 
 

@@ -187,16 +187,6 @@ def test_solve_local_search_flags(tmp_path):
     assert json.loads(out.read_text())["best"]["cost"] >= 0
 
 
-def test_solve_prune_with_exact_solver_refused(tmp_path, capsys):
-    inst = _generate(tmp_path)
-    rc = main([
-        "solve", "--instance", str(inst), "--s", "6", "--solver", "exact", "--prune",
-        "--seed", "1",
-    ])
-    assert rc == 2
-    assert "pruning applies only to per-subset black-box calls" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("verb", ["solve", "oracle", "coreset-dump", "check-rings"])
 def test_unloadable_instance_is_one_line_and_exit_2(tmp_path, capsys, verb):
     extra = {

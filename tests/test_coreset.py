@@ -22,6 +22,7 @@ from trimclust import (
     verify_ring_bounds,
     wcost,
 )
+from trimclust.coreset import _band_index
 from trimclust.rng import generator_for
 from conftest import line_instance, random_instance, shared_point_instance
 
@@ -140,6 +141,13 @@ def test_rings_closed_upper_boundary():
     assert inst.dist.d(1, 3) == 2 * rp.R
     band_of_1 = next(j for (i, j), pts in rp.rings.items() if 1 in pts)
     assert band_of_1 == 1  # exactly 2^1 R belongs to band 1, not band 2
+
+
+def test_band_index_beyond_outermost_band_is_a_named_error():
+    # the outermost band 2**phi R tolerates relative rounding of 1e-9, no more
+    assert _band_index(8.0 * (1 + 1e-10), 1.0, 3) == 3
+    with pytest.raises(RuntimeError, match=r"exceeds the outermost band 2\*\*3"):
+        _band_index(8.0 * (1 + 1e-6), 1.0, 3)
 
 
 def test_rings_partition_properties(rng):

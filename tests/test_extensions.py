@@ -224,16 +224,16 @@ def test_matroid_heuristic_paths(rng):
     inst, matroid = _matroid_instance(rng, 12, [[0, 1], [2, 3]], k=2, m=1)
     exact = matroid_median_oracle(inst, matroid)
     heur = matroid_median_solve(
-        inst, matroid, lossless(inst), SolverHandle.local_search(), seed=1, rounds=1,
-        heuristic_baseline=True,
+        inst, matroid, lossless(inst), SolverHandle.local_search(), seed=1, rounds=1
     )
     assert matroid.is_independent(heur.centers)
     assert heur.cost >= exact.cost - 1e-12
 
 
 def test_matroid_local_search_solve_builds_no_bases(rng):
-    # C(30, 3) = 4,060 candidate sets exceed both budgets; local search and
-    # the heuristic baseline need no list of bases, so the solve goes ahead
+    # C(30, 3) = 4,060 candidate sets exceed the solver's budget, which the
+    # matroid baseline shares; local search and the heuristic baseline need
+    # no list of bases, so the solve goes ahead
     inst = random_instance(rng, 12, 30, k=3, m=1)
     fac = inst.facilities
     matroid = PartitionMatroid([(fac[0:10], 1), (fac[10:20], 1), (fac[20:30], 1)])
@@ -243,10 +243,10 @@ def test_matroid_local_search_solve_builds_no_bases(rng):
     solver = SolverHandle(kind="local_search", beta_guarantee=5.0, enumeration_budget=1000)
     for solve, oracle in (
         (lambda: matroid_median_solve(
-            inst, matroid, lossless(inst), solver, seed=1, rounds=1, baseline_budget=1000
+            inst, matroid, lossless(inst), solver, seed=1, rounds=1
         ), lambda: matroid_median_oracle(inst, matroid)),
         (lambda: colorful_matroid_solve(
-            cinst, matroid, lossless(inst), solver, seed=1, rounds=1, baseline_budget=1000
+            cinst, matroid, lossless(inst), solver, seed=1, rounds=1
         ), lambda: colorful_matroid_oracle(cinst, matroid)),
     ):
         sol = solve()

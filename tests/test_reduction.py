@@ -181,7 +181,7 @@ def test_candidate_count_bounded(rng):
     rep = solve_with_outliers(inst, practical(4), SolverHandle.exact(), seed=2, rounds=1)
     n_s = rep.per_round[0].coreset_size
     cap = sum(math.comb(n_s, t) for t in range(inst.m + 1))
-    assert rep.candidates_evaluated + rep.skipped <= cap
+    assert rep.candidates_evaluated <= cap
 
 
 def test_all_refused_raises(rng):
@@ -222,22 +222,6 @@ def test_exact_budget_decided_before_baseline(rng, monkeypatch):
         matroid_median_solve(inst, matroid, lossless_params(inst), solver, seed=1, rounds=1)
     with pytest.raises(SolverBudgetExceeded, match=r"4060 candidate bases exceed budget 1000"):
         colorful_matroid_solve(cinst, matroid, lossless_params(inst), solver, seed=1, rounds=1)
-
-
-def test_prune_refused_on_exact_path(rng, monkeypatch):
-    _no_baseline(monkeypatch)
-    inst = random_instance(rng, 10, 4, k=2, m=1)
-    matroid = PartitionMatroid([(inst.facilities[:2], 1), (inst.facilities[2:], 1)])
-    message = "pruning applies only to per-subset black-box calls"
-    with pytest.raises(ValueError, match=message):
-        solve_with_outliers(
-            inst, lossless_params(inst), SolverHandle.exact(), seed=1, rounds=1, prune=True
-        )
-    with pytest.raises(ValueError, match=message):
-        matroid_median_solve(
-            inst, matroid, lossless_params(inst), SolverHandle.exact(), seed=1, rounds=1,
-            prune=True,
-        )
 
 
 @pytest.mark.parametrize("rounds", [0, -1])
@@ -284,16 +268,6 @@ def test_local_search_black_box_sane(rng):
     assert rep.best.cost <= 5.0 * oracle.cost + 1e-9
 
 
-def test_prune_matches_unpruned(rng):
-    for seed in range(5):
-        inst = random_instance(rng, 12, 5, k=2, m=2)
-        solver = SolverHandle.local_search()
-        a = solve_with_outliers(inst, lossless_params(inst), solver, seed=seed, rounds=1)
-        b = solve_with_outliers(inst, lossless_params(inst), solver, seed=seed, rounds=1, prune=True)
-        assert b.best.cost == a.best.cost
-        assert b.skipped >= 0
-
-
 def test_sampled_regime_quality(rng):
     # a handful of planted-style instances: sampled coreset, exact black box
     hits = 0
@@ -325,10 +299,7 @@ def test_batched_engine_matches_per_subset_calls(rng):
             inst.dist, pts, w, space, inst.z, subsets, budget=10**6
         )
         generic = list(
-            _per_subset_generic(
-                inst, pts, w, subsets, None, SolverHandle.exact(),
-                prune=False, prune_ground=None, incumbent=lambda: math.inf,
-            )
+            _per_subset_generic(inst, pts, w, subsets, None, SolverHandle.exact())
         )
         assert batched == generic
 
