@@ -46,7 +46,6 @@ from .solvers import (
     SolverHandle,
     exact_kmedian,
     exact_outlier_oracle,
-    expand_unweighted,
     local_search_kmedian,
     solve_outlier_free,
 )

@@ -14,18 +14,26 @@ Candidate selection always re-evaluates centers on the full original instance
 never soundness: the returned solution is feasible and its cost is the true
 trimmed cost of its centers.
 
-The exact black box admits heavy amortization across subsets (the per-point,
-per-candidate distance minima do not depend on the evicted subset), so the
-round loop uses a batched engine for it.  Per chunk of candidate sets the engine
-computes the weighted minima ``wm = w * min_d`` once; the cost of evicting T
-is the full weighted sum minus ``wm[T0] + wm[T1] + ...``, added in T's own
-order.  Subsets are grouped by size, so each size is one numpy gather-sum
-over an ``(n_T, size)`` index array, worked through in row blocks of about
-``_BLOCK_ELEMENTS`` costs, which bounds the engine's extra memory by the
-block and not by the number of subsets.  Only the distinct winning candidates
-are unranked into center tuples.  The generic per-subset path remains for
-local search and for differential testing; both return the same answers
-except where two candidates' costs differ only by rounding.
+Both outlier-free black boxes answer a round in one batched pass, because a
+row's cost terms do not depend on which other rows are evicted: the cost of
+evicting T is a sum over all rows minus ``t[T0] + t[T1] + ...``, added in T's
+own order.  Subsets are grouped by size, so each size is one numpy
+gather-sum over an ``(n_T, size)`` index array (`_evicted_sums`), worked
+through in row blocks of about ``_BLOCK_ELEMENTS`` costs, which bounds the
+extra memory by the block and not by the number of subsets.
+
+* Exact (`per_subset_best_exact`): per chunk of candidate sets the terms are
+  the weighted minima ``w * min_d``, and only the distinct winning candidates
+  are unranked into center tuples.  It returns the per-subset answers except
+  where two candidates' costs differ only by rounding.
+* Single-swap local search (`per_subset_local_search`): every subset starts
+  from the same state, so the subsets search in lockstep, grouped by their
+  current centers, and the terms are each row's cost under every swap.  A
+  subset whose next step is not decided beyond a rounding margin runs the
+  kernel itself, so the answers are exactly those of one call per subset.
+
+The per-subset path (`_per_subset_generic`) remains for the matroid black
+box and as the reference of the differential tests.
 """
 
 from __future__ import annotations
@@ -59,7 +67,10 @@ from .rng import TAG_ROUND, generator_for
 from .solvers import (
     CandidateSpace,
     SolverHandle,
+    _cost_block,
+    _local_search,
     _refuse_over_budget,
+    _warn_iteration_cap,
     solve_outlier_free,
 )
 
@@ -112,6 +123,29 @@ def _subsets_by_size(
     return groups
 
 
+def _evicted_sums(
+    full: np.ndarray, per_row: np.ndarray, pos: np.ndarray, rows: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``full - (per_row[T0] + per_row[T1] + ...)`` for each subset T of one size.
+
+    ``rows`` holds one subset per row (one `_subsets_by_size` group) and
+    ``pos`` its positions.  The evicted rows are added in T's own order.
+    Yields ``(positions, costs)`` blocks of about ``_BLOCK_ELEMENTS`` costs,
+    so memory stays bounded whatever the number of subsets.
+    """
+    per = max(1, _BLOCK_ELEMENTS // len(full))
+    for lo in range(0, len(pos), per):
+        block = rows[lo : lo + per]
+        if block.shape[1] == 0:
+            costs = np.broadcast_to(full, (len(block), len(full)))
+        else:
+            removed = per_row[block[:, 0]]
+            for col in range(1, block.shape[1]):
+                removed += per_row[block[:, col]]
+            costs = np.subtract(full, removed, out=removed)
+        yield pos[lo : lo + per], costs
+
+
 def per_subset_best_exact(
     dist: DistanceOracle,
     points: Sequence[PointId],
@@ -151,20 +185,10 @@ def per_subset_best_exact(
         min_d = d[:, chunk].min(axis=2)  # (n_points, chunk_size)
         full = w @ min_d
         wm = w[:, None] * min_d
-        per = max(1, _BLOCK_ELEMENTS // min_d.shape[1])
         for pos, rows in groups:
-            for lo in range(0, len(pos), per):
-                block = rows[lo : lo + per]
-                if block.shape[1] == 0:
-                    costs = np.broadcast_to(full, (len(block), len(full)))
-                else:
-                    removed = wm[block[:, 0]]
-                    for col in range(1, block.shape[1]):
-                        removed += wm[block[:, col]]
-                    costs = np.subtract(full, removed, out=removed)
+            for p, costs in _evicted_sums(full, wm, pos, rows):
                 j = costs.argmin(axis=1)
                 vals = costs[np.arange(len(j)), j]
-                p = pos[lo : lo + per]
                 better = vals < best_cost[p]
                 best_cost[p[better]] = vals[better]
                 best_idx[p[better]] = offset + j[better]
@@ -174,6 +198,130 @@ def per_subset_best_exact(
         raise ValueError("no candidate center set has a finite cost")
     centers = [space.centers_at(int(i)) for i in winners]
     return [centers[i] for i in which.tolist()]
+
+
+def _swap_terms(D: np.ndarray, current: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's cost under each single swap of ``current``, and under ``current``.
+
+    Column ``pos * len(outside) + j`` holds ``min(fallback_pos, D[:, outside[j]])``,
+    the row's distance to its nearest center once ``current[pos]`` is swapped
+    for column ``outside[j]``, in `_local_search`'s order; the last column
+    holds the distance to the nearest center of ``current``.  Every entry is
+    a min over ``D``, so it is bit-identical to the kernel's own terms.  The
+    kernel does not call this: it sums one position at a time and never
+    holds all ``k`` blocks, which matters on the baseline's large block.
+    """
+    k = len(current)
+    rows = np.arange(D.shape[0])
+    vals = D[:, list(current)]
+    arg = vals.argmin(axis=1)
+    d1 = vals[rows, arg]
+    masked = vals.copy()
+    masked[rows, arg] = np.inf
+    d2 = masked.min(axis=1) if k > 1 else np.full(len(rows), np.inf)
+    inside = np.zeros(D.shape[1], dtype=bool)
+    inside[list(current)] = True
+    outside = np.flatnonzero(~inside)
+    n_out = len(outside)
+    d_out = D[:, outside]
+    terms = np.empty((D.shape[0], k * n_out + 1))
+    for pos in range(k):
+        fallback = np.where(arg == pos, d2, d1)
+        np.minimum(fallback[:, None], d_out, out=terms[:, pos * n_out : (pos + 1) * n_out])
+    terms[:, -1] = d1
+    return terms, outside
+
+
+def per_subset_local_search(
+    D: np.ndarray,
+    subsets: Sequence[tuple[int, ...]],
+    k: int,
+    handle: SolverHandle,
+) -> list[tuple[int, ...]]:
+    """Single-swap local search answers for every evicted subset, in lockstep.
+
+    ``D`` is the weighted, powered cost block of all coreset entries (rows)
+    to the sorted facilities (columns).  For each subset T the result is the
+    column tuple that ``_local_search(D[keep], k, handle)`` returns from its
+    cold start, where ``keep`` drops T's rows.
+
+    Every subset starts from the first ``k`` columns, so the subsets still
+    searching share the iteration count and fall into a few states (center
+    tuples).  Per state the per-row swap terms of `_swap_terms` and their
+    column sums ``full`` are computed once over all rows; T's swap costs and
+    its current cost are then ``full`` minus T's rows, one gather-sum per
+    subset size as in `per_subset_best_exact`.
+
+    These costs differ from the kernel's own sums only by rounding.  Every
+    compared value of either path is a sum of at most ``n`` = ``len(D)``
+    terms, each at most its row's largest entry, so it lies within
+    ``bound = (n + 1) * 2**-52 * sum_i max_j D[i, j]`` of the exact sum.
+    A subset moves only if its best swap is below the bar
+    ``(1 - threshold) * cost`` by more than ``tol = 256 * bound`` and the
+    runner-up swap is more than ``tol`` above the best; it has converged only
+    if its best swap is above the bar by more than ``tol``.  Each such
+    decision is then the kernel's.  Any other subset (a tie, a near-tie,
+    every row evicted, an all-zero block) gets the kernel itself, run on
+    ``D[keep]`` from the cold start.  A subset still moving after
+    ``handle.iteration_cap`` iterations warns as the kernel does.
+    """
+    n_cols = D.shape[1]
+    if k == n_cols:
+        return [tuple(range(n_cols))] * len(subsets)
+    bound = (len(D) + 1) * 2.0**-52 * float(D.max(axis=1, initial=0.0).sum())
+    tol = 256 * bound
+    keep_frac = 1.0 - handle.improvement_threshold
+    states: list[tuple[int, ...]] = []
+    index: dict[tuple[int, ...], int] = {}
+
+    def state_id(cols) -> int:
+        key = tuple(sorted(cols))
+        if key not in index:
+            index[key] = len(states)
+            states.append(key)
+        return index[key]
+
+    def kernel(q: int) -> int:
+        keep = np.ones(len(D), dtype=bool)
+        keep[list(subsets[q])] = False
+        return state_id(_local_search(D[keep], k, handle).centers)
+
+    groups = _subsets_by_size(subsets)
+    state = np.full(len(subsets), state_id(range(k)), dtype=np.intp)  # -1 once answered
+    answer = np.full(len(subsets), -1, dtype=np.intp)
+    for _ in range(handle.iteration_cap):
+        moved = np.full(len(subsets), -1, dtype=np.intp)
+        for s in np.unique(state[state >= 0]).tolist():
+            current = states[s]
+            terms, outside = _swap_terms(D, current)
+            full = terms.sum(axis=0)
+            for pos, rows in groups:
+                mine = state[pos] == s
+                for p, costs in _evicted_sums(full, terms, pos[mine], rows[mine]):
+                    swaps, bar = costs[:, :-1], keep_frac * costs[:, -1]
+                    j = swaps.argmin(axis=1)
+                    best = swaps[np.arange(len(j)), j]
+                    if swaps.shape[1] > 1:
+                        runner_up = np.partition(swaps, 1, axis=1)[:, 1]
+                    else:
+                        runner_up = np.full(len(j), np.inf)
+                    done = best > bar + tol
+                    move = (best < bar - tol) & (runner_up > best + tol)
+                    answer[p[done]] = s
+                    for jj in np.unique(j[move]).tolist():
+                        at, col = divmod(jj, len(outside))
+                        trial = current[:at] + current[at + 1 :] + (int(outside[col]),)
+                        moved[p[move & (j == jj)]] = state_id(trial)
+                    for q in p[~(done | move)].tolist():
+                        answer[q] = kernel(q)
+        state = moved
+        if (state < 0).all():
+            break
+    capped = np.flatnonzero(state >= 0)
+    answer[capped] = state[capped]
+    for _ in capped:
+        _warn_iteration_cap(handle, stacklevel=2)
+    return [states[i] for i in answer.tolist()]
 
 
 @dataclass(frozen=True)
@@ -224,8 +372,10 @@ def _run_rounds(
     WeightedPointSet) and ``lossless``; ``enum_subsets`` receives it whole so
     variant-specific enumeration (per-color budgets) can see the provenance,
     and defaults to every subset of at most m entries.
-    ``black_box`` answers one subset at a time and defaults to the configured
-    outlier-free solver; the exact solver answers a round in one batched call.
+    ``black_box`` answers one subset at a time; without it the configured
+    outlier-free solver answers a round in one batched call, over one cost
+    block per round: `per_subset_best_exact` for the exact solver and
+    `per_subset_local_search` for local search.
     """
     if params.z != inst.z:
         raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
@@ -234,6 +384,8 @@ def _run_rounds(
         raise ValueError("rounds must be >= 1")
     if solver.kind == "exact":  # only the exact black box reads the candidate space
         cands = _refuse_over_budget(space(), solver.enumeration_budget)
+    elif black_box is None:
+        facs = CandidateSpace.subsets(inst.facilities, inst.k)
     base = baseline()
     rp = ring_partition(inst, base.centers, params.tau)
     if enum_subsets is None:
@@ -257,6 +409,11 @@ def _run_rounds(
             answers = per_subset_best_exact(
                 inst.dist, pts, w, cands, inst.z, subsets, solver.enumeration_budget
             )
+        elif black_box is None:
+            D = _cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
+            found = per_subset_local_search(D, subsets, facs.k, solver)
+            ids = {c: tuple(facs.col_ids[i] for i in c) for c in set(found)}
+            answers = [ids[c] for c in found]
         else:
             answers = _per_subset_generic(inst, pts, w, subsets, black_box, solver)
 

@@ -32,7 +32,6 @@ from .metric import (
     MetricInstance,
     PointId,
     Solution,
-    WeightedPointSet,
     farthest_points,
     trimmed_cost,
 )
@@ -90,18 +89,6 @@ class SolverHandle:
             iteration_cap=iteration_cap,
             improvement_threshold=improvement_threshold,
         )
-
-
-def expand_unweighted(wps: WeightedPointSet) -> tuple[PointId, ...]:
-    """Unweighted multiset with w(x) copies of every entry x.
-
-    Plain (unit-weight) evaluation of the result equals weighted evaluation of
-    the input for every center set.
-    """
-    out: list[PointId] = []
-    for p, w in wps.entries:
-        out.extend([p] * w)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -328,13 +315,18 @@ def _local_search(
             converged = True
             break
     if not converged:
-        warnings.warn(
-            f"local search hit the iteration cap ({handle.iteration_cap}); "
-            "returning best centers found so far",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        _warn_iteration_cap(handle, stacklevel=3)
     return LocalSearchResult(tuple(current), cost, it, converged)
+
+
+def _warn_iteration_cap(handle: SolverHandle, stacklevel: int) -> None:
+    """The warning of a local search stopped by ``handle.iteration_cap``."""
+    warnings.warn(
+        f"local search hit the iteration cap ({handle.iteration_cap}); "
+        "returning best centers found so far",
+        RuntimeWarning,
+        stacklevel=stacklevel + 1,
+    )
 
 
 def local_search_kmedian(

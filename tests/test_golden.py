@@ -1,4 +1,4 @@
-"""Report bytes of four small seeded solves, compared with committed files.
+"""Report bytes of five small seeded solves, compared with committed files.
 
 Each case runs on integer 1-D coordinates, so every distance and every sum
 is exact and the bytes do not depend on the BLAS.  A change that alters a
@@ -68,6 +68,15 @@ def _colorful():
     )
 
 
+def _colorful_local_search():
+    inst = _line(30, 6, k=2, m=3, seed=15)
+    colors = {p: 1 + p % 2 for p in inst.clients}
+    cinst = ColorfulInstance(base=inst, colors=colors, budgets=(2, 1))
+    return solution_to_dict(
+        colorful_solve(cinst, _params(3), SolverHandle.local_search(), seed=9, rounds=2)
+    )
+
+
 def _matroid():
     inst = _line(30, 6, k=3, m=2, seed=14)
     fac = inst.facilities
@@ -81,6 +90,7 @@ CASES = {
     "plain_exact": _plain_exact,
     "plain_local_search": _plain_local_search,
     "colorful": _colorful,
+    "colorful_local_search": _colorful_local_search,
     "matroid": _matroid,
 }
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -38,7 +39,12 @@ from trimclust.extensions import (
     matroid_median_solve,
 )
 from trimclust.matroids import PartitionMatroid, matroid_bases
-from trimclust.reduction import CandidateSpace, _per_subset_generic, per_subset_best_exact
+from trimclust.reduction import (
+    CandidateSpace,
+    _per_subset_generic,
+    per_subset_best_exact,
+    per_subset_local_search,
+)
 from trimclust.solvers import SolverBudgetExceeded
 from trimclust.bench import report_to_dict
 from trimclust.rng import generator_for
@@ -384,6 +390,81 @@ def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
         want = _reference_best_exact(inst.dist, pts, w, space, inst.z, subsets)
         got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, subsets, 10**6)
         assert got == want
+
+
+def _grid_line(rng, step):
+    """1-D coordinates on a grid of ``step``: costs tie in exact arithmetic,
+    and on the 0.1 grid their float sums also carry rounding noise.  Some
+    instances have k >= |F|, and some let every entry be evicted."""
+    n_c, n_f = int(rng.integers(3, 9)), int(rng.integers(1, 6))
+    xs = rng.integers(0, 13, size=n_c + n_f) * step
+    z = float(rng.choice([1.0, 2.0]))
+    inst = line_instance(xs[:n_c], xs[n_c:], k=int(rng.integers(1, 4)), m=2, z=z)
+    m = n_c if rng.random() < 0.3 else 2
+    return inst, np.arange(n_c), _all_subsets(n_c, m)
+
+
+def _all_subsets(n, m):
+    return list(chain(*(combinations(range(n), size) for size in range(m + 1))))
+
+
+def _plane(rng):
+    """2-D float coordinates: no ties, so the lockstep path answers."""
+    z = float(rng.choice([1.0, 2.0]))
+    inst = random_instance(rng, 12, 6, k=int(rng.integers(2, 4)), m=2, z=z)
+    return inst, np.arange(12), _all_subsets(12, 2)
+
+
+def _colorful_stream(rng):
+    inst, cs, subsets, _ = _colorful_case(rng)
+    return inst, cs.union.as_arrays()[0], subsets
+
+
+def _one_spot(rng):
+    """Every point at one spot: an all-zero block, one swap to price."""
+    inst = line_instance([0, 0, 0, 0], [0, 0], k=1, m=1, z=float(rng.choice([1.0, 2.0])))
+    return inst, np.arange(4), [(), (0,), (1,), (2,), (3,)]
+
+
+def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
+    # small blocks, so row blocks are crossed; every kernel run is counted
+    monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 20)
+    kernel, kernel_runs = reduction._local_search, []
+    monkeypatch.setattr(
+        reduction, "_local_search", lambda *a: kernel_runs.append(1) or kernel(*a)
+    )
+    builders = [
+        lambda rng: _grid_line(rng, 1.0), lambda rng: _grid_line(rng, 0.1),
+        _plane, _colorful_stream, _one_spot,
+    ]
+    answered = fallbacks = all_columns = all_evicted = capped = 0
+    for i in range(60):
+        inst, pts, subsets = builders[i % len(builders)](rng)
+        # integer weights as a sampled coreset has, so evicted rows are scaled
+        w = rng.integers(1, 4, size=len(pts)).astype(float)
+        solver = SolverHandle.local_search(
+            inst.z,
+            iteration_cap=1 if i % 3 == 0 else 200,
+            improvement_threshold=float(rng.choice([1e-3, 0.25])),
+        )
+        facs = CandidateSpace.subsets(inst.facilities, inst.k)
+        with warnings.catch_warnings(record=True) as old:
+            warnings.simplefilter("always")
+            want = list(_per_subset_generic(inst, pts, w, subsets, None, solver))
+        kernel_runs.clear()
+        with warnings.catch_warnings(record=True) as new:
+            warnings.simplefilter("always")
+            D = solvers._cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
+            got = per_subset_local_search(D, subsets, facs.k, solver)
+        assert [tuple(facs.col_ids[c] for c in cols) for cols in got] == want, i
+        assert [str(x.message) for x in new] == [str(x.message) for x in old], i
+        answered += len(subsets) - len(kernel_runs)
+        fallbacks += len(kernel_runs)
+        all_columns += facs.k == len(facs.col_ids)
+        all_evicted += max(map(len, subsets)) == len(pts)
+        capped += len(old) > 0
+    assert fallbacks and answered  # both paths were taken ...
+    assert all_columns and all_evicted and capped  # ... on every kind of input
 
 
 def test_theory_mode_pipeline(rng):

@@ -20,7 +20,6 @@ from trimclust import (
     direct_sum_matroid,
     exact_kmedian,
     exact_outlier_oracle,
-    expand_unweighted,
     local_search_kmedian,
     trimmed_cost,
     weighted_trimmed_cost,
@@ -34,6 +33,15 @@ from trimclust.extensions import (
 )
 from trimclust.solvers import CandidateSpace, argmin_trimmed
 from conftest import line_instance, random_instance
+
+
+def expand_unweighted(wps: WeightedPointSet) -> tuple[int, ...]:
+    """Unweighted multiset with w(x) copies of every entry x.
+
+    Plain (unit-weight) evaluation of the result equals weighted evaluation of
+    the input for every center set.
+    """
+    return tuple(p for p, w in wps.entries for _ in range(w))
 
 
 def test_expand_unweighted():
