@@ -112,106 +112,90 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--tau", type=float, default=1.0)
     r.add_argument("--out", default=None)
 
-    g.set_defaults(run=_generate)
-    s.set_defaults(run=_solve)
-    o.set_defaults(run=_oracle)
-    e.set_defaults(run=_experiment)
-    c.set_defaults(run=_coreset_dump)
-    r.set_defaults(run=_check_rings)
-
     args = ap.parse_args(argv)
-    inst = None
     if "instance" in args:
         try:
             inst = fileio.load_instance(args.instance)
         except (OSError, ValueError) as exc:
             print(f"cannot load instance {args.instance}: {exc}", file=sys.stderr)
             return 2
-    return args.run(args, inst)
 
-
-def _generate(args, inst) -> int:
-    cfg = PlantedConfig(
-        clusters=args.clusters,
-        points_per_cluster=args.points_per_cluster,
-        spread=args.spread,
-        outlier_count=args.outliers,
-        outlier_distance_factor=args.outlier_distance_factor,
-        dimension=args.dimension,
-        seed=args.seed,
-        k=args.k,
-        m=args.m,
-        z=args.z,
-        facility_fraction=args.facility_fraction,
-    )
-    inst, _ = generate_planted(cfg)
-    fileio.save_instance(inst, args.out)
-    return 0
-
-
-def _solve(args, inst) -> int:
-    params = _params_for(args, inst.z)
-    spec: dict = {"kind": args.solver}
-    if args.solver == "local-search":
-        spec.update(
-            z=inst.z,
-            iteration_cap=args.iteration_cap,
-            improvement_threshold=args.improvement_threshold,
+    if args.verb == "generate":
+        cfg = PlantedConfig(
+            clusters=args.clusters,
+            points_per_cluster=args.points_per_cluster,
+            spread=args.spread,
+            outlier_count=args.outliers,
+            outlier_distance_factor=args.outlier_distance_factor,
+            dimension=args.dimension,
+            seed=args.seed,
+            k=args.k,
+            m=args.m,
+            z=args.z,
+            facility_fraction=args.facility_fraction,
         )
-    elif args.solver_budget is not None:
-        spec["enumeration_budget"] = args.solver_budget
-    solver = solver_from_dict(spec)
-    try:
-        rep = solve_with_outliers(inst, params, solver, seed=args.seed, rounds=args.rounds)
-    except (SolverBudgetExceeded, RuntimeError, ValueError) as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 2
-    payload = {"kind": "solve-report", "version": 1, "instance": args.instance}
-    payload.update(report_to_dict(rep))
-    _out(payload, args.out)
-    return 0
+        inst, _ = generate_planted(cfg)
+        fileio.save_instance(inst, args.out)
+        return 0
 
+    if args.verb == "solve":
+        params = _params_for(args, inst.z)
+        spec: dict = {"kind": args.solver}
+        if args.solver == "local-search":
+            spec.update(
+                z=inst.z,
+                iteration_cap=args.iteration_cap,
+                improvement_threshold=args.improvement_threshold,
+            )
+        elif args.solver_budget is not None:
+            spec["enumeration_budget"] = args.solver_budget
+        solver = solver_from_dict(spec)
+        try:
+            rep = solve_with_outliers(inst, params, solver, seed=args.seed, rounds=args.rounds)
+        except (SolverBudgetExceeded, RuntimeError, ValueError) as exc:
+            print(f"solve failed: {exc}", file=sys.stderr)
+            return 2
+        payload = {"kind": "solve-report", "version": 1, "instance": args.instance}
+        payload.update(report_to_dict(rep))
+        _out(payload, args.out)
+        return 0
 
-def _oracle(args, inst) -> int:
-    try:
-        sol = exact_outlier_oracle(inst, budget=args.budget)
-    except SolverBudgetExceeded as exc:
-        print(f"oracle refused: {exc}", file=sys.stderr)
-        return 2
-    payload = {"kind": "oracle-report", "version": 1, "instance": args.instance}
-    payload["solution"] = solution_to_dict(sol)
-    _out(payload, args.out)
-    return 0
+    if args.verb == "oracle":
+        try:
+            sol = exact_outlier_oracle(inst, budget=args.budget)
+        except SolverBudgetExceeded as exc:
+            print(f"oracle refused: {exc}", file=sys.stderr)
+            return 2
+        payload = {"kind": "oracle-report", "version": 1, "instance": args.instance}
+        payload["solution"] = solution_to_dict(sol)
+        _out(payload, args.out)
+        return 0
 
+    if args.verb == "experiment":
+        with open(args.suite) as fh:
+            suite = json.load(fh)
+        if args.seed is not None:
+            suite["seed"] = args.seed
+        if "seed" not in suite:
+            ap.error("the suite (or --seed) must provide a seed")
+        if args.timings:
+            suite["include_timing"] = True
+        report, ok = run_experiment(suite)
+        _out(report, args.out)
+        return 0 if ok else 1
 
-def _experiment(args, inst) -> int:
-    with open(args.suite) as fh:
-        suite = json.load(fh)
-    if args.seed is not None:
-        suite["seed"] = args.seed
-    if "seed" not in suite:
-        print("experiment failed: the suite (or --seed) must provide a seed", file=sys.stderr)
-        return 2
-    if args.timings:
-        suite["include_timing"] = True
-    report, ok = run_experiment(suite)
-    _out(report, args.out)
-    return 0 if ok else 1
+    if args.verb == "coreset-dump":
+        params = _params_for(args, inst.z)
+        base = baseline_solve(build_augmented_instance(inst))
+        rp = ring_partition(inst, base.centers, params.tau)
+        cs = build_coreset(rp, params, generator_for(args.seed, TAG_ROUND, 0))
+        fileio.save_coreset(
+            cs, args.out,
+            seed=args.seed, R=rp.R, phi=rp.phi, tau=params.tau, baseline=rp.baseline,
+        )
+        return 0
 
-
-def _coreset_dump(args, inst) -> int:
-    params = _params_for(args, inst.z)
-    base = baseline_solve(build_augmented_instance(inst))
-    rp = ring_partition(inst, base.centers, params.tau)
-    cs = build_coreset(rp, params, generator_for(args.seed, TAG_ROUND, 0))
-    fileio.save_coreset(
-        cs, args.out,
-        seed=args.seed, R=rp.R, phi=rp.phi, tau=params.tau, baseline=rp.baseline,
-    )
-    return 0
-
-
-def _check_rings(args, inst) -> int:
+    # the subparsers are required, so the only verb left is check-rings
     base = baseline_solve(build_augmented_instance(inst))
     rp = ring_partition(inst, base.centers, args.tau)
     rep = verify_ring_bounds(rp, inst)

@@ -70,6 +70,7 @@ from .solvers import (
     _cost_block,
     _local_search,
     _refuse_over_budget,
+    _swap_basis,
     _warn_iteration_cap,
     solve_outlier_free,
 )
@@ -203,30 +204,18 @@ def per_subset_best_exact(
 def _swap_terms(D: np.ndarray, current: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Every row's cost under each single swap of ``current``, and under ``current``.
 
-    Column ``pos * len(outside) + j`` holds ``min(fallback_pos, D[:, outside[j]])``,
-    the row's distance to its nearest center once ``current[pos]`` is swapped
-    for column ``outside[j]``, in `_local_search`'s order; the last column
-    holds the distance to the nearest center of ``current``.  Every entry is
-    a min over ``D``, so it is bit-identical to the kernel's own terms.  The
-    kernel does not call this: it sums one position at a time and never
+    Column ``pos * len(outside) + j`` holds the row's cost once
+    ``current[pos]`` is swapped for column ``outside[j]``, in `_local_search`'s
+    order; the last column holds its cost under ``current``.  Both come from
+    `_swap_basis`, as the kernel's do, so they are bit-identical to the
+    kernel's own terms.  The kernel sums one position at a time and never
     holds all ``k`` blocks, which matters on the baseline's large block.
     """
-    k = len(current)
-    rows = np.arange(D.shape[0])
-    vals = D[:, list(current)]
-    arg = vals.argmin(axis=1)
-    d1 = vals[rows, arg]
-    masked = vals.copy()
-    masked[rows, arg] = np.inf
-    d2 = masked.min(axis=1) if k > 1 else np.full(len(rows), np.inf)
-    inside = np.zeros(D.shape[1], dtype=bool)
-    inside[list(current)] = True
-    outside = np.flatnonzero(~inside)
+    d1, outside, fallbacks = _swap_basis(D, current)
     n_out = len(outside)
     d_out = D[:, outside]
-    terms = np.empty((D.shape[0], k * n_out + 1))
-    for pos in range(k):
-        fallback = np.where(arg == pos, d2, d1)
+    terms = np.empty((D.shape[0], len(current) * n_out + 1))
+    for pos, fallback in enumerate(fallbacks):
         np.minimum(fallback[:, None], d_out, out=terms[:, pos * n_out : (pos + 1) * n_out])
     terms[:, -1] = d1
     return terms, outside

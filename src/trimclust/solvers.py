@@ -282,25 +282,14 @@ def _local_search(
         if len(current) < k:
             raise ValueError("could not build a basis greedily; oracle inconsistent")
 
-    rows = np.arange(d.shape[0])
     cost = float(d[:, current].min(axis=1).sum())
     swap_costs = np.empty((k, n_cols - k))
     converged = False
     it = 0
     for it in range(1, handle.iteration_cap + 1):
-        vals = d[:, current]
-        arg = vals.argmin(axis=1)
-        d1 = vals[rows, arg]
-        masked = vals.copy()
-        masked[rows, arg] = np.inf
-        d2 = masked.min(axis=1) if k > 1 else np.full(len(rows), np.inf)
-
-        inside = np.zeros(n_cols, dtype=bool)
-        inside[current] = True
-        outside = np.flatnonzero(~inside)
+        _, outside, fallbacks = _swap_basis(d, current)
         d_out = d[:, outside]
-        for pos in range(k):
-            fallback = np.where(arg == pos, d2, d1)
+        for pos, fallback in enumerate(fallbacks):
             swap_costs[pos] = np.minimum(fallback[:, None], d_out).sum(axis=0)
         flat = swap_costs.ravel()
         below = np.flatnonzero(flat < (1.0 - handle.improvement_threshold) * cost)
@@ -317,6 +306,31 @@ def _local_search(
     if not converged:
         _warn_iteration_cap(handle, stacklevel=3)
     return LocalSearchResult(tuple(current), cost, it, converged)
+
+
+def _swap_basis(
+    d: np.ndarray, current: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+    """What a single swap of ``current`` is priced from, one row per point.
+
+    Returns each row's distance to its nearest center, the columns outside
+    ``current`` (ascending) and, lazily and one position at a time, each
+    row's distance to its nearest center once ``current[pos]`` leaves.  A
+    swap of position ``pos`` for column ``j`` costs the row
+    ``min(fallback_pos, d[:, j])``.  A row equally near two centers takes
+    the earlier position as its nearest.
+    """
+    rows = np.arange(d.shape[0])
+    vals = d[:, list(current)]
+    arg = vals.argmin(axis=1)
+    d1 = vals[rows, arg]
+    masked = vals.copy()
+    masked[rows, arg] = np.inf
+    d2 = masked.min(axis=1) if len(current) > 1 else np.full(len(rows), np.inf)
+    inside = np.zeros(d.shape[1], dtype=bool)
+    inside[list(current)] = True
+    fallbacks = (np.where(arg == pos, d2, d1) for pos in range(len(current)))
+    return d1, np.flatnonzero(~inside), fallbacks
 
 
 def _warn_iteration_cap(handle: SolverHandle, stacklevel: int) -> None:

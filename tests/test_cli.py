@@ -169,13 +169,6 @@ def test_experiment_empty_suite(tmp_path):
     assert report["rows"] == [] and report["summary"]["success_fraction"] == 1.0
 
 
-def test_experiment_without_seed_is_one_line_and_exit_2(tmp_path, capsys):
-    suite_path = tmp_path / "suite.json"
-    suite_path.write_text(json.dumps({"instances": []}))
-    assert main(["experiment", "--suite", str(suite_path)]) == 2
-    assert capsys.readouterr().err.count("\n") == 1
-
-
 def test_oracle_budget_refusal_exit_code(tmp_path, capsys):
     inst = _generate(tmp_path)
     assert main(["oracle", "--instance", str(inst), "--budget", "1"]) == 2
