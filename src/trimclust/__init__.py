@@ -75,7 +75,6 @@ from .extensions import (
     colorful_oracle,
     colorful_outliers,
     colorful_solve,
-    kz_solve_with_outliers,
     matroid_median_oracle,
     matroid_median_solve,
 )

@@ -139,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.verb == "solve":
-        params = _params_for(args, inst.z)
         spec: dict = {"kind": args.solver}
         if args.solver == "local-search":
             spec.update(
@@ -149,8 +148,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         elif args.solver_budget is not None:
             spec["enumeration_budget"] = args.solver_budget
-        solver = solver_from_dict(spec)
         try:
+            params = _params_for(args, inst.z)
+            solver = solver_from_dict(spec)
             rep = solve_with_outliers(inst, params, solver, seed=args.seed, rounds=args.rounds)
         except (SolverBudgetExceeded, RuntimeError, ValueError) as exc:
             print(f"solve failed: {exc}", file=sys.stderr)
@@ -172,8 +172,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.verb == "experiment":
-        with open(args.suite) as fh:
-            suite = json.load(fh)
+        try:
+            with open(args.suite) as fh:
+                suite = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"cannot load suite {args.suite}: {exc}", file=sys.stderr)
+            return 2
         if args.seed is not None:
             suite["seed"] = args.seed
         if "seed" not in suite:
@@ -185,7 +189,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if ok else 1
 
     if args.verb == "coreset-dump":
-        params = _params_for(args, inst.z)
+        try:
+            params = _params_for(args, inst.z)
+        except ValueError as exc:
+            print(f"coreset-dump failed: {exc}", file=sys.stderr)
+            return 2
         base = baseline_solve(build_augmented_instance(inst))
         rp = ring_partition(inst, base.centers, params.tau)
         cs = build_coreset(rp, params, generator_for(args.seed, TAG_ROUND, 0))
@@ -197,7 +205,11 @@ def main(argv: list[str] | None = None) -> int:
 
     # the subparsers are required, so the only verb left is check-rings
     base = baseline_solve(build_augmented_instance(inst))
-    rp = ring_partition(inst, base.centers, args.tau)
+    try:
+        rp = ring_partition(inst, base.centers, args.tau)
+    except ValueError as exc:
+        print(f"check-rings failed: {exc}", file=sys.stderr)
+        return 2
     rep = verify_ring_bounds(rp, inst)
     payload = {
         "kind": "ring-report",

@@ -179,13 +179,6 @@ class RingPartition:
     m: int
     n_instance: int
 
-    def ring(self, i: int, j: int) -> tuple[PointId, ...]:
-        return self.rings.get((i, j), ())
-
-    @property
-    def max_ring_size(self) -> int:
-        return max(len(v) for v in self.rings.values())
-
     @property
     def n_clients(self) -> int:
         return len(self.assignment)

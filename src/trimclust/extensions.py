@@ -6,9 +6,10 @@ coreset is grouped (per color), which center sets are candidates (matroid
 bases instead of all k-subsets), and how candidates are scored (per-color
 trimming).  Each solve has an exhaustive oracle counterpart for testing.
 
-Under a matroid, the local-search black box and the heuristic baseline are
-the one single-swap search of `solvers._local_search`, restricted to swaps
-that keep the centers independent; no approximation factor is claimed.
+Under a matroid, the local-search black box (the lockstep engine of
+`reduction.per_subset_local_search`) and the heuristic baseline run the one
+single-swap search of `solvers._local_search`, restricted to swaps that keep
+the centers independent; no approximation factor is claimed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .metric import (
     farthest_points,
     trimmed_cost,
 )
-from .reduction import _run_rounds, per_subset_best_exact, solve_with_outliers
+from .reduction import _run_rounds, per_subset_best_exact
 from .matroids import (
     MatroidOracle,
     direct_sum_matroid,
@@ -54,13 +55,6 @@ from .solvers import (
     _refuse_over_budget,
     argmin_trimmed,
 )
-
-# The reduction under powered costs d**z is the base pipeline entered with z
-# read off the instance: the z-awareness lives in the shared machinery
-# (powered costs, the z-dependent ring radius, sample sizing, and ring-sum
-# factors), so z=1 reproduces the base solve.
-kz_solve_with_outliers = solve_with_outliers
-
 
 # ---------------------------------------------------------------------------
 # colorful: per-color outlier budgets
@@ -381,16 +375,17 @@ def _solve_variant(
 
     Budgets choose the coreset flavor, the subset stream and the trimming;
     a matroid chooses the baseline (under the solver's enumeration budget),
-    the candidate space and the local-search black box, and every candidate
-    is checked for independence.
+    the candidate space and the independence test of the local-search
+    black box, and every candidate is checked for independence.
     """
     if matroid is None:
         baseline = lambda: baseline_solve(build_augmented_instance(inst))
-        black_box = None
+        independent = None
     else:
         _check_matroid_instance(inst, matroid)
         baseline = lambda: matroid_baseline(inst, matroid, solver.enumeration_budget)
-        black_box = lambda p, w: matroid_local_search(inst.dist, p, w, matroid, inst.z, solver)[0]
+        # looked up per call, so a wrapped `is_independent` sees every check
+        independent = lambda C: matroid.is_independent(C)
     if cinst is None:
         build_cs = lambda rp, rng: build_coreset(rp, params, rng)
         enum_subsets = None
@@ -411,7 +406,7 @@ def _solve_variant(
         build_cs=build_cs,
         objective=objective,
         enum_subsets=enum_subsets,
-        black_box=black_box,
+        independent=independent,
     ).best
 
 

@@ -32,8 +32,8 @@ extra memory by the block and not by the number of subsets.
   subset whose next step is not decided beyond a rounding margin runs the
   kernel itself, so the answers are exactly those of one call per subset.
 
-The per-subset path (`_per_subset_generic`) remains for the matroid black
-box and as the reference of the differential tests.
+The two engines serve every variant: a matroid gives the exact engine its
+bases as candidates, and local search an independence test.
 """
 
 from __future__ import annotations
@@ -68,11 +68,12 @@ from .solvers import (
     CandidateSpace,
     SolverHandle,
     _cost_block,
+    _greedy_basis,
     _local_search,
     _refuse_over_budget,
     _swap_basis,
     _warn_iteration_cap,
-    solve_outlier_free,
+    solve_outlier_free,  # noqa: F401  (the benchmark's tracer wraps it here by name)
 )
 
 DEFAULT_FAILURE_TARGET = 0.05
@@ -226,20 +227,25 @@ def per_subset_local_search(
     subsets: Sequence[tuple[int, ...]],
     k: int,
     handle: SolverHandle,
+    independent: Callable[[list[int]], bool] | None = None,
 ) -> list[tuple[int, ...]]:
     """Single-swap local search answers for every evicted subset, in lockstep.
 
     ``D`` is the weighted, powered cost block of all coreset entries (rows)
     to the sorted facilities (columns).  For each subset T the result is the
-    column tuple that ``_local_search(D[keep], k, handle)`` returns from its
-    cold start, where ``keep`` drops T's rows.
+    column tuple that ``_local_search(D[keep], k, handle,
+    independent=independent)`` returns from its cold start, where ``keep``
+    drops T's rows; ``independent`` tests a column set (``None``: no test).
 
-    Every subset starts from the first ``k`` columns, so the subsets still
+    Every subset starts from the same greedy basis, so the subsets still
     searching share the iteration count and fall into a few states (center
     tuples).  Per state the per-row swap terms of `_swap_terms` and their
     column sums ``full`` are computed once over all rows; T's swap costs and
     its current cost are then ``full`` minus T's rows, one gather-sum per
-    subset size as in `per_subset_best_exact`.
+    subset size as in `per_subset_best_exact`.  Whether a swap is allowed
+    depends only on the state, so each swap is tested once per state, and a
+    dependent swap's sum is ``+inf``: best and runner-up below are taken over
+    the allowed swaps, as the kernel takes its move.
 
     These costs differ from the kernel's own sums only by rounding.  Every
     compared value of either path is a sum of at most ``n`` = ``len(D)``
@@ -251,8 +257,8 @@ def per_subset_local_search(
     if its best swap is above the bar by more than ``tol``.  Each such
     decision is then the kernel's.  Any other subset (a tie, a near-tie,
     every row evicted, an all-zero block) gets the kernel itself, run on
-    ``D[keep]`` from the cold start.  A subset still moving after
-    ``handle.iteration_cap`` iterations warns as the kernel does.
+    ``D[keep]`` from the cold start under the same test.  A subset still
+    moving after ``handle.iteration_cap`` iterations warns as the kernel does.
     """
     n_cols = D.shape[1]
     if k == n_cols:
@@ -273,10 +279,15 @@ def per_subset_local_search(
     def kernel(q: int) -> int:
         keep = np.ones(len(D), dtype=bool)
         keep[list(subsets[q])] = False
-        return state_id(_local_search(D[keep], k, handle).centers)
+        return state_id(_local_search(D[keep], k, handle, independent=independent).centers)
+
+    def swapped(current: tuple[int, ...], jj: int, outside: np.ndarray) -> list[int]:
+        at, col = divmod(jj, len(outside))
+        return [*current[:at], *current[at + 1 :], int(outside[col])]
 
     groups = _subsets_by_size(subsets)
-    state = np.full(len(subsets), state_id(range(k)), dtype=np.intp)  # -1 once answered
+    start = state_id(_greedy_basis(n_cols, k, independent))
+    state = np.full(len(subsets), start, dtype=np.intp)  # -1 once answered
     answer = np.full(len(subsets), -1, dtype=np.intp)
     for _ in range(handle.iteration_cap):
         moved = np.full(len(subsets), -1, dtype=np.intp)
@@ -284,6 +295,11 @@ def per_subset_local_search(
             current = states[s]
             terms, outside = _swap_terms(D, current)
             full = terms.sum(axis=0)
+            if independent is not None:
+                allowed = [
+                    independent(swapped(current, jj, outside)) for jj in range(len(full) - 1)
+                ]
+                full[:-1][np.logical_not(allowed)] = np.inf
             for pos, rows in groups:
                 mine = state[pos] == s
                 for p, costs in _evicted_sums(full, terms, pos[mine], rows[mine]):
@@ -298,9 +314,7 @@ def per_subset_local_search(
                     move = (best < bar - tol) & (runner_up > best + tol)
                     answer[p[done]] = s
                     for jj in np.unique(j[move]).tolist():
-                        at, col = divmod(jj, len(outside))
-                        trial = current[:at] + current[at + 1 :] + (int(outside[col]),)
-                        moved[p[move & (j == jj)]] = state_id(trial)
+                        moved[p[move & (j == jj)]] = state_id(swapped(current, jj, outside))
                     for q in p[~(done | move)].tolist():
                         answer[q] = kernel(q)
         state = moved
@@ -348,7 +362,7 @@ def _run_rounds(
     build_cs: Callable[[RingPartition, np.random.Generator], object],
     objective: Callable[[tuple[PointId, ...]], tuple[float, tuple[PointId, ...]]],
     enum_subsets: Callable[[object], Iterator[tuple[int, ...]]] | None = None,
-    black_box: Callable[[np.ndarray, np.ndarray], tuple[PointId, ...]] | None = None,
+    independent: Callable[[list[PointId]], bool] | None = None,
 ) -> ReductionReport:
     """The one solve driver behind every solve entry point.
 
@@ -361,10 +375,11 @@ def _run_rounds(
     WeightedPointSet) and ``lossless``; ``enum_subsets`` receives it whole so
     variant-specific enumeration (per-color budgets) can see the provenance,
     and defaults to every subset of at most m entries.
-    ``black_box`` answers one subset at a time; without it the configured
-    outlier-free solver answers a round in one batched call, over one cost
-    block per round: `per_subset_best_exact` for the exact solver and
-    `per_subset_local_search` for local search.
+    The configured outlier-free solver answers a round in one batched call:
+    `per_subset_best_exact` over the candidate space for the exact solver,
+    and `per_subset_local_search` over one cost block of the facilities for
+    local search, for every variant.  ``independent`` tests a set of facility
+    ids (``None``: no constraint); local search only makes swaps it accepts.
     """
     if params.z != inst.z:
         raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
@@ -373,8 +388,11 @@ def _run_rounds(
         raise ValueError("rounds must be >= 1")
     if solver.kind == "exact":  # only the exact black box reads the candidate space
         cands = _refuse_over_budget(space(), solver.enumeration_budget)
-    elif black_box is None:
+    else:
         facs = CandidateSpace.subsets(inst.facilities, inst.k)
+        test = None if independent is None else (
+            lambda cols: independent([facs.col_ids[i] for i in cols])
+        )
     base = baseline()
     rp = ring_partition(inst, base.centers, params.tau)
     if enum_subsets is None:
@@ -398,13 +416,11 @@ def _run_rounds(
             answers = per_subset_best_exact(
                 inst.dist, pts, w, cands, inst.z, subsets, solver.enumeration_budget
             )
-        elif black_box is None:
+        else:
             D = _cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
-            found = per_subset_local_search(D, subsets, facs.k, solver)
+            found = per_subset_local_search(D, subsets, facs.k, solver, test)
             ids = {c: tuple(facs.col_ids[i] for i in c) for c in set(found)}
             answers = [ids[c] for c in found]
-        else:
-            answers = _per_subset_generic(inst, pts, w, subsets, black_box, solver)
 
         for T, centers in zip(subsets, answers):
             # answers repeat heavily: skip a repeated answer before sorting it
@@ -443,31 +459,6 @@ def _run_rounds(
         baseline=base,
         epsilon_factor=(1 + eps) / (1 - eps),
     )
-
-
-def _per_subset_generic(
-    inst: MetricInstance,
-    pts: np.ndarray,
-    w: np.ndarray,
-    subsets: Sequence[tuple[int, ...]],
-    black_box: Callable[[np.ndarray, np.ndarray], tuple[PointId, ...]] | None,
-    solver: SolverHandle,
-) -> Iterator[tuple[PointId, ...]]:
-    """One black-box call per subset: solve the coreset with T's entries evicted.
-
-    ``black_box`` defaults to the configured outlier-free solver over the
-    instance's facilities.  Answers are yielded in subset order.
-    """
-    bb = black_box or (
-        lambda p, ww: solve_outlier_free(
-            inst.dist, p, ww, inst.facilities, inst.k, inst.z, solver
-        )
-    )
-    for T in subsets:
-        mask = np.ones(len(pts), dtype=bool)
-        if T:
-            mask[list(T)] = False
-        yield bb(pts[mask], w[mask])
 
 
 def solve_with_outliers(

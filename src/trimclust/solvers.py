@@ -6,10 +6,11 @@ explicit budget.  Local search is the classical single-swap heuristic, a
 5-approximation for the median objective (z=1) and a plain heuristic for
 z > 1.
 
-Every local search, here and in the variants, is one call of `_local_search`
-over a weighted, powered cost block: the plain solver and the baselines with
-every swap allowed, the matroid black box and the matroid baseline with only
-the swaps an independence test accepts (a heuristic; no factor is claimed).
+Every local search, here and in the variants, is `_local_search` over a
+weighted, powered cost block, or `reduction.per_subset_local_search`, which
+gives its answers for many subsets at once: with every swap allowed, or
+with only the swaps an independence test accepts (a heuristic under a
+matroid; no factor is claimed).
 
 Every exhaustive search over center sets, here and in the variants, is one
 call of `argmin_trimmed` over a `CandidateSpace`: per candidate chunk, take
@@ -273,14 +274,7 @@ def _local_search(
         if len(set(current)) != k:
             raise ValueError("initial centers must be k distinct facilities")
     else:
-        current = []
-        for j in range(n_cols):
-            if len(current) == k:
-                break
-            if independent is None or independent(current + [j]):
-                current.append(j)
-        if len(current) < k:
-            raise ValueError("could not build a basis greedily; oracle inconsistent")
+        current = _greedy_basis(n_cols, k, independent)
 
     cost = float(d[:, current].min(axis=1).sum())
     swap_costs = np.empty((k, n_cols - k))
@@ -306,6 +300,17 @@ def _local_search(
     if not converged:
         _warn_iteration_cap(handle, stacklevel=3)
     return LocalSearchResult(tuple(current), cost, it, converged)
+
+
+def _greedy_basis(n_cols: int, k: int, independent: Callable | None) -> list[int]:
+    """The cold start: ascending columns, each kept if ``independent`` accepts it."""
+    current: list[int] = []
+    for j in range(n_cols):
+        if len(current) < k and (independent is None or independent(current + [j])):
+            current.append(j)
+    if len(current) < k:
+        raise ValueError("could not build a basis greedily; oracle inconsistent")
+    return current
 
 
 def _swap_basis(

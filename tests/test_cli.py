@@ -187,14 +187,45 @@ def test_solve_local_search_flags(tmp_path):
     assert json.loads(out.read_text())["best"]["cost"] >= 0
 
 
-@pytest.mark.parametrize("verb", ["solve", "oracle", "coreset-dump", "check-rings"])
-def test_unloadable_instance_is_one_line_and_exit_2(tmp_path, capsys, verb):
-    extra = {
-        "solve": ["--seed", "1"],
-        "oracle": [],
-        "coreset-dump": ["--seed", "1", "--out", str(tmp_path / "cs.txt")],
-        "check-rings": [],
-    }[verb]
+# (verb, flags, what the one line must say).  Without a message the verb
+# runs on an unloadable instance: a nan coordinate, then a missing file.
+# With one, it runs on a good instance, given an invalid flag value.
+BAD_INPUTS = [
+    pytest.param("solve", ["--seed", "1"], None, id="solve"),
+    pytest.param("oracle", [], None, id="oracle"),
+    pytest.param("coreset-dump", ["--seed", "1", "--out", "OUT"], None, id="coreset-dump"),
+    pytest.param("check-rings", [], None, id="check-rings"),
+    pytest.param(
+        "solve", ["--s", "4", "--seed", "1", "--solver", "local-search", "--iteration-cap", "0"],
+        "iteration_cap must be positive", id="solve-iteration-cap-0",
+    ),
+    pytest.param(
+        "solve", ["--s", "4", "--seed", "1", "--epsilon", "1.5"],
+        "epsilon must be in (0, 1)", id="solve-epsilon-1.5",
+    ),
+    pytest.param(
+        "solve", ["--seed", "1"], "practical mode needs practical_s", id="solve-no-s",
+    ),
+    pytest.param(
+        "coreset-dump", ["--seed", "1", "--out", "OUT"], "practical mode needs practical_s",
+        id="coreset-dump-no-s",
+    ),
+    pytest.param("check-rings", ["--tau", "0.5"], "tau must be >= 1", id="check-rings-tau-0.5"),
+    pytest.param(
+        "experiment", ["--suite", "OUT"], "No such file", id="experiment-missing-suite"
+    ),
+]
+
+
+@pytest.mark.parametrize("verb, extra, message", BAD_INPUTS)
+def test_unloadable_instance_is_one_line_and_exit_2(tmp_path, capsys, verb, extra, message):
+    extra = [str(tmp_path / "out.txt") if x == "OUT" else x for x in extra]
+    if message is not None:
+        good = [] if verb == "experiment" else ["--instance", str(_generate(tmp_path))]
+        assert main([verb] + good + extra) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        return
     bad = _generate(tmp_path, name="nan.txt")
     lines = bad.read_text().splitlines()
     pid, role, x, y = lines[-1].split(",")

@@ -17,13 +17,12 @@ from trimclust import (
     colorful_solve,
     exact_kmedian,
     exact_outlier_oracle,
-    kz_solve_with_outliers,
     matroid_median_oracle,
     matroid_median_solve,
     solve_with_outliers,
     trimmed_cost,
 )
-from trimclust import extensions
+from trimclust import reduction
 from trimclust.bench import report_to_dict
 from conftest import random_instance, shared_point_instance
 
@@ -52,7 +51,7 @@ def test_kz_z1_identical_to_base(rng):
     inst = random_instance(rng, 10, 4, k=2, m=1)
     params = practical(4)
     for seed in range(100):
-        a = kz_solve_with_outliers(inst, params, SolverHandle.exact(), seed=seed, rounds=1)
+        a = solve_with_outliers(inst, params, SolverHandle.exact(), seed=seed, rounds=1)
         b = solve_with_outliers(inst, params, SolverHandle.exact(), seed=seed, rounds=1)
         assert report_to_dict(a) == report_to_dict(b)
 
@@ -63,7 +62,7 @@ def test_kz_z2_lossless_equals_squared_oracle(rng):
             rng, int(rng.integers(6, 17)), int(rng.integers(2, 6)),
             k=int(rng.integers(1, 3)), m=int(rng.integers(0, 3)), z=2.0,
         )
-        rep = kz_solve_with_outliers(inst, lossless(inst), SolverHandle.exact(), seed=3, rounds=1)
+        rep = solve_with_outliers(inst, lossless(inst), SolverHandle.exact(), seed=3, rounds=1)
         oracle = exact_outlier_oracle(inst)
         assert rep.best.cost == pytest.approx(oracle.cost, rel=1e-12)
 
@@ -83,7 +82,7 @@ def test_kz_rejects_invalid_z(rng):
     inst = random_instance(rng, 5, 2, k=1, m=0)
     object.__setattr__(inst, "z", 0.5)  # bypass the constructor check
     with pytest.raises(ValueError):
-        kz_solve_with_outliers(inst, practical(5, z=0.5), SolverHandle.exact(), seed=0)
+        solve_with_outliers(inst, practical(5, z=0.5), SolverHandle.exact(), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +255,9 @@ def test_matroid_local_search_solve_builds_no_bases(rng):
 
 def test_dependent_candidate_is_a_named_error(rng, monkeypatch):
     inst, matroid = _matroid_instance(rng, 8, [[0, 1], [2, 3]], k=2, m=1)
-    fac = inst.facilities
+    # columns 0 and 1 are the facilities of the first part, of capacity 1
     monkeypatch.setattr(
-        extensions, "matroid_local_search", lambda *a: ((fac[0], fac[1]), True)
+        reduction, "per_subset_local_search", lambda D, subsets, *a: [(0, 1)] * len(subsets)
     )
     with pytest.raises(RuntimeError, match=r"candidate .* is not independent"):
         matroid_median_solve(

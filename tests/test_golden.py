@@ -1,4 +1,4 @@
-"""Report bytes of five small seeded solves, compared with committed files.
+"""Report bytes of seven small seeded solves, compared with committed files.
 
 Each case runs on integer 1-D coordinates, so every distance and every sum
 is exact and the bytes do not depend on the BLAS.  A change that alters a
@@ -19,6 +19,7 @@ from trimclust import (
     MetricInstance,
     PartitionMatroid,
     SolverHandle,
+    colorful_matroid_solve,
     colorful_solve,
     matroid_median_solve,
     solve_with_outliers,
@@ -86,12 +87,38 @@ def _matroid():
     )
 
 
+def _matroid_local_search():
+    inst = _line(40, 9, k=3, m=2, seed=16)
+    fac = inst.facilities
+    matroid = PartitionMatroid([(fac[0:3], 1), (fac[3:6], 1), (fac[6:9], 1)])
+    return solution_to_dict(
+        matroid_median_solve(
+            inst, matroid, _params(3), SolverHandle.local_search(), seed=10, rounds=2
+        )
+    )
+
+
+def _colorful_matroid_local_search():
+    inst = _line(30, 8, k=3, m=3, seed=17)
+    fac = inst.facilities
+    matroid = PartitionMatroid([(fac[0:4], 2), (fac[4:8], 1)])
+    colors = {p: 1 + p % 2 for p in inst.clients}
+    cinst = ColorfulInstance(base=inst, colors=colors, budgets=(2, 1))
+    return solution_to_dict(
+        colorful_matroid_solve(
+            cinst, matroid, _params(3), SolverHandle.local_search(), seed=11, rounds=2
+        )
+    )
+
+
 CASES = {
     "plain_exact": _plain_exact,
     "plain_local_search": _plain_local_search,
     "colorful": _colorful,
     "colorful_local_search": _colorful_local_search,
     "matroid": _matroid,
+    "matroid_local_search": _matroid_local_search,
+    "colorful_matroid_local_search": _colorful_matroid_local_search,
 }
 
 

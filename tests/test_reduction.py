@@ -41,11 +41,10 @@ from trimclust.extensions import (
 from trimclust.matroids import PartitionMatroid, matroid_bases
 from trimclust.reduction import (
     CandidateSpace,
-    _per_subset_generic,
     per_subset_best_exact,
     per_subset_local_search,
 )
-from trimclust.solvers import SolverBudgetExceeded
+from trimclust.solvers import SolverBudgetExceeded, solve_outlier_free
 from trimclust.bench import report_to_dict
 from trimclust.rng import generator_for
 from conftest import line_instance, random_instance, shared_point_instance
@@ -293,6 +292,21 @@ def test_sampled_regime_quality(rng):
 # ---------------------------------------------------------------------------
 
 
+def _per_subset_generic(inst, pts, w, subsets, black_box, solver):
+    """One black-box call per subset, the path the batched engines replaced,
+    kept as their reference.  ``black_box`` defaults to the configured
+    outlier-free solver over the instance's facilities."""
+    bb = black_box or (
+        lambda p, ww: solve_outlier_free(
+            inst.dist, p, ww, inst.facilities, inst.k, inst.z, solver
+        )
+    )
+    for T in subsets:
+        mask = np.ones(len(pts), dtype=bool)
+        mask[list(T)] = False
+        yield bb(pts[mask], w[mask])
+
+
 def test_batched_engine_matches_per_subset_calls(rng):
     # 1-D integer coordinates make both paths exact, hence identical
     for _ in range(5):
@@ -401,7 +415,7 @@ def _grid_line(rng, step):
     z = float(rng.choice([1.0, 2.0]))
     inst = line_instance(xs[:n_c], xs[n_c:], k=int(rng.integers(1, 4)), m=2, z=z)
     m = n_c if rng.random() < 0.3 else 2
-    return inst, np.arange(n_c), _all_subsets(n_c, m)
+    return inst, np.arange(n_c), _all_subsets(n_c, m), None
 
 
 def _all_subsets(n, m):
@@ -412,18 +426,44 @@ def _plane(rng):
     """2-D float coordinates: no ties, so the lockstep path answers."""
     z = float(rng.choice([1.0, 2.0]))
     inst = random_instance(rng, 12, 6, k=int(rng.integers(2, 4)), m=2, z=z)
-    return inst, np.arange(12), _all_subsets(12, 2)
+    return inst, np.arange(12), _all_subsets(12, 2), None
 
 
 def _colorful_stream(rng):
     inst, cs, subsets, _ = _colorful_case(rng)
-    return inst, cs.union.as_arrays()[0], subsets
+    return inst, cs.union.as_arrays()[0], subsets, None
 
 
 def _one_spot(rng):
     """Every point at one spot: an all-zero block, one swap to price."""
     inst = line_instance([0, 0, 0, 0], [0, 0], k=1, m=1, z=float(rng.choice([1.0, 2.0])))
-    return inst, np.arange(4), [(), (0,), (1,), (2,), (3,)]
+    return inst, np.arange(4), [(), (0,), (1,), (2,), (3,)], None
+
+
+def _partition(inst, dealt):
+    """k parts of capacity 1 over the sorted facilities.  Dealt to the parts
+    in turn, the greedy basis is the first k columns, the start without a
+    matroid too; in consecutive blocks, it is not."""
+    space = CandidateSpace.subsets(inst.facilities, inst.k)
+    cols, k = space.col_ids, space.k
+    parts = [cols[p::k] for p in range(k)] if dealt else np.array_split(cols, k)
+    return PartitionMatroid([(part, 1) for part in parts])
+
+
+def _plane_partition(rng):
+    """`_plane` under a dealt partition: the cheapest swap often puts two
+    centers in one part, so the mask decides the move."""
+    inst, pts, subsets, _ = _plane(rng)
+    return inst, pts, subsets, _partition(inst, dealt=True)
+
+
+def _grid_partition(rng):
+    """Integer 1-D coordinates under a partition in blocks: ties, so the
+    fallback kernel runs under the test."""
+    n_c, n_f, k = int(rng.integers(4, 9)), int(rng.integers(4, 8)), int(rng.integers(2, 4))
+    xs = rng.integers(0, 13, size=n_c + n_f)
+    inst = line_instance(xs[:n_c], xs[n_c:], k=k, m=2, z=float(rng.choice([1.0, 2.0])))
+    return inst, np.arange(n_c), _all_subsets(n_c, 2), _partition(inst, dealt=False)
 
 
 def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
@@ -431,15 +471,16 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
     monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 20)
     kernel, kernel_runs = reduction._local_search, []
     monkeypatch.setattr(
-        reduction, "_local_search", lambda *a: kernel_runs.append(1) or kernel(*a)
+        reduction, "_local_search", lambda *a, **kw: kernel_runs.append(1) or kernel(*a, **kw)
     )
     builders = [
         lambda rng: _grid_line(rng, 1.0), lambda rng: _grid_line(rng, 0.1),
-        _plane, _colorful_stream, _one_spot,
+        _plane, _colorful_stream, _one_spot, _plane_partition, _grid_partition,
     ]
     answered = fallbacks = all_columns = all_evicted = capped = 0
-    for i in range(60):
-        inst, pts, subsets = builders[i % len(builders)](rng)
+    masked = matroid_fallbacks = matroid_capped = 0
+    for i in range(84):
+        inst, pts, subsets, matroid = builders[i % len(builders)](rng)
         # integer weights as a sampled coreset has, so evicted rows are scaled
         w = rng.integers(1, 4, size=len(pts)).astype(float)
         solver = SolverHandle.local_search(
@@ -448,14 +489,20 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
             improvement_threshold=float(rng.choice([1e-3, 0.25])),
         )
         facs = CandidateSpace.subsets(inst.facilities, inst.k)
+        black_box = test = None
+        if matroid is not None:
+            black_box = lambda p, ww: extensions.matroid_local_search(
+                inst.dist, p, ww, matroid, inst.z, solver
+            )[0]
+            test = lambda cols: matroid.is_independent([facs.col_ids[c] for c in cols])
         with warnings.catch_warnings(record=True) as old:
             warnings.simplefilter("always")
-            want = list(_per_subset_generic(inst, pts, w, subsets, None, solver))
+            want = list(_per_subset_generic(inst, pts, w, subsets, black_box, solver))
         kernel_runs.clear()
         with warnings.catch_warnings(record=True) as new:
             warnings.simplefilter("always")
             D = solvers._cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
-            got = per_subset_local_search(D, subsets, facs.k, solver)
+            got = per_subset_local_search(D, subsets, facs.k, solver, test)
         assert [tuple(facs.col_ids[c] for c in cols) for cols in got] == want, i
         assert [str(x.message) for x in new] == [str(x.message) for x in old], i
         answered += len(subsets) - len(kernel_runs)
@@ -463,8 +510,21 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
         all_columns += facs.k == len(facs.col_ids)
         all_evicted += max(map(len, subsets)) == len(pts)
         capped += len(old) > 0
+        if matroid is not None:
+            matroid_fallbacks += len(kernel_runs)
+            matroid_capped += len(old) > 0
+            start = solvers._greedy_basis(len(facs.col_ids), facs.k, test)
+            if not kernel_runs and start == list(range(facs.k)):
+                # every subset searched in lockstep; from the same start
+                # without the test, a different answer means the mask
+                # decided a move
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    free = per_subset_local_search(D, subsets, facs.k, solver)
+                masked += got != free
     assert fallbacks and answered  # both paths were taken ...
     assert all_columns and all_evicted and capped  # ... on every kind of input
+    assert masked and matroid_fallbacks and matroid_capped  # ... under a matroid too
 
 
 def test_theory_mode_pipeline(rng):
