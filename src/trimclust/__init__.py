@@ -21,7 +21,6 @@ from .metric import (
     set_distance,
     trimmed_cost,
     trimmed_sum,
-    wcost,
     weighted_trimmed_cost,
 )
 from .coreset import (
@@ -45,7 +44,6 @@ from .solvers import (
     SolverBudgetExceeded,
     SolverHandle,
     exact_kmedian,
-    exact_outlier_oracle,
     local_search_kmedian,
     solve_outlier_free,
 )
@@ -75,6 +73,7 @@ from .extensions import (
     colorful_oracle,
     colorful_outliers,
     colorful_solve,
+    exact_outlier_oracle,
     matroid_median_oracle,
     matroid_median_solve,
 )

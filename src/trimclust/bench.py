@@ -29,33 +29,22 @@ import time
 from typing import Any
 
 from .coreset import CoresetParams
+from .extensions import exact_outlier_oracle
 from .fileio import load_instance
 from .generate import PlantedConfig, generate_planted
 from .metric import MetricInstance, Solution
 from .reduction import ReductionReport, solve_with_outliers
 from .rng import TAG_EXPERIMENT, derived_seed
-from .solvers import (
-    DEFAULT_ENUMERATION_BUDGET,
-    SolverBudgetExceeded,
-    SolverHandle,
-    exact_outlier_oracle,
-)
-
-
-def params_from_dict(d: dict[str, Any]) -> CoresetParams:
-    return CoresetParams(**d)
+from .solvers import DEFAULT_ENUMERATION_BUDGET, SolverBudgetExceeded, SolverHandle
 
 
 def solver_from_dict(d: dict[str, Any]) -> SolverHandle:
     d = dict(d)
     kind = d.pop("kind", "exact")
     if kind in ("local-search", "local_search"):
-        z = d.pop("z", 1.0)
-        handle = SolverHandle.local_search(z)
-        return handle if not d else SolverHandle(
-            kind="local_search", beta_guarantee=handle.beta_guarantee, **d
-        )
-    return SolverHandle.exact(**d) if d else SolverHandle.exact()
+        guarantee = SolverHandle.local_search(d.pop("z", 1.0)).beta_guarantee
+        return SolverHandle(kind="local_search", beta_guarantee=guarantee, **d)
+    return SolverHandle(kind="exact", beta_guarantee=1, **d)
 
 
 def solution_to_dict(sol: Solution) -> dict[str, Any]:
@@ -128,7 +117,7 @@ def run_experiment(suite: dict[str, Any]) -> tuple[dict[str, Any], bool]:
         inst = _load_suite_instance(spec)
         row_params = dict(params_spec)
         row_params.setdefault("z", inst.z)
-        params = params_from_dict(row_params)
+        params = CoresetParams(**row_params)
         inst_seed = derived_seed(seed, TAG_EXPERIMENT, idx)
 
         t0 = time.perf_counter()

@@ -21,10 +21,11 @@ from .coreset import (
     ring_partition,
     verify_ring_bounds,
 )
+from .extensions import exact_outlier_oracle
 from .generate import PlantedConfig, generate_planted
 from .reduction import solve_with_outliers
 from .rng import TAG_ROUND, generator_for
-from .solvers import SolverBudgetExceeded, exact_outlier_oracle
+from .solvers import SolverBudgetExceeded
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:
@@ -139,14 +140,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.verb == "solve":
-        spec: dict = {"kind": args.solver}
+        # every solver flag reaches the handle, so its checks see them all
+        spec: dict = {
+            "kind": args.solver,
+            "iteration_cap": args.iteration_cap,
+            "improvement_threshold": args.improvement_threshold,
+        }
         if args.solver == "local-search":
-            spec.update(
-                z=inst.z,
-                iteration_cap=args.iteration_cap,
-                improvement_threshold=args.improvement_threshold,
-            )
-        elif args.solver_budget is not None:
+            spec["z"] = inst.z
+        if args.solver_budget is not None:
             spec["enumeration_budget"] = args.solver_budget
         try:
             params = _params_for(args, inst.z)
@@ -184,7 +186,11 @@ def main(argv: list[str] | None = None) -> int:
             ap.error("the suite (or --seed) must provide a seed")
         if args.timings:
             suite["include_timing"] = True
-        report, ok = run_experiment(suite)
+        try:
+            report, ok = run_experiment(suite)
+        except (OSError, TypeError, ValueError, RuntimeError) as exc:
+            print(f"experiment failed: {exc}", file=sys.stderr)
+            return 2
         _out(report, args.out)
         return 0 if ok else 1
 

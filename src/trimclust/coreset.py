@@ -179,10 +179,6 @@ class RingPartition:
     m: int
     n_instance: int
 
-    @property
-    def n_clients(self) -> int:
-        return len(self.assignment)
-
 
 def ring_partition(inst: MetricInstance, A: Sequence[PointId], tau: float) -> RingPartition:
     """Assign clients to nearest baseline centers and band them by distance.

@@ -4,7 +4,8 @@ budgets, matroid-constrained centers, and their combination.
 All variants share the round driver from `reduction`; they differ in how the
 coreset is grouped (per color), which center sets are candidates (matroid
 bases instead of all k-subsets), and how candidates are scored (per-color
-trimming).  Each solve has an exhaustive oracle counterpart for testing.
+trimming).  Each solve has an exhaustive oracle counterpart for testing, the
+plain outlier problem's (`exact_outlier_oracle`) included.
 
 Under a matroid, the local-search black box (the lockstep engine of
 `reduction.per_subset_local_search`) and the heuristic baseline run the one
@@ -408,6 +409,18 @@ def _solve_variant(
         enum_subsets=enum_subsets,
         independent=independent,
     ).best
+
+
+def exact_outlier_oracle(
+    inst: MetricInstance, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> Solution:
+    """Exact optimum of the outlier instance by enumerating all center sets.
+
+    For every candidate set the m farthest clients are evicted; the global
+    argmin (ties toward the lexicographically smallest center tuple) is
+    returned with its canonical outlier set.
+    """
+    return _variant_oracle(inst, None, None, budget)
 
 
 def _variant_oracle(

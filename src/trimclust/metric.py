@@ -287,14 +287,6 @@ def weighted_trimmed_cost(
     return trimmed_sum(vals.tolist(), drop)
 
 
-def wcost(
-    dist: DistanceOracle, wps: WeightedPointSet, C: Sequence[PointId], drop: int, z: float = 1.0
-) -> float:
-    """`weighted_trimmed_cost` over a WeightedPointSet."""
-    pts, w = wps.as_arrays()
-    return weighted_trimmed_cost(dist, pts, w, C, drop, z)
-
-
 def farthest_points(
     dist: DistanceOracle,
     X: Sequence[PointId],

@@ -17,10 +17,12 @@ trimmed cost of its centers.
 Both outlier-free black boxes answer a round in one batched pass, because a
 row's cost terms do not depend on which other rows are evicted: the cost of
 evicting T is a sum over all rows minus ``t[T0] + t[T1] + ...``, added in T's
-own order.  Subsets are grouped by size, so each size is one numpy
-gather-sum over an ``(n_T, size)`` index array (`_evicted_sums`), worked
-through in row blocks of about ``_BLOCK_ELEMENTS`` costs, which bounds the
-extra memory by the block and not by the number of subsets.
+own order.  All subsets are one ``(n_T, width)`` index array (`_padded`),
+shorter subsets padded with the index of a zero row that each per-row term
+array carries past its real rows, so a round is one numpy gather-sum
+(`_evicted_sums`) whatever its subset sizes.  It is worked through in row
+blocks of about ``_BLOCK_ELEMENTS`` costs, which bounds the extra memory by
+the block and not by the number of subsets.
 
 * Exact (`per_subset_best_exact`): per chunk of candidate sets the terms are
   the weighted minima ``w * min_d``, and only the distinct winning candidates
@@ -109,43 +111,41 @@ def evaluate_candidate(
     return cost, outliers
 
 
-def _subsets_by_size(
-    subsets: Sequence[tuple[int, ...]],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(positions, (n_T, size) entry indices) for each subset size present."""
+def _padded(subsets: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    """One ``(n_T, width)`` array of entry indices, a subset per row.
+
+    ``width`` is the largest subset size (at least 1); shorter subsets are
+    padded with index ``n``, the zero row that every per-row cost array
+    carries past its ``n`` real rows.
+    """
     sizes = np.fromiter(map(len, subsets), dtype=np.intp, count=len(subsets))
-    flat = np.fromiter(
+    rows = np.full((len(subsets), max(1, sizes.max(initial=0))), n, dtype=np.intp)
+    rows[np.arange(rows.shape[1]) < sizes[:, None]] = np.fromiter(
         chain.from_iterable(subsets), dtype=np.intp, count=int(sizes.sum())
     )
-    starts = np.cumsum(sizes) - sizes
-    groups = []
-    for size in np.unique(sizes):
-        pos = np.flatnonzero(sizes == size)
-        groups.append((pos, flat[starts[pos][:, None] + np.arange(size)]))
-    return groups
+    return rows
 
 
 def _evicted_sums(
     full: np.ndarray, per_row: np.ndarray, pos: np.ndarray, rows: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``full - (per_row[T0] + per_row[T1] + ...)`` for each subset T of one size.
+    """``full - (per_row[T0] + per_row[T1] + ...)`` for each subset T.
 
-    ``rows`` holds one subset per row (one `_subsets_by_size` group) and
-    ``pos`` its positions.  The evicted rows are added in T's own order.
-    Yields ``(positions, costs)`` blocks of about ``_BLOCK_ELEMENTS`` costs,
-    so memory stays bounded whatever the number of subsets.
+    ``rows`` holds one subset per row, padded with the index of the zero last
+    row of ``per_row`` (see `_padded`), and ``pos`` its positions.  The
+    evicted rows are added in T's own order, then the padding's +0.0 terms,
+    so each cost is bit-identical to one summed over T alone (the empty
+    subset costs ``full - 0.0 == full``).  Yields ``(positions, costs)``
+    blocks of about ``_BLOCK_ELEMENTS`` costs, so memory stays bounded
+    whatever the number of subsets.
     """
     per = max(1, _BLOCK_ELEMENTS // len(full))
     for lo in range(0, len(pos), per):
         block = rows[lo : lo + per]
-        if block.shape[1] == 0:
-            costs = np.broadcast_to(full, (len(block), len(full)))
-        else:
-            removed = per_row[block[:, 0]]
-            for col in range(1, block.shape[1]):
-                removed += per_row[block[:, col]]
-            costs = np.subtract(full, removed, out=removed)
-        yield pos[lo : lo + per], costs
+        removed = per_row[block[:, 0]]
+        for col in range(1, block.shape[1]):
+            removed += per_row[block[:, col]]
+        yield pos[lo : lo + per], np.subtract(full, removed, out=removed)
 
 
 def per_subset_best_exact(
@@ -159,18 +159,19 @@ def per_subset_best_exact(
 ) -> list[tuple[PointId, ...]]:
     """Exact black-box answers for every evicted subset, amortized.
 
-    For each subset T the minimizing candidate set of ``wcost(S \\ T, C)`` is
-    found, with ties toward the earliest candidate in enumeration order (the
-    lexicographically smallest center tuple).  Raises SolverBudgetExceeded if
-    the candidate space itself is too large.
+    For each subset T the candidate set with the least weighted cost of
+    ``S \\ T`` is found, with ties toward the earliest candidate in
+    enumeration order (the lexicographically smallest center tuple).  Raises
+    SolverBudgetExceeded if the candidate space itself is too large.
 
     Per candidate chunk, ``wm = w * min_d`` holds every entry's weighted
-    distance to every candidate set, and the cost of T is
-    ``w @ min_d - (wm[T0] + wm[T1] + ...)``, the evicted rows added in T's own
-    order.  Subsets are grouped by size so each group is one gather-sum over
-    an ``(n_T, size)`` index array, taken in row blocks of about
-    ``_BLOCK_ELEMENTS`` costs so memory stays bounded whatever the number of
-    subsets.  Only the distinct winning candidates are unranked.
+    distance to every candidate set, plus one zero row at index ``n`` =
+    ``len(points)``, and the cost of T is ``w @ min_d - (wm[T0] + wm[T1] +
+    ...)``, the evicted rows added in T's own order.  All subsets are one
+    gather-sum over the `_padded` ``(n_T, width)`` index array, whose padding
+    picks the zero row, taken in row blocks of about ``_BLOCK_ELEMENTS``
+    costs so memory stays bounded whatever the number of subsets.  Only the
+    distinct winning candidates are unranked.
     """
     _refuse_over_budget(space, budget)
     if space.count == 0:
@@ -179,21 +180,22 @@ def per_subset_best_exact(
     if z != 1.0:
         d = d**z
     w = np.asarray(weights, dtype=float)
-    groups = _subsets_by_size(subsets)
+    rows = _padded(subsets, len(w))
+    every = np.arange(len(subsets))
     best_cost = np.full(len(subsets), np.inf)
     best_idx = np.full(len(subsets), -1, dtype=np.int64)
     offset = 0
     for chunk in space.chunks(len(points)):
         min_d = d[:, chunk].min(axis=2)  # (n_points, chunk_size)
         full = w @ min_d
-        wm = w[:, None] * min_d
-        for pos, rows in groups:
-            for p, costs in _evicted_sums(full, wm, pos, rows):
-                j = costs.argmin(axis=1)
-                vals = costs[np.arange(len(j)), j]
-                better = vals < best_cost[p]
-                best_cost[p[better]] = vals[better]
-                best_idx[p[better]] = offset + j[better]
+        wm = np.zeros((len(w) + 1, len(full)))
+        np.multiply(w[:, None], min_d, out=wm[:-1])
+        for p, costs in _evicted_sums(full, wm, every, rows):
+            j = costs.argmin(axis=1)
+            vals = costs[np.arange(len(j)), j]
+            better = vals < best_cost[p]
+            best_cost[p[better]] = vals[better]
+            best_idx[p[better]] = offset + j[better]
         offset += chunk.shape[0]
     winners, which = np.unique(best_idx, return_inverse=True)
     if len(winners) and winners[0] < 0:
@@ -209,16 +211,17 @@ def _swap_terms(D: np.ndarray, current: tuple[int, ...]) -> tuple[np.ndarray, np
     ``current[pos]`` is swapped for column ``outside[j]``, in `_local_search`'s
     order; the last column holds its cost under ``current``.  Both come from
     `_swap_basis`, as the kernel's do, so they are bit-identical to the
-    kernel's own terms.  The kernel sums one position at a time and never
-    holds all ``k`` blocks, which matters on the baseline's large block.
+    kernel's own terms.  One zero row follows the ``len(D)`` rows of ``D``,
+    for the padding of `_padded`.  The kernel sums one position at a time and
+    never holds all ``k`` blocks, which matters on the baseline's large block.
     """
     d1, outside, fallbacks = _swap_basis(D, current)
     n_out = len(outside)
     d_out = D[:, outside]
-    terms = np.empty((D.shape[0], len(current) * n_out + 1))
+    terms = np.zeros((D.shape[0] + 1, len(current) * n_out + 1))
     for pos, fallback in enumerate(fallbacks):
-        np.minimum(fallback[:, None], d_out, out=terms[:, pos * n_out : (pos + 1) * n_out])
-    terms[:, -1] = d1
+        np.minimum(fallback[:, None], d_out, out=terms[:-1, pos * n_out : (pos + 1) * n_out])
+    terms[:-1, -1] = d1
     return terms, outside
 
 
@@ -240,12 +243,14 @@ def per_subset_local_search(
     Every subset starts from the same greedy basis, so the subsets still
     searching share the iteration count and fall into a few states (center
     tuples).  Per state the per-row swap terms of `_swap_terms` and their
-    column sums ``full`` are computed once over all rows; T's swap costs and
-    its current cost are then ``full`` minus T's rows, one gather-sum per
-    subset size as in `per_subset_best_exact`.  Whether a swap is allowed
-    depends only on the state, so each swap is tested once per state, and a
-    dependent swap's sum is ``+inf``: best and runner-up below are taken over
-    the allowed swaps, as the kernel takes its move.
+    column sums ``full`` over the ``len(D)`` real rows are computed once; T's
+    swap costs and its current cost are then ``full`` minus T's rows, one
+    gather-sum over the state's rows of the `_padded` subset array (padding
+    picks the zero row of the terms), as in `per_subset_best_exact`.
+    Whether a swap is allowed depends only on the state, so each swap is
+    tested once per state, and a dependent swap's sum is ``+inf``: best and
+    runner-up below are taken over the allowed swaps, as the kernel takes its
+    move.
 
     These costs differ from the kernel's own sums only by rounding.  Every
     compared value of either path is a sum of at most ``n`` = ``len(D)``
@@ -285,7 +290,7 @@ def per_subset_local_search(
         at, col = divmod(jj, len(outside))
         return [*current[:at], *current[at + 1 :], int(outside[col])]
 
-    groups = _subsets_by_size(subsets)
+    rows = _padded(subsets, len(D))
     start = state_id(_greedy_basis(n_cols, k, independent))
     state = np.full(len(subsets), start, dtype=np.intp)  # -1 once answered
     answer = np.full(len(subsets), -1, dtype=np.intp)
@@ -294,29 +299,28 @@ def per_subset_local_search(
         for s in np.unique(state[state >= 0]).tolist():
             current = states[s]
             terms, outside = _swap_terms(D, current)
-            full = terms.sum(axis=0)
+            full = terms[:-1].sum(axis=0)
             if independent is not None:
                 allowed = [
                     independent(swapped(current, jj, outside)) for jj in range(len(full) - 1)
                 ]
                 full[:-1][np.logical_not(allowed)] = np.inf
-            for pos, rows in groups:
-                mine = state[pos] == s
-                for p, costs in _evicted_sums(full, terms, pos[mine], rows[mine]):
-                    swaps, bar = costs[:, :-1], keep_frac * costs[:, -1]
-                    j = swaps.argmin(axis=1)
-                    best = swaps[np.arange(len(j)), j]
-                    if swaps.shape[1] > 1:
-                        runner_up = np.partition(swaps, 1, axis=1)[:, 1]
-                    else:
-                        runner_up = np.full(len(j), np.inf)
-                    done = best > bar + tol
-                    move = (best < bar - tol) & (runner_up > best + tol)
-                    answer[p[done]] = s
-                    for jj in np.unique(j[move]).tolist():
-                        moved[p[move & (j == jj)]] = state_id(swapped(current, jj, outside))
-                    for q in p[~(done | move)].tolist():
-                        answer[q] = kernel(q)
+            mine = np.flatnonzero(state == s)
+            for p, costs in _evicted_sums(full, terms, mine, rows[mine]):
+                swaps, bar = costs[:, :-1], keep_frac * costs[:, -1]
+                j = swaps.argmin(axis=1)
+                best = swaps[np.arange(len(j)), j]
+                if swaps.shape[1] > 1:
+                    runner_up = np.partition(swaps, 1, axis=1)[:, 1]
+                else:
+                    runner_up = np.full(len(j), np.inf)
+                done = best > bar + tol
+                move = (best < bar - tol) & (runner_up > best + tol)
+                answer[p[done]] = s
+                for jj in np.unique(j[move]).tolist():
+                    moved[p[move & (j == jj)]] = state_id(swapped(current, jj, outside))
+                for q in p[~(done | move)].tolist():
+                    answer[q] = kernel(q)
         state = moved
         if (state < 0).all():
             break
@@ -370,7 +374,9 @@ def _run_rounds(
     will read it (so an over-budget space is refused before the baseline
     runs; local search never reads it), then runs the baseline, the ring
     partition and the rounds.  Every subset of every round gets an answer,
-    and each distinct answer is rescored once per round with ``objective``.
+    and each distinct answer is rescored once per round with ``objective``;
+    both engines return sorted center tuples, so answers are compared as
+    returned.
     ``build_cs`` may return any coreset flavor exposing ``union`` (a
     WeightedPointSet) and ``lossless``; ``enum_subsets`` receives it whole so
     variant-specific enumeration (per-color budgets) can see the provenance,
@@ -410,7 +416,6 @@ def _run_rounds(
         round_best: float | None = None
         evaluated = 0
         seen: set[tuple[PointId, ...]] = set()
-        answers_seen: set[tuple[PointId, ...]] = set()
 
         if solver.kind == "exact":
             answers = per_subset_best_exact(
@@ -423,21 +428,16 @@ def _run_rounds(
             answers = [ids[c] for c in found]
 
         for T, centers in zip(subsets, answers):
-            # answers repeat heavily: skip a repeated answer before sorting it
-            if centers in answers_seen:
+            if centers in seen:
                 continue
-            answers_seen.add(centers)
-            key = tuple(sorted(centers))
-            if key in seen:
-                continue
-            seen.add(key)
-            cost, outliers = objective(key)
+            seen.add(centers)
+            cost, outliers = objective(centers)
             evaluated += 1
             if round_best is None or cost < round_best:
                 round_best = cost
             if best is None or cost < best.cost:
                 tag = f"r{r}:T{','.join(map(str, T))}"
-                best = Solution(centers=key, outliers=outliers, cost=cost, candidate_tag=tag)
+                best = Solution(centers=centers, outliers=outliers, cost=cost, candidate_tag=tag)
         total_eval += evaluated
         records.append(
             RoundRecord(

@@ -6,9 +6,11 @@ keys, so a stream's output depends only on (root seed, purpose tag, indices)
 and never on call order.  Tags:
 
 * ``TAG_ROUND``      one stream per repetition round of the main driver
-* ``TAG_TRIAL``      one stream per Monte-Carlo trial of the concentration harness
 * ``TAG_GENERATE``   the planted-instance generator
 * ``TAG_EXPERIMENT`` per-instance seeds inside an experiment suite
+
+The concentration harness (`coreset.sample_concentration_check`) draws every
+trial from the generator its caller passes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 TAG_ROUND = 1
-TAG_TRIAL = 2
 TAG_GENERATE = 3
 TAG_EXPERIMENT = 4
 

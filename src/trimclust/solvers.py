@@ -1,4 +1,4 @@
-"""Outlier-free solvers (exact and local search) and the exact outlier oracle.
+"""Outlier-free solvers: exact enumeration and single-swap local search.
 
 The exact solvers enumerate candidate center sets and are meant for desk-scale
 instances and as ground truth in tests; enumeration is refused beyond an
@@ -28,14 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .metric import (
-    DistanceOracle,
-    MetricInstance,
-    PointId,
-    Solution,
-    farthest_points,
-    trimmed_cost,
-)
+from .metric import DistanceOracle, PointId
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -392,20 +385,3 @@ def solve_outlier_free(
         )
     return local_search_kmedian(dist, points, weights, facilities, k, z, handle)
 
-
-def exact_outlier_oracle(
-    inst: MetricInstance, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Solution:
-    """Exact optimum of the outlier instance by enumerating all center sets.
-
-    For every candidate set the m farthest clients are evicted; the global
-    argmin (ties toward the lexicographically smallest center tuple) is
-    returned with its canonical outlier set.
-    """
-    space = _refuse_over_budget(CandidateSpace.subsets(inst.facilities, inst.k), budget)
-    X = list(inst.clients)
-    d = inst.power_distances(X, space.col_ids)
-    centers = space.centers_at(argmin_trimmed(d, space, [(slice(None), inst.m)]))
-    cost = trimmed_cost(inst.dist, X, centers, inst.m, inst.z)
-    outliers = farthest_points(inst.dist, X, centers, inst.m, inst.z)
-    return Solution(centers=centers, outliers=outliers, cost=cost, candidate_tag="oracle")

@@ -214,12 +214,46 @@ BAD_INPUTS = [
     pytest.param(
         "experiment", ["--suite", "OUT"], "No such file", id="experiment-missing-suite"
     ),
+    pytest.param(
+        "solve", ["--s", "4", "--seed", "1", "--iteration-cap", "0"],
+        "iteration_cap must be positive", id="solve-exact-iteration-cap-0",
+    ),
+    pytest.param(
+        "solve", ["--s", "4", "--seed", "1", "--improvement-threshold", "5"],
+        "improvement_threshold must be in (0, 1)", id="solve-exact-improvement-threshold-5",
+    ),
+    pytest.param(
+        "solve", ["--s", "4", "--seed", "1", "--solver-budget", "1"],
+        "exceed budget", id="solve-budget-1",
+    ),
+    pytest.param(
+        "experiment", ["--suite", {"seed": 1, "params": {"epsilon": 1.5}, "instances": [
+            {"id": "a", "planted": {
+                "clusters": 2, "points_per_cluster": 4, "spread": 1.0, "outlier_count": 1,
+                "outlier_distance_factor": 25.0, "dimension": 2, "seed": 1,
+            }},
+        ]}],
+        "epsilon must be in (0, 1)", id="experiment-epsilon-1.5",
+    ),
+    pytest.param(
+        "experiment", ["--suite", {"seed": 1, "instances": [{"id": "a", "file": "nope.txt"}]}],
+        "No such file", id="experiment-missing-instance-file",
+    ),
 ]
+
+
+def _arg(tmp_path, x):
+    """A command-line word; a dict is a suite, written to a file first."""
+    if isinstance(x, dict):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(x))
+        return str(path)
+    return str(tmp_path / "out.txt") if x == "OUT" else x
 
 
 @pytest.mark.parametrize("verb, extra, message", BAD_INPUTS)
 def test_unloadable_instance_is_one_line_and_exit_2(tmp_path, capsys, verb, extra, message):
-    extra = [str(tmp_path / "out.txt") if x == "OUT" else x for x in extra]
+    extra = [_arg(tmp_path, x) for x in extra]
     if message is not None:
         good = [] if verb == "experiment" else ["--instance", str(_generate(tmp_path))]
         assert main([verb] + good + extra) == 2

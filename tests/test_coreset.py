@@ -20,7 +20,7 @@ from trimclust import (
     sample_concentration_check,
     trimmed_cost,
     verify_ring_bounds,
-    wcost,
+    weighted_trimmed_cost,
 )
 from trimclust.coreset import _band_index
 from trimclust.rng import generator_for
@@ -283,7 +283,7 @@ def test_lossless_coreset_preserves_split_costs(rng):
                 for key, t in zip(keys, split)
             )
             rhs = math.fsum(
-                wcost(inst.dist, cs.groups[key], C, t, inst.z)
+                weighted_trimmed_cost(inst.dist, *cs.groups[key].as_arrays(), C, t, inst.z)
                 for key, t in zip(keys, split)
             )
             assert lhs == rhs
@@ -324,7 +324,9 @@ def test_sampled_coreset_event_fraction(rng):
                     for key, t in zip(keys, split)
                 ]
                 rhs = math.fsum(
-                    wcost(inst.dist, cs.groups[key], C, t, inst.z)
+                    weighted_trimmed_cost(
+                        inst.dist, *cs.groups[key].as_arrays(), C, t, inst.z
+                    )
                     for key, t in zip(keys, t_eff)
                 )
                 if abs(lhs - rhs) > params.epsilon * lhs:

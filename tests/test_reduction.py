@@ -390,7 +390,13 @@ def _matroid_case(rng):
     return inst, cs, list(enumerate_outlier_subsets(cs, 2)), space
 
 
-@pytest.mark.parametrize("case", [_plain_case, _colorful_case, _matroid_case])
+def _empty_case(rng):
+    """Only the empty subset (m = 0): every row of the subset array is padding."""
+    inst, cs, _, space = _plain_case(rng)
+    return inst, cs, [()], space
+
+
+@pytest.mark.parametrize("case", [_plain_case, _colorful_case, _matroid_case, _empty_case])
 def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
     # small chunks and blocks, so candidate chunks and row blocks are crossed
     monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 150)
@@ -440,6 +446,12 @@ def _one_spot(rng):
     return inst, np.arange(4), [(), (0,), (1,), (2,), (3,)], None
 
 
+def _empty_stream(rng):
+    """`_plane` with only the empty subset (m = 0): every row is padding."""
+    inst, pts, _, _ = _plane(rng)
+    return inst, pts, [()], None
+
+
 def _partition(inst, dealt):
     """k parts of capacity 1 over the sorted facilities.  Dealt to the parts
     in turn, the greedy basis is the first k columns, the start without a
@@ -476,10 +488,11 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
     builders = [
         lambda rng: _grid_line(rng, 1.0), lambda rng: _grid_line(rng, 0.1),
         _plane, _colorful_stream, _one_spot, _plane_partition, _grid_partition,
+        _empty_stream,
     ]
     answered = fallbacks = all_columns = all_evicted = capped = 0
     masked = matroid_fallbacks = matroid_capped = 0
-    for i in range(84):
+    for i in range(96):
         inst, pts, subsets, matroid = builders[i % len(builders)](rng)
         # integer weights as a sampled coreset has, so evicted rows are scaled
         w = rng.integers(1, 4, size=len(pts)).astype(float)
