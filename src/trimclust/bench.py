@@ -44,7 +44,7 @@ def solver_from_dict(d: dict[str, Any]) -> SolverHandle:
     if kind in ("local-search", "local_search"):
         guarantee = SolverHandle.local_search(d.pop("z", 1.0)).beta_guarantee
         return SolverHandle(kind="local_search", beta_guarantee=guarantee, **d)
-    return SolverHandle(kind="exact", beta_guarantee=1, **d)
+    return SolverHandle(kind=kind, beta_guarantee=1, **d)  # SolverHandle rejects a bad kind
 
 
 def solution_to_dict(sol: Solution) -> dict[str, Any]:

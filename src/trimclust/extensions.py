@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, product
-from typing import Iterator, Sequence
+from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .metric import (
     farthest_points,
     trimmed_cost,
 )
-from .reduction import _run_rounds, per_subset_best_exact
+from .reduction import _run_rounds, _up_to, per_subset_best_exact
 from .matroids import (
     MatroidOracle,
     direct_sum_matroid,
@@ -128,9 +128,6 @@ class ColoredCoreset:
     def lossless(self) -> bool:
         return all(cs.lossless for cs in self.per_color.values())
 
-    def color_entry_indices(self, t: int) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.entry_colors) if c == t)
-
 
 def _restrict_rings(rp: RingPartition, keep: frozenset[PointId]) -> RingPartition:
     rings = {
@@ -169,24 +166,31 @@ def build_colored_coreset(
     )
 
 
-def enumerate_colorful_subsets(
-    ccs: ColoredCoreset, budgets: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
+def enumerate_colorful_subsets(ccs: ColoredCoreset, budgets: Sequence[int]) -> np.ndarray:
     """Entry subsets that respect every color budget, built per color.
 
     Per color the subsets of size 0..budget are generated in (size, lex)
-    order; the cartesian product across colors is merged into sorted index
-    tuples.  Budget-aware generation keeps the stream small and complete: any
-    feasible eviction trace remains enumerable.
+    order; the cartesian product across colors, the first color varying
+    slowest, is merged into sorted rows.  Budget-aware generation keeps the
+    stream small and complete: any feasible eviction trace remains
+    enumerable.  The layout is `enumerate_outlier_subsets`'s: one subset per
+    row of an intp array at least one column wide, padded with
+    ``n = len(ccs.union)``, which sorts last.
     """
-    per_color_options: list[list[tuple[int, ...]]] = []
+    n = len(ccs.union)
+    colors = np.asarray(ccs.entry_colors, dtype=np.intp)
+    rows = np.empty((1, 0), dtype=np.intp)
     for t in range(1, len(budgets) + 1):
-        idx = ccs.color_entry_indices(t)
+        idx = np.flatnonzero(colors == t)
         cap = min(budgets[t - 1], len(idx))
-        options = [c for size in range(cap + 1) for c in combinations(idx, size)]
-        per_color_options.append(options)
-    for chosen in product(*per_color_options):
-        yield tuple(sorted(chain.from_iterable(chosen)))
+        # positions in the class, padded with len(idx), which maps to n
+        options = np.append(idx, n)[_up_to(len(idx), cap, cap, len(idx))]
+        rows = np.hstack([
+            np.repeat(rows, len(options), axis=0), np.tile(options, (len(rows), 1))
+        ])
+    if rows.shape[1] == 0:
+        rows = np.full((len(rows), 1), n, dtype=np.intp)
+    return np.sort(rows, axis=1)
 
 
 def colorful_solve(
@@ -247,9 +251,10 @@ def matroid_baseline(
         picks = list(combinations(sorted(inst.clients), m))
         cands = [tuple(sorted(b + y)) for b in bases_f for y in picks]
         space = CandidateSpace.from_center_sets(cands)
+        no_eviction = np.full((1, 1), len(X), dtype=np.intp)
         best = per_subset_best_exact(
-            inst.dist, X, np.ones(len(X)), space, inst.z, [()], budget
-        )[0]
+            inst.dist, X, np.ones(len(X)), space, inst.z, no_eviction, budget
+        ).centers[0]
         cost = trimmed_cost(inst.dist, X, best, 0, inst.z)
         return BaselineResult(tuple(sorted(best)), cost, "exact", 1.0, True)
     m_aug = direct_sum_matroid(matroid, inst.clients, inst.m)

@@ -17,17 +17,21 @@ trimmed cost of its centers.
 Both outlier-free black boxes answer a round in one batched pass, because a
 row's cost terms do not depend on which other rows are evicted: the cost of
 evicting T is a sum over all rows minus ``t[T0] + t[T1] + ...``, added in T's
-own order.  All subsets are one ``(n_T, width)`` index array (`_padded`),
-shorter subsets padded with the index of a zero row that each per-row term
-array carries past its real rows, so a round is one numpy gather-sum
+own order.  A round's subsets are one ``(n_T, width)`` index array from
+enumeration to rescoring (`enumerate_outlier_subsets`), shorter subsets
+padded with the index ``n`` of a zero row that each per-row term array
+carries past its ``n`` real rows, so a round is one numpy gather-sum
 (`_evicted_sums`) whatever its subset sizes.  It is worked through in row
 blocks of about ``_BLOCK_ELEMENTS`` costs, which bounds the extra memory by
-the block and not by the number of subsets.
+the block and not by the number of subsets.  Each engine returns its
+distinct answers once, with the index of every subset's answer (`Answers`),
+and `_run_rounds` rescores each distinct answer once, in the order of its
+first subset.
 
 * Exact (`per_subset_best_exact`): per chunk of candidate sets the terms are
   the weighted minima ``w * min_d``, and only the distinct winning candidates
-  are unranked into center tuples.  It returns the per-subset answers except
-  where two candidates' costs differ only by rounding.
+  are unranked into center tuples.  Its answers are the per-subset ones
+  except where two candidates' costs differ only by rounding.
 * Single-swap local search (`per_subset_local_search`): every subset starts
   from the same state, so the subsets search in lockstep, grouped by their
   current centers, and the terms are each row's cost under every swap.  A
@@ -42,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -90,16 +93,47 @@ def default_rounds(failure_target: float = DEFAULT_FAILURE_TARGET) -> int:
     return max(1, math.ceil(math.log2(1.0 / failure_target)))
 
 
-def enumerate_outlier_subsets(cs: WeightedCoreset, m: int) -> Iterator[tuple[int, ...]]:
+def _combinations(n: int, size: int) -> np.ndarray:
+    """Every ``size``-subset of ``range(n)`` (``size <= n``), one increasing
+    row each, in lexicographic order.
+
+    Built a column at a time: each row repeats once per value its next
+    column can take, in increasing order.
+    """
+    rows, last = np.empty((1, 0), dtype=np.intp), np.full(1, -1, dtype=np.intp)
+    for col in range(size):
+        counts = n - size + col - last  # the next value runs over last + 1 .. n - size + col
+        ends = np.cumsum(counts)
+        step = np.arange(ends[-1], dtype=np.intp) - np.repeat(ends - counts, counts)
+        last = np.repeat(last + 1, counts) + step
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), last])
+    return rows
+
+
+def _up_to(n: int, cap: int, width: int, pad: int) -> np.ndarray:
+    """Every subset of ``range(n)`` of size 0..cap, in (size, lexicographic)
+    order, one per row of ``width`` columns, padded with ``pad``."""
+    blocks = [_combinations(n, size) for size in range(cap + 1)]
+    rows = np.full((sum(map(len, blocks)), width), pad, dtype=np.intp)
+    lo = 0
+    for size, block in enumerate(blocks):
+        rows[lo : lo + len(block), :size] = block
+        lo += len(block)
+    return rows
+
+
+def enumerate_outlier_subsets(cs: WeightedCoreset, m: int) -> np.ndarray:
     """All entry-index subsets of size 0..m, sizes ascending, lexicographic within size.
 
     Indices refer to ``cs.union`` entries; evicting an entry removes its whole
-    weight.  The order is stable across runs.
+    weight.  One subset per row of an ``(n_T, max(1, m))`` intp array, its
+    entries increasing, shorter subsets padded with ``n = len(cs.union)``.
+    The order is stable across runs.
     """
     n = len(cs.union)
     if m > n:
         raise ValueError(f"m={m} exceeds the {n} coreset entries")
-    return chain.from_iterable(combinations(range(n), size) for size in range(m + 1))
+    return _up_to(n, m, max(1, m), n)
 
 
 def evaluate_candidate(
@@ -111,19 +145,20 @@ def evaluate_candidate(
     return cost, outliers
 
 
-def _padded(subsets: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
-    """One ``(n_T, width)`` array of entry indices, a subset per row.
+@dataclass(frozen=True, eq=False)
+class Answers:
+    """A batched black box's answer for every subset of a round.
 
-    ``width`` is the largest subset size (at least 1); shorter subsets are
-    padded with index ``n``, the zero row that every per-row cost array
-    carries past its ``n`` real rows.
+    Subset ``i`` (row ``i`` of the subset array) gets ``centers[which[i]]``;
+    ``centers`` holds each distinct answer once.  ``len`` counts the subsets,
+    as for a list of per-subset answers (the benchmark's tracer reads it).
     """
-    sizes = np.fromiter(map(len, subsets), dtype=np.intp, count=len(subsets))
-    rows = np.full((len(subsets), max(1, sizes.max(initial=0))), n, dtype=np.intp)
-    rows[np.arange(rows.shape[1]) < sizes[:, None]] = np.fromiter(
-        chain.from_iterable(subsets), dtype=np.intp, count=int(sizes.sum())
-    )
-    return rows
+
+    centers: list[tuple[int, ...]]
+    which: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.which)
 
 
 def _evicted_sums(
@@ -132,7 +167,8 @@ def _evicted_sums(
     """``full - (per_row[T0] + per_row[T1] + ...)`` for each subset T.
 
     ``rows`` holds one subset per row, padded with the index of the zero last
-    row of ``per_row`` (see `_padded`), and ``pos`` its positions.  The
+    row of ``per_row`` (see `enumerate_outlier_subsets`), and ``pos`` its
+    positions.  The
     evicted rows are added in T's own order, then the padding's +0.0 terms,
     so each cost is bit-identical to one summed over T alone (the empty
     subset costs ``full - 0.0 == full``).  Yields ``(positions, costs)``
@@ -154,9 +190,9 @@ def per_subset_best_exact(
     weights: Sequence[float],
     space: CandidateSpace,
     z: float,
-    subsets: Sequence[tuple[int, ...]],
+    subsets: np.ndarray,
     budget: int,
-) -> list[tuple[PointId, ...]]:
+) -> Answers:
     """Exact black-box answers for every evicted subset, amortized.
 
     For each subset T the candidate set with the least weighted cost of
@@ -168,7 +204,7 @@ def per_subset_best_exact(
     distance to every candidate set, plus one zero row at index ``n`` =
     ``len(points)``, and the cost of T is ``w @ min_d - (wm[T0] + wm[T1] +
     ...)``, the evicted rows added in T's own order.  All subsets are one
-    gather-sum over the `_padded` ``(n_T, width)`` index array, whose padding
+    gather-sum over the ``(n_T, width)`` subset array, whose padding ``n``
     picks the zero row, taken in row blocks of about ``_BLOCK_ELEMENTS``
     costs so memory stays bounded whatever the number of subsets.  Only the
     distinct winning candidates are unranked.
@@ -180,7 +216,6 @@ def per_subset_best_exact(
     if z != 1.0:
         d = d**z
     w = np.asarray(weights, dtype=float)
-    rows = _padded(subsets, len(w))
     every = np.arange(len(subsets))
     best_cost = np.full(len(subsets), np.inf)
     best_idx = np.full(len(subsets), -1, dtype=np.int64)
@@ -190,7 +225,7 @@ def per_subset_best_exact(
         full = w @ min_d
         wm = np.zeros((len(w) + 1, len(full)))
         np.multiply(w[:, None], min_d, out=wm[:-1])
-        for p, costs in _evicted_sums(full, wm, every, rows):
+        for p, costs in _evicted_sums(full, wm, every, subsets):
             j = costs.argmin(axis=1)
             vals = costs[np.arange(len(j)), j]
             better = vals < best_cost[p]
@@ -200,8 +235,7 @@ def per_subset_best_exact(
     winners, which = np.unique(best_idx, return_inverse=True)
     if len(winners) and winners[0] < 0:
         raise ValueError("no candidate center set has a finite cost")
-    centers = [space.centers_at(int(i)) for i in winners]
-    return [centers[i] for i in which.tolist()]
+    return Answers([space.centers_at(int(i)) for i in winners], which)
 
 
 def _swap_terms(D: np.ndarray, current: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -212,8 +246,9 @@ def _swap_terms(D: np.ndarray, current: tuple[int, ...]) -> tuple[np.ndarray, np
     order; the last column holds its cost under ``current``.  Both come from
     `_swap_basis`, as the kernel's do, so they are bit-identical to the
     kernel's own terms.  One zero row follows the ``len(D)`` rows of ``D``,
-    for the padding of `_padded`.  The kernel sums one position at a time and
-    never holds all ``k`` blocks, which matters on the baseline's large block.
+    for the padding of the subset array.  The kernel sums one position at a
+    time and never holds all ``k`` blocks, which matters on the baseline's
+    large block.
     """
     d1, outside, fallbacks = _swap_basis(D, current)
     n_out = len(outside)
@@ -227,26 +262,27 @@ def _swap_terms(D: np.ndarray, current: tuple[int, ...]) -> tuple[np.ndarray, np
 
 def per_subset_local_search(
     D: np.ndarray,
-    subsets: Sequence[tuple[int, ...]],
+    subsets: np.ndarray,
     k: int,
     handle: SolverHandle,
     independent: Callable[[list[int]], bool] | None = None,
-) -> list[tuple[int, ...]]:
+) -> Answers:
     """Single-swap local search answers for every evicted subset, in lockstep.
 
     ``D`` is the weighted, powered cost block of all coreset entries (rows)
-    to the sorted facilities (columns).  For each subset T the result is the
-    column tuple that ``_local_search(D[keep], k, handle,
-    independent=independent)`` returns from its cold start, where ``keep``
-    drops T's rows; ``independent`` tests a column set (``None``: no test).
+    to the sorted facilities (columns).  For each subset T (a row of the
+    padded subset array) the answer is the column tuple that
+    ``_local_search(D[keep], k, handle, independent=independent)`` returns
+    from its cold start, where ``keep`` drops T's rows; ``independent`` tests
+    a column set (``None``: no test).
 
     Every subset starts from the same greedy basis, so the subsets still
     searching share the iteration count and fall into a few states (center
     tuples).  Per state the per-row swap terms of `_swap_terms` and their
     column sums ``full`` over the ``len(D)`` real rows are computed once; T's
     swap costs and its current cost are then ``full`` minus T's rows, one
-    gather-sum over the state's rows of the `_padded` subset array (padding
-    picks the zero row of the terms), as in `per_subset_best_exact`.
+    gather-sum over the state's rows of the subset array (padding picks the
+    zero row of the terms), as in `per_subset_best_exact`.
     Whether a swap is allowed depends only on the state, so each swap is
     tested once per state, and a dependent swap's sum is ``+inf``: best and
     runner-up below are taken over the allowed swaps, as the kernel takes its
@@ -267,7 +303,7 @@ def per_subset_local_search(
     """
     n_cols = D.shape[1]
     if k == n_cols:
-        return [tuple(range(n_cols))] * len(subsets)
+        return Answers([tuple(range(n_cols))], np.zeros(len(subsets), dtype=np.intp))
     bound = (len(D) + 1) * 2.0**-52 * float(D.max(axis=1, initial=0.0).sum())
     tol = 256 * bound
     keep_frac = 1.0 - handle.improvement_threshold
@@ -283,14 +319,14 @@ def per_subset_local_search(
 
     def kernel(q: int) -> int:
         keep = np.ones(len(D), dtype=bool)
-        keep[list(subsets[q])] = False
+        T = subsets[q]
+        keep[T[T < len(D)]] = False  # the padding is not a row of D
         return state_id(_local_search(D[keep], k, handle, independent=independent).centers)
 
     def swapped(current: tuple[int, ...], jj: int, outside: np.ndarray) -> list[int]:
         at, col = divmod(jj, len(outside))
         return [*current[:at], *current[at + 1 :], int(outside[col])]
 
-    rows = _padded(subsets, len(D))
     start = state_id(_greedy_basis(n_cols, k, independent))
     state = np.full(len(subsets), start, dtype=np.intp)  # -1 once answered
     answer = np.full(len(subsets), -1, dtype=np.intp)
@@ -306,7 +342,7 @@ def per_subset_local_search(
                 ]
                 full[:-1][np.logical_not(allowed)] = np.inf
             mine = np.flatnonzero(state == s)
-            for p, costs in _evicted_sums(full, terms, mine, rows[mine]):
+            for p, costs in _evicted_sums(full, terms, mine, subsets[mine]):
                 swaps, bar = costs[:, :-1], keep_frac * costs[:, -1]
                 j = swaps.argmin(axis=1)
                 best = swaps[np.arange(len(j)), j]
@@ -328,7 +364,8 @@ def per_subset_local_search(
     answer[capped] = state[capped]
     for _ in capped:
         _warn_iteration_cap(handle, stacklevel=2)
-    return [states[i] for i in answer.tolist()]
+    used, which = np.unique(answer, return_inverse=True)
+    return Answers([states[i] for i in used.tolist()], which)
 
 
 @dataclass(frozen=True)
@@ -365,7 +402,7 @@ def _run_rounds(
     baseline: Callable[[], BaselineResult],
     build_cs: Callable[[RingPartition, np.random.Generator], object],
     objective: Callable[[tuple[PointId, ...]], tuple[float, tuple[PointId, ...]]],
-    enum_subsets: Callable[[object], Iterator[tuple[int, ...]]] | None = None,
+    enum_subsets: Callable[[object], np.ndarray] | None = None,
     independent: Callable[[list[PointId]], bool] | None = None,
 ) -> ReductionReport:
     """The one solve driver behind every solve entry point.
@@ -374,13 +411,14 @@ def _run_rounds(
     will read it (so an over-budget space is refused before the baseline
     runs; local search never reads it), then runs the baseline, the ring
     partition and the rounds.  Every subset of every round gets an answer,
-    and each distinct answer is rescored once per round with ``objective``;
-    both engines return sorted center tuples, so answers are compared as
-    returned.
+    and each distinct answer is rescored once per round with ``objective``,
+    in the order of the first subset that gets it; that subset, its padding
+    stripped, tags the candidate.
     ``build_cs`` may return any coreset flavor exposing ``union`` (a
     WeightedPointSet) and ``lossless``; ``enum_subsets`` receives it whole so
     variant-specific enumeration (per-color budgets) can see the provenance,
-    and defaults to every subset of at most m entries.
+    and returns the round's padded subset array; it defaults to every subset
+    of at most m entries.
     The configured outlier-free solver answers a round in one batched call:
     `per_subset_best_exact` over the candidate space for the exact solver,
     and `per_subset_local_search` over one cost block of the facilities for
@@ -412,33 +450,32 @@ def _run_rounds(
         cs = build_cs(rp, rng)
         union = cs.union
         pts, w = union.as_arrays()
-        subsets = list(enum_subsets(cs))
+        subsets = enum_subsets(cs)
+        if not isinstance(subsets, np.ndarray):  # the benchmark's tracer hands back row by row
+            subsets = np.stack(list(subsets))
         round_best: float | None = None
-        evaluated = 0
-        seen: set[tuple[PointId, ...]] = set()
 
         if solver.kind == "exact":
             answers = per_subset_best_exact(
                 inst.dist, pts, w, cands, inst.z, subsets, solver.enumeration_budget
             )
+            found = answers.centers
         else:
             D = _cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
-            found = per_subset_local_search(D, subsets, facs.k, solver, test)
-            ids = {c: tuple(facs.col_ids[i] for i in c) for c in set(found)}
-            answers = [ids[c] for c in found]
+            answers = per_subset_local_search(D, subsets, facs.k, solver, test)
+            found = [tuple(facs.col_ids[i] for i in c) for c in answers.centers]
 
-        for T, centers in zip(subsets, answers):
-            if centers in seen:
-                continue
-            seen.add(centers)
+        _, first = np.unique(answers.which, return_index=True)
+        for q in np.sort(first).tolist():
+            centers = found[answers.which[q]]
             cost, outliers = objective(centers)
-            evaluated += 1
             if round_best is None or cost < round_best:
                 round_best = cost
             if best is None or cost < best.cost:
-                tag = f"r{r}:T{','.join(map(str, T))}"
+                T = subsets[q]
+                tag = f"r{r}:T{','.join(map(str, T[T < len(union)].tolist()))}"
                 best = Solution(centers=centers, outliers=outliers, cost=cost, candidate_tag=tag)
-        total_eval += evaluated
+        total_eval += len(first)
         records.append(
             RoundRecord(
                 round=r,
@@ -446,7 +483,7 @@ def _run_rounds(
                 coreset_size=len(union),
                 coreset_lossless=cs.lossless,
                 best_cost=round_best,
-                evaluated=evaluated,
+                evaluated=len(first),
             )
         )
     eps = params.epsilon

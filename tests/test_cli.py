@@ -7,6 +7,7 @@ import json
 import pytest
 
 from trimclust import fileio
+from trimclust.bench import solver_from_dict
 from trimclust.cli import main
 
 
@@ -187,6 +188,20 @@ def test_solve_local_search_flags(tmp_path):
     assert json.loads(out.read_text())["best"]["cost"] >= 0
 
 
+@pytest.mark.parametrize("spec, kind", [
+    ({}, "exact"), ({"kind": "exact"}, "exact"),
+    ({"kind": "local-search"}, "local_search"), ({"kind": "local_search"}, "local_search"),
+])
+def test_solver_from_dict_kinds(spec, kind):
+    assert solver_from_dict(spec).kind == kind
+
+
+@pytest.mark.parametrize("kind", ["bogus", "Local-Search", "Exact"])
+def test_solver_from_dict_rejects_unknown_kind(kind):
+    with pytest.raises(ValueError, match=f"unknown solver kind '{kind}'"):
+        solver_from_dict({"kind": kind})
+
+
 # (verb, flags, what the one line must say).  Without a message the verb
 # runs on an unloadable instance: a nan coordinate, then a missing file.
 # With one, it runs on a good instance, given an invalid flag value.
@@ -238,6 +253,15 @@ BAD_INPUTS = [
     pytest.param(
         "experiment", ["--suite", {"seed": 1, "instances": [{"id": "a", "file": "nope.txt"}]}],
         "No such file", id="experiment-missing-instance-file",
+    ),
+    pytest.param(
+        "experiment", ["--suite", {"seed": 1, "solver": {"kind": "bogus"}, "instances": []}],
+        "unknown solver kind 'bogus'", id="experiment-solver-bogus",
+    ),
+    pytest.param(
+        "experiment",
+        ["--suite", {"seed": 1, "solver": {"kind": "Local-Search"}, "instances": []}],
+        "unknown solver kind 'Local-Search'", id="experiment-solver-Local-Search",
     ),
 ]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from trimclust import (
@@ -257,7 +258,8 @@ def test_dependent_candidate_is_a_named_error(rng, monkeypatch):
     inst, matroid = _matroid_instance(rng, 8, [[0, 1], [2, 3]], k=2, m=1)
     # columns 0 and 1 are the facilities of the first part, of capacity 1
     monkeypatch.setattr(
-        reduction, "per_subset_local_search", lambda D, subsets, *a: [(0, 1)] * len(subsets)
+        reduction, "per_subset_local_search",
+        lambda D, subsets, *a: reduction.Answers([(0, 1)], np.zeros(len(subsets), dtype=int)),
     )
     with pytest.raises(RuntimeError, match=r"candidate .* is not independent"):
         matroid_median_solve(

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from trimclust import (
 )
 from trimclust import extensions, reduction, solvers
 from trimclust.extensions import (
+    ColoredCoreset,
     ColorfulInstance,
     build_colored_coreset,
     colorful_matroid_solve,
@@ -39,13 +41,15 @@ from trimclust.extensions import (
     matroid_median_solve,
 )
 from trimclust.matroids import PartitionMatroid, matroid_bases
+from trimclust.metric import WeightedPointSet
 from trimclust.reduction import (
     CandidateSpace,
+    ReductionReport,
     per_subset_best_exact,
     per_subset_local_search,
 )
 from trimclust.solvers import SolverBudgetExceeded, solve_outlier_free
-from trimclust.bench import report_to_dict
+from trimclust.bench import report_to_dict, solution_to_dict
 from trimclust.rng import generator_for
 from conftest import line_instance, random_instance, shared_point_instance
 
@@ -70,11 +74,33 @@ def _coreset_for(inst, s, seed=1):
     return build_coreset(rp, practical(s, z=inst.z), generator_for(seed, 1, 0))
 
 
+def _tuples(rows, n):
+    """The subsets of a padded subset array as tuples, padding ``n`` stripped."""
+    return [tuple(row[row < n].tolist()) for row in rows]
+
+
+def _padded(subsets, n):
+    """Tuples as one padded subset array, the layout the enumerators return."""
+    rows = np.full((len(subsets), max(1, max(map(len, subsets)))), n, dtype=np.intp)
+    for i, T in enumerate(subsets):
+        rows[i, : len(T)] = T
+    return rows
+
+
+def _assert_stream_layout(rows, n, width):
+    """intp, ``width`` columns, each row increasing entries then padding ``n``."""
+    assert rows.dtype == np.intp and rows.shape[1] == width >= 1
+    assert ((rows >= 0) & (rows <= n)).all()
+    real = rows < n
+    assert (real[:, :-1] >= real[:, 1:]).all()  # the padding comes last
+    assert ((rows[:, 1:] > rows[:, :-1]) | ~real[:, 1:]).all()
+
+
 def test_enumeration_counts(rng):
     inst = random_instance(rng, 4, 2, k=1, m=2)
     cs = _coreset_for(inst, s=10)
     assert len(cs) == 4
-    subsets = list(enumerate_outlier_subsets(cs, 2))
+    subsets = _tuples(enumerate_outlier_subsets(cs, 2), 4)
     assert len(subsets) == 1 + 4 + 6
     assert subsets[0] == ()
     assert subsets[1:5] == [(0,), (1,), (2,), (3,)]
@@ -84,20 +110,60 @@ def test_enumeration_counts(rng):
 def test_enumeration_zero_outliers(rng):
     inst = random_instance(rng, 5, 2, k=1, m=0)
     cs = _coreset_for(inst, s=10)
-    assert list(enumerate_outlier_subsets(cs, 0)) == [()]
+    assert _tuples(enumerate_outlier_subsets(cs, 0), len(cs)) == [()]
 
 
 def test_enumeration_stable(rng):
     inst = random_instance(rng, 6, 2, k=1, m=2)
     cs = _coreset_for(inst, s=10)
-    assert list(enumerate_outlier_subsets(cs, 2)) == list(enumerate_outlier_subsets(cs, 2))
+    assert np.array_equal(enumerate_outlier_subsets(cs, 2), enumerate_outlier_subsets(cs, 2))
 
 
 def test_enumeration_rejects_m_over_entries(rng):
     inst = random_instance(rng, 3, 2, k=1, m=2)
     cs = _coreset_for(inst, s=10)
     with pytest.raises(ValueError):
-        list(enumerate_outlier_subsets(cs, 4))
+        enumerate_outlier_subsets(cs, 4)
+
+
+def _reference_colorful_subsets(ccs, budgets):
+    """The tuple generator the array stream replaced, kept as its reference."""
+    per_color_options = []
+    for t in range(1, len(budgets) + 1):
+        idx = tuple(i for i, c in enumerate(ccs.entry_colors) if c == t)
+        cap = min(budgets[t - 1], len(idx))
+        per_color_options.append([c for size in range(cap + 1) for c in combinations(idx, size)])
+    for chosen in product(*per_color_options):
+        yield tuple(sorted(chain.from_iterable(chosen)))
+
+
+@pytest.mark.parametrize("n_clients", [3, 6])
+def test_enumeration_matches_tuple_reference(rng, n_clients):
+    inst = random_instance(rng, n_clients, 2, k=1, m=1)
+    cs = _coreset_for(inst, s=10)
+    n = len(cs)
+    assert n == n_clients  # so m = 3 is every entry at n = 3
+    for m in range(4):
+        rows = enumerate_outlier_subsets(cs, m)
+        _assert_stream_layout(rows, n, max(1, m))
+        assert _tuples(rows, n) == _all_subsets(n, m), m
+
+
+@pytest.mark.parametrize("budgets", [
+    (2, 3, 1, 5),  # color 3 has no entry; color 4's budget exceeds its one entry
+    (0, 2, 0, 1),  # zero budgets
+    (0, 0, 0, 0),  # only the empty subset
+    (1, 1, 1, 1),
+])
+def test_colorful_enumeration_matches_tuple_reference(budgets):
+    colors = (2, 1, 2, 2, 1, 2, 4, 2)
+    ccs = ColoredCoreset(
+        per_color={}, union=WeightedPointSet.unit(range(len(colors))), entry_colors=colors
+    )
+    rows = enumerate_colorful_subsets(ccs, budgets)
+    want = list(_reference_colorful_subsets(ccs, budgets))
+    _assert_stream_layout(rows, len(colors), max(1, max(map(len, want))))
+    assert _tuples(rows, len(colors)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +373,25 @@ def _per_subset_generic(inst, pts, w, subsets, black_box, solver):
         yield bb(pts[mask], w[mask])
 
 
+def _expand(answers):
+    """Every subset's answer in subset order (an engine keeps each distinct one once)."""
+    assert len(set(answers.centers)) == len(answers.centers) == len(np.unique(answers.which))
+    return [answers.centers[i] for i in answers.which.tolist()]
+
+
 def test_batched_engine_matches_per_subset_calls(rng):
     # 1-D integer coordinates make both paths exact, hence identical
     for _ in range(5):
         inst = random_instance(rng, 12, 5, k=2, m=2, integer=True, dim=1)
         cs = _coreset_for(inst, s=4, seed=int(rng.integers(1 << 16)))
         pts, w = cs.union.as_arrays()
-        subsets = list(enumerate_outlier_subsets(cs, inst.m))
+        rows = enumerate_outlier_subsets(cs, inst.m)
         space = CandidateSpace.subsets(inst.facilities, inst.k)
-        batched = per_subset_best_exact(
-            inst.dist, pts, w, space, inst.z, subsets, budget=10**6
-        )
-        generic = list(
-            _per_subset_generic(inst, pts, w, subsets, None, SolverHandle.exact())
-        )
-        assert batched == generic
+        batched = per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows, budget=10**6)
+        generic = list(_per_subset_generic(
+            inst, pts, w, _tuples(rows, len(pts)), None, SolverHandle.exact()
+        ))
+        assert _expand(batched) == generic
 
 
 def _reference_best_exact(dist, points, weights, space, z, subsets):
@@ -362,7 +432,7 @@ def _with_twin_facilities(inst):
 def _plain_case(rng):
     inst = _with_twin_facilities(random_instance(rng, 16, 8, k=2, m=3, z=2.0))
     cs = _coreset_for(inst, s=3, seed=int(rng.integers(1 << 16)))
-    return inst, cs, list(enumerate_outlier_subsets(cs, 3)), CandidateSpace.subsets(
+    return inst, cs, enumerate_outlier_subsets(cs, 3), CandidateSpace.subsets(
         inst.facilities, inst.k
     )
 
@@ -375,10 +445,10 @@ def _colorful_case(rng):
     base = baseline_solve(build_augmented_instance(inst), exact_budget=3000)
     rp = ring_partition(inst, base.centers, tau=1.0)
     cs = build_colored_coreset(rp, cinst, practical(3), generator_for(int(rng.integers(99)), 1, 0))
-    subsets = list(enumerate_colorful_subsets(cs, cinst.budgets))
-    sizes = [len(T) for T in subsets]
+    rows = enumerate_colorful_subsets(cs, cinst.budgets)
+    sizes = [len(T) for T in _tuples(rows, len(cs.union))]
     assert sizes != sorted(sizes)  # the stream is not in size order
-    return inst, cs, subsets, CandidateSpace.subsets(inst.facilities, inst.k)
+    return inst, cs, rows, CandidateSpace.subsets(inst.facilities, inst.k)
 
 
 def _matroid_case(rng):
@@ -387,13 +457,13 @@ def _matroid_case(rng):
     matroid = PartitionMatroid([(fac[0:3], 1), (fac[3:6], 1), (fac[6:9], 1)])
     cs = _coreset_for(inst, s=3, seed=int(rng.integers(1 << 16)))
     space = CandidateSpace.from_center_sets(matroid_bases(matroid))
-    return inst, cs, list(enumerate_outlier_subsets(cs, 2)), space
+    return inst, cs, enumerate_outlier_subsets(cs, 2), space
 
 
 def _empty_case(rng):
     """Only the empty subset (m = 0): every row of the subset array is padding."""
     inst, cs, _, space = _plain_case(rng)
-    return inst, cs, [()], space
+    return inst, cs, _padded([()], len(cs.union)), space
 
 
 @pytest.mark.parametrize("case", [_plain_case, _colorful_case, _matroid_case, _empty_case])
@@ -402,14 +472,15 @@ def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
     monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 150)
     monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 20)
     for _ in range(4):
-        inst, cs, subsets, space = case(rng)
+        inst, cs, rows, space = case(rng)
         pts, _ = cs.union.as_arrays()
         # integer weights as a sampled coreset has, so evicted rows are scaled
         w = rng.integers(1, 6, size=len(pts)).astype(float)
         assert len(list(space.chunks(len(pts)))) > 2
+        subsets = _tuples(rows, len(pts))
         want = _reference_best_exact(inst.dist, pts, w, space, inst.z, subsets)
-        got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, subsets, 10**6)
-        assert got == want
+        got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows, 10**6)
+        assert _expand(got) == want
 
 
 def _grid_line(rng, step):
@@ -436,8 +507,8 @@ def _plane(rng):
 
 
 def _colorful_stream(rng):
-    inst, cs, subsets, _ = _colorful_case(rng)
-    return inst, cs.union.as_arrays()[0], subsets, None
+    inst, cs, rows, _ = _colorful_case(rng)
+    return inst, cs.union.as_arrays()[0], _tuples(rows, len(cs.union)), None
 
 
 def _one_spot(rng):
@@ -450,6 +521,13 @@ def _empty_stream(rng):
     """`_plane` with only the empty subset (m = 0): every row is padding."""
     inst, pts, _, _ = _plane(rng)
     return inst, pts, [()], None
+
+
+def _twin_facilities(rng):
+    """Twin facilities at 10 price the start's two best swaps alike: a
+    near-tie, so the kernel runs, on subsets shorter than the width too."""
+    inst = line_instance([10, 10, 10, 0], [0, 10, 10], k=1, m=2, z=float(rng.choice([1.0, 2.0])))
+    return inst, np.arange(4), _all_subsets(4, 2), None
 
 
 def _partition(inst, dealt):
@@ -479,20 +557,22 @@ def _grid_partition(rng):
 
 
 def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
-    # small blocks, so row blocks are crossed; every kernel run is counted
+    # small blocks, so row blocks are crossed; every kernel run is counted,
+    # with the number of rows it keeps
     monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 20)
     kernel, kernel_runs = reduction._local_search, []
     monkeypatch.setattr(
-        reduction, "_local_search", lambda *a, **kw: kernel_runs.append(1) or kernel(*a, **kw)
+        reduction, "_local_search",
+        lambda D, *a, **kw: kernel_runs.append(len(D)) or kernel(D, *a, **kw),
     )
     builders = [
         lambda rng: _grid_line(rng, 1.0), lambda rng: _grid_line(rng, 0.1),
         _plane, _colorful_stream, _one_spot, _plane_partition, _grid_partition,
-        _empty_stream,
+        _empty_stream, _twin_facilities,
     ]
-    answered = fallbacks = all_columns = all_evicted = capped = 0
+    answered = fallbacks = all_columns = all_evicted = capped = short_fallbacks = 0
     masked = matroid_fallbacks = matroid_capped = 0
-    for i in range(96):
+    for i in range(108):
         inst, pts, subsets, matroid = builders[i % len(builders)](rng)
         # integer weights as a sampled coreset has, so evicted rows are scaled
         w = rng.integers(1, 4, size=len(pts)).astype(float)
@@ -515,11 +595,15 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
         with warnings.catch_warnings(record=True) as new:
             warnings.simplefilter("always")
             D = solvers._cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
-            got = per_subset_local_search(D, subsets, facs.k, solver, test)
+            rows = _padded(subsets, len(pts))
+            got = _expand(per_subset_local_search(D, rows, facs.k, solver, test))
         assert [tuple(facs.col_ids[c] for c in cols) for cols in got] == want, i
         assert [str(x.message) for x in new] == [str(x.message) for x in old], i
         answered += len(subsets) - len(kernel_runs)
         fallbacks += len(kernel_runs)
+        # a kernel run keeping more rows than the widest subset leaves was
+        # given a row with padding
+        short_fallbacks += sum(kept > len(pts) - rows.shape[1] for kept in kernel_runs)
         all_columns += facs.k == len(facs.col_ids)
         all_evicted += max(map(len, subsets)) == len(pts)
         capped += len(old) > 0
@@ -533,10 +617,10 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
                 # decided a move
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    free = per_subset_local_search(D, subsets, facs.k, solver)
+                    free = _expand(per_subset_local_search(D, rows, facs.k, solver))
                 masked += got != free
     assert fallbacks and answered  # both paths were taken ...
-    assert all_columns and all_evicted and capped  # ... on every kind of input
+    assert all_columns and all_evicted and capped and short_fallbacks  # ... on every kind of input
     assert masked and matroid_fallbacks and matroid_capped  # ... under a matroid too
 
 
@@ -586,23 +670,29 @@ def test_benchmark_trace_hooks_resolve():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-def test_benchmark_trace_sees_every_layer(rng):
-    # each solve entry point must still call its layers through the wrapped
-    # module names, or a traced benchmark run loses their spans
-    tracing = _benchmark_tracing()
-    inst = random_instance(rng, 10, 6, k=2, m=1)
+def _four_solves(rng, solver, budgets=(1, 0), params=None):
+    """The four solve entry points on one instance of m = sum(budgets), and its matroid."""
+    inst = random_instance(rng, 10, 6, k=2, m=sum(budgets))
     fac = inst.facilities
     matroid = PartitionMatroid([(fac[:3], 1), (fac[3:], 1)])
     cinst = ColorfulInstance(
-        base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(1, 0)
+        base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=budgets
     )
-    params, solver, kw = lossless_params(inst), SolverHandle.exact(), dict(seed=1, rounds=1)
+    params, kw = params or lossless_params(inst), dict(seed=1, rounds=1)
     solves = [
         lambda: solve_with_outliers(inst, params, solver, **kw),
         lambda: colorful_solve(cinst, params, solver, **kw),
         lambda: matroid_median_solve(inst, matroid, params, solver, **kw),
         lambda: colorful_matroid_solve(cinst, matroid, params, solver, **kw),
     ]
+    return inst, matroid, solves
+
+
+def test_benchmark_trace_sees_every_layer(rng):
+    # each solve entry point must still call its layers through the wrapped
+    # module names, or a traced benchmark run loses their spans
+    tracing = _benchmark_tracing()
+    inst, matroid, solves = _four_solves(rng, SolverHandle.exact())
     tracer = tracing.Tracer()
     with tracer.installed(matroid):
         for sid, solve in enumerate(solves):
@@ -616,3 +706,27 @@ def test_benchmark_trace_sees_every_layer(rng):
             i for i, s in enumerate(tracer.spans) if s.name == "solve" and s.solve_id == sid
         )
         assert layers <= {s.name for s in tracer.spans if s.parent == root}, sid
+
+
+def _report_bytes(result):
+    rep = report_to_dict(result) if isinstance(result, ReductionReport) else None
+    return json.dumps(rep or solution_to_dict(result))
+
+
+@pytest.mark.parametrize("solver", [SolverHandle.exact(), SolverHandle.local_search()])
+def test_benchmark_trace_leaves_reports_unchanged(rng, solver):
+    # traced, every enumerator's stream reaches `_run_rounds` as an iterator of
+    # rows; the reports must not change by a byte
+    tracing = _benchmark_tracing()
+    _, matroid, solves = _four_solves(rng, solver, budgets=(2, 1), params=practical(3))
+
+    untraced = [_report_bytes(solve()) for solve in solves]
+    tracer, traced = tracing.Tracer(), []
+    with tracer.installed(matroid):
+        for sid, solve in enumerate(solves):
+            with tracer.span("solve", sid):
+                traced.append(_report_bytes(solve()))
+    assert traced == untraced
+    assert {s.func for s in tracer.spans} >= {
+        "enumerate_outlier_subsets", "enumerate_colorful_subsets"
+    }
