@@ -48,6 +48,7 @@ from .solvers import (
     solve_outlier_free,
 )
 from .reduction import (
+    CostOverflowError,
     ReductionReport,
     RoundRecord,
     default_rounds,

@@ -28,6 +28,17 @@ distinct answers once, with the index of every subset's answer (`Answers`),
 and `_run_rounds` rescores each distinct answer once, in the order of its
 first subset.
 
+Before the gather-sum both engines drop the columns that cannot be any
+subset's best (`_live_columns`).  A column's cost for T is its sum ``full``
+minus at most ``width`` nonnegative terms, so it is at least ``lb = full -
+top``, ``top`` the sum of its ``width`` largest terms, while no subset's best
+exceeds ``U``, the least finite ``full``.  A column with ``lb > U + margin``
+goes; the margin is ``_PRUNE_SLACK`` times the rounding bound of
+`_rounding_bound`, so rounding never turns a dropped column into a best.  A
+NaN ``lb`` keeps its column and a non-finite margin keeps them all, so
+overflowing input is answered as without the prune.  The answers are the
+same, bit for bit.
+
 * Exact (`per_subset_best_exact`): per chunk of candidate sets the terms are
   the weighted minima ``w * min_d``, and only the distinct winning candidates
   are unranked into center tuples.  Its answers are the per-subset ones
@@ -184,6 +195,51 @@ def _evicted_sums(
         yield pos[lo : lo + per], np.subtract(full, removed, out=removed)
 
 
+# a column is dropped only if its lower bound exceeds the best upper bound by
+# this many rounding bounds (`_rounding_bound`); in the local-search engine
+# that is 4 * tol, so every dropped swap is more than tol above every best
+_PRUNE_SLACK = 1024
+
+
+def _rounding_bound(block: np.ndarray) -> float:
+    """How far any float sum of at most ``n`` = ``len(block)`` entries of one
+    column of ``block``, each at most its row's largest, can lie from the
+    exact sum: ``(n + 1) * 2**-52 * sum_i max_j block[i, j]``.  ``inf`` or
+    NaN when the block holds either, or its row maxima overflow."""
+    return (len(block) + 1) * 2.0**-52 * float(block.max(axis=1, initial=0.0).sum())
+
+
+def _live_columns(full: np.ndarray, terms: np.ndarray, width: int, bound: float) -> np.ndarray:
+    """Indices of the columns that can still be some subset's best.
+
+    Column ``c`` costs subset T ``full[c] - (terms[T0, c] + terms[T1, c] +
+    ...)`` (see `_evicted_sums`), with nonnegative terms and at most
+    ``width`` real rows in T, so no cost of ``c`` is below ``lb[c] =
+    full[c] - top[c]``, where ``top[c]`` is the sum of the ``width`` largest
+    of its real-row terms (every row but the last, zero one).  No subset's
+    best is above ``U``, the least finite ``full``, since evicting rows never
+    raises a float cost.  A column with ``lb > U + _PRUNE_SLACK * bound`` is
+    strictly above every subset's best, even after rounding, so it is never
+    a best, nor a runner-up within the slack.  Only those are dropped: a NaN
+    ``lb`` keeps its column, a ``+inf`` ``full`` (a masked swap) drops it, an
+    ``inf`` or NaN ``bound`` keeps every column, and so does a ``full`` with
+    no finite entry.
+    """
+    finite = np.isfinite(full)
+    if not finite.any():
+        return np.arange(len(full))
+    real = terms[:-1]
+    rest = max(len(real) - width, 0)  # the rows below the top ``width``
+    top = np.partition(real, rest, axis=0)[rest:].sum(axis=0) if rest else real.sum(axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN bound, which keeps its column
+        lb = full - top
+    return np.flatnonzero(~(lb > full[finite].min() + _PRUNE_SLACK * bound))
+
+
+class CostOverflowError(ValueError):
+    """The float64 cost sums of the exact black box overflowed on finite input."""
+
+
 def per_subset_best_exact(
     dist: DistanceOracle,
     points: Sequence[PointId],
@@ -208,6 +264,15 @@ def per_subset_best_exact(
     picks the zero row, taken in row blocks of about ``_BLOCK_ELEMENTS``
     costs so memory stays bounded whatever the number of subsets.  Only the
     distinct winning candidates are unranked.
+
+    Per chunk, only the columns of `_live_columns` enter the gather-sum, in
+    a C-contiguous copy; the margin is ``_PRUNE_SLACK`` rounding bounds of
+    ``wm`` (`_rounding_bound`), which covers the rounding of ``full``, the
+    gather-sums and each column's ``top``.  A dropped column costs every
+    subset more than its chunk's best, so the first least cost of every
+    subset, ties included, is the one over all columns.  Distances are
+    finite, so a subset left with no finite cost means the cost sums
+    overflowed: CostOverflowError.
     """
     _refuse_over_budget(space, budget)
     if space.count == 0:
@@ -225,16 +290,24 @@ def per_subset_best_exact(
         full = w @ min_d
         wm = np.zeros((len(w) + 1, len(full)))
         np.multiply(w[:, None], min_d, out=wm[:-1])
-        for p, costs in _evicted_sums(full, wm, every, subsets):
-            j = costs.argmin(axis=1)
-            vals = costs[np.arange(len(j)), j]
+        live = _live_columns(full, wm, subsets.shape[1], _rounding_bound(wm[:-1]))
+        # a C-contiguous copy: the row gathers below read whole rows of it
+        wm_live = np.ascontiguousarray(wm[:, live])
+        for p, costs in _evicted_sums(full[live], wm_live, every, subsets):
+            jk = costs.argmin(axis=1)
+            vals = costs[np.arange(len(jk)), jk]
             better = vals < best_cost[p]
             best_cost[p[better]] = vals[better]
-            best_idx[p[better]] = offset + j[better]
+            best_idx[p[better]] = offset + live[jk[better]]
         offset += chunk.shape[0]
     winners, which = np.unique(best_idx, return_inverse=True)
     if len(winners) and winners[0] < 0:
-        raise ValueError("no candidate center set has a finite cost")
+        # the distance oracles accept only finite input, so only an overflow
+        # of the cost sums leaves a subset with no finite cost (or a NaN one)
+        raise CostOverflowError(
+            "the weighted cost sums overflow float64, so some evicted subset has "
+            "no finite cost; rescale the coordinates or distances"
+        )
     return Answers([space.centers_at(int(i)) for i in winners], which)
 
 
@@ -300,11 +373,18 @@ def per_subset_local_search(
     every row evicted, an all-zero block) gets the kernel itself, run on
     ``D[keep]`` from the cold start under the same test.  A subset still
     moving after ``handle.iteration_cap`` iterations warns as the kernel does.
+
+    Per state, only the swaps of `_live_columns` enter the gather-sum, under
+    a margin of ``4 * tol`` and after the ``+inf`` mask, so a dependent swap
+    is dropped whenever the margin is finite and some swap is allowed; the
+    current column, which sets the bar, is always kept.  A dropped swap is more than ``tol`` above every subset's best, so
+    it is neither the best nor a runner-up that could fail the runner-up
+    test, and every decision above is the same as over all swaps.
     """
     n_cols = D.shape[1]
     if k == n_cols:
         return Answers([tuple(range(n_cols))], np.zeros(len(subsets), dtype=np.intp))
-    bound = (len(D) + 1) * 2.0**-52 * float(D.max(axis=1, initial=0.0).sum())
+    bound = _rounding_bound(D)
     tol = 256 * bound
     keep_frac = 1.0 - handle.improvement_threshold
     states: list[tuple[int, ...]] = []
@@ -341,15 +421,21 @@ def per_subset_local_search(
                     independent(swapped(current, jj, outside)) for jj in range(len(full) - 1)
                 ]
                 full[:-1][np.logical_not(allowed)] = np.inf
+            # the swaps that can still be a best, then the current column
+            live = _live_columns(full[:-1], terms[:, :-1], subsets.shape[1], bound)
+            cols = np.append(live, len(full) - 1)
             mine = np.flatnonzero(state == s)
-            for p, costs in _evicted_sums(full, terms, mine, subsets[mine]):
+            for p, costs in _evicted_sums(
+                full[cols], np.ascontiguousarray(terms[:, cols]), mine, subsets[mine]
+            ):
                 swaps, bar = costs[:, :-1], keep_frac * costs[:, -1]
-                j = swaps.argmin(axis=1)
-                best = swaps[np.arange(len(j)), j]
-                if swaps.shape[1] > 1:
-                    runner_up = np.partition(swaps, 1, axis=1)[:, 1]
-                else:
-                    runner_up = np.full(len(j), np.inf)
+                jk = swaps.argmin(axis=1)
+                rows = np.arange(len(jk))
+                best = swaps[rows, jk]
+                # the second least swap, ties included: +inf over the least, then the least
+                swaps[rows, jk] = np.inf
+                runner_up = swaps.min(axis=1)
+                j = live[jk]
                 done = best > bar + tol
                 move = (best < bar - tol) & (runner_up > best + tol)
                 answer[p[done]] = s

@@ -16,6 +16,7 @@ import pytest
 
 from trimclust import (
     CoresetParams,
+    CostOverflowError,
     EuclideanOracle,
     SolverHandle,
     baseline_solve,
@@ -26,6 +27,8 @@ from trimclust import (
     evaluate_candidate,
     exact_kmedian,
     exact_outlier_oracle,
+    generate_planted,
+    PlantedConfig,
     ring_partition,
     solve_with_outliers,
     trimmed_cost,
@@ -379,8 +382,22 @@ def _expand(answers):
     return [answers.centers[i] for i in answers.which.tolist()]
 
 
-def test_batched_engine_matches_per_subset_calls(rng):
+def _count_live_columns(monkeypatch):
+    """Record ``(kept, offered)`` for every call of the column prune."""
+    prune, counts = reduction._live_columns, []
+
+    def spy(full, *args):
+        live = prune(full, *args)
+        counts.append((len(live), len(full)))
+        return live
+
+    monkeypatch.setattr(reduction, "_live_columns", spy)
+    return counts
+
+
+def test_batched_engine_matches_per_subset_calls(rng, monkeypatch):
     # 1-D integer coordinates make both paths exact, hence identical
+    pruned = _count_live_columns(monkeypatch)
     for _ in range(5):
         inst = random_instance(rng, 12, 5, k=2, m=2, integer=True, dim=1)
         cs = _coreset_for(inst, s=4, seed=int(rng.integers(1 << 16)))
@@ -392,6 +409,7 @@ def test_batched_engine_matches_per_subset_calls(rng):
             inst, pts, w, _tuples(rows, len(pts)), None, SolverHandle.exact()
         ))
         assert _expand(batched) == generic
+    assert sum(offered - kept for kept, offered in pruned) > 0  # the prune dropped columns
 
 
 def _reference_best_exact(dist, points, weights, space, z, subsets):
@@ -565,6 +583,7 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
         reduction, "_local_search",
         lambda D, *a, **kw: kernel_runs.append(len(D)) or kernel(D, *a, **kw),
     )
+    pruned = _count_live_columns(monkeypatch)
     builders = [
         lambda rng: _grid_line(rng, 1.0), lambda rng: _grid_line(rng, 0.1),
         _plane, _colorful_stream, _one_spot, _plane_partition, _grid_partition,
@@ -622,6 +641,103 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
     assert fallbacks and answered  # both paths were taken ...
     assert all_columns and all_evicted and capped and short_fallbacks  # ... on every kind of input
     assert masked and matroid_fallbacks and matroid_capped  # ... under a matroid too
+    assert sum(offered - kept for kept, offered in pruned) > 0  # the prune dropped swaps
+
+
+def test_live_columns_boundaries():
+    # three real rows and the zero row; each column's full is its sum, so
+    # with width 2 its lower bound lb is its least term, and U = 10
+    cols = {
+        "U": [0, 4, 6],  # full 10, the least finite full
+        "lb == U": [10, 10, 10],
+        "lb - U below the margin": [10.5, 20, 20],
+        "lb == U + margin": [11, 11, 11],
+        "beyond the margin": [11.5, 12, 12],
+        "NaN lb": [1, np.inf, np.inf],  # inf - inf
+        "masked": [1, 2, 3],  # full set to +inf below
+    }
+    terms = np.vstack([np.array(list(cols.values())).T, np.zeros(len(cols))])
+    full = terms[:-1].sum(axis=0)
+    full[list(cols).index("masked")] = np.inf
+    bound = 2.0**-10  # a margin of 1.0: the slack is 1024 rounding bounds
+    live = reduction._live_columns(full, terms, 2, bound)
+    assert [list(cols)[c] for c in live] == [
+        "U", "lb == U", "lb - U below the margin", "lb == U + margin", "NaN lb",
+    ]
+    # every subset evicted whole: every finite lb is 0
+    assert reduction._live_columns(full, terms, 3, bound).tolist() == [0, 1, 2, 3, 4, 5]
+    # no finite full: every column is kept
+    assert reduction._live_columns(np.full(7, np.inf), terms, 2, bound).tolist() == list(range(7))
+    # an unbounded margin (an overflowing block) keeps every column
+    assert len(reduction._live_columns(full, terms, 2, np.inf)) == 7
+
+
+def test_local_search_prune_keeps_the_current_column(monkeypatch):
+    # a cold start far from both clusters: offered with the swaps, the
+    # start's own column would be dropped
+    inst = line_instance([0, 1, 2, 100, 101, 102, 480], [500, 700, 0, 100], k=2, m=1)
+    facs = CandidateSpace.subsets(inst.facilities, inst.k)
+    D = solvers._cost_block(inst.dist, np.arange(7), np.ones(7), facs.col_ids, inst.z)
+    rows = _padded(_all_subsets(7, 1), 7)
+    seen, offered = [], []
+    swap_terms, evicted = reduction._swap_terms, reduction._evicted_sums
+    monkeypatch.setattr(
+        reduction, "_swap_terms", lambda *a: seen.append(swap_terms(*a)) or seen[-1]
+    )
+    monkeypatch.setattr(
+        reduction, "_evicted_sums",
+        lambda full, per_row, *a: offered.append((full, per_row)) or evicted(full, per_row, *a),
+    )
+    per_subset_local_search(D, rows, facs.k, SolverHandle.local_search())
+    assert len(seen) == len(offered) > 1
+    for (terms, _), (full, per_row) in zip(seen, offered):
+        np.testing.assert_array_equal(per_row[:, -1], terms[:, -1])
+        assert full[-1] == terms[:-1, -1].sum()
+    terms = seen[0][0]
+    current = terms.shape[1] - 1
+    assert current not in reduction._live_columns(
+        terms[:-1].sum(axis=0), terms, rows.shape[1], reduction._rounding_bound(D)
+    )
+
+
+def test_local_search_prune_drops_most_swaps(monkeypatch):
+    # the benchmark's local-search shape: about 44% of the swaps are kept
+    pruned = _count_live_columns(monkeypatch)
+    for seed in (6201, 6202):
+        inst, _ = generate_planted(PlantedConfig(
+            clusters=2, points_per_cluster=80, spread=1.0, outlier_count=2,
+            outlier_distance_factor=30.0, dimension=2, seed=seed,
+        ))
+        solve_with_outliers(inst, practical(10), SolverHandle.local_search(), seed=1, rounds=1)
+    kept, offered = map(sum, zip(*pruned))
+    assert kept < 0.6 * offered
+
+
+def _overflowing_instance(seed):
+    """14 points, one coordinate at 1e300: the squared distances to that
+    point overflow, so every cost sum that has it is inf."""
+    rng = np.random.default_rng(seed)
+    inst = shared_point_instance(rng, 14, k=2, m=2)
+    coords = inst.dist.coords.copy()
+    coords[int(rng.integers(14)), 0] = 1e300
+    return replace(inst, dist=EuclideanOracle(coords))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_cost_sums_raise_a_named_error(monkeypatch):
+    for seed in range(30):
+        inst = _overflowing_instance(seed)
+        exact_outlier_oracle(inst)  # trims before it sums, so it answers
+        # evicting the far point leaves inf - inf, for every candidate
+        with pytest.raises(CostOverflowError, match="overflow float64.*rescale"):
+            solve_with_outliers(inst, practical(4), SolverHandle.exact(), seed=seed, rounds=1)
+        solve = lambda: report_to_dict(solve_with_outliers(
+            inst, practical(4), SolverHandle.local_search(), seed=seed, rounds=1
+        ))
+        pruned = solve()
+        with monkeypatch.context() as m:
+            m.setattr(reduction, "_live_columns", lambda full, *a: np.arange(len(full)))
+            assert solve() == pruned, seed
 
 
 def test_theory_mode_pipeline(rng):
