@@ -114,28 +114,40 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--out", default=None)
 
     args = ap.parse_args(argv)
+    inst = None
     if "instance" in args:
         try:
             inst = fileio.load_instance(args.instance)
         except (OSError, ValueError) as exc:
             print(f"cannot load instance {args.instance}: {exc}", file=sys.stderr)
             return 2
+    try:
+        return _run(ap, args, inst)
+    except OSError as exc:  # each verb reports its own unreadable input: this is --out
+        print(f"{args.verb} failed: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(ap: argparse.ArgumentParser, args: argparse.Namespace, inst) -> int:
     if args.verb == "generate":
-        cfg = PlantedConfig(
-            clusters=args.clusters,
-            points_per_cluster=args.points_per_cluster,
-            spread=args.spread,
-            outlier_count=args.outliers,
-            outlier_distance_factor=args.outlier_distance_factor,
-            dimension=args.dimension,
-            seed=args.seed,
-            k=args.k,
-            m=args.m,
-            z=args.z,
-            facility_fraction=args.facility_fraction,
-        )
-        inst, _ = generate_planted(cfg)
+        try:
+            cfg = PlantedConfig(
+                clusters=args.clusters,
+                points_per_cluster=args.points_per_cluster,
+                spread=args.spread,
+                outlier_count=args.outliers,
+                outlier_distance_factor=args.outlier_distance_factor,
+                dimension=args.dimension,
+                seed=args.seed,
+                k=args.k,
+                m=args.m,
+                z=args.z,
+                facility_fraction=args.facility_fraction,
+            )
+            inst, _ = generate_planted(cfg)
+        except ValueError as exc:
+            print(f"generate failed: {exc}", file=sys.stderr)
+            return 2
         fileio.save_instance(inst, args.out)
         return 0
 
@@ -197,12 +209,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.verb == "coreset-dump":
         try:
             params = _params_for(args, inst.z)
+            rng = generator_for(args.seed, TAG_ROUND, 0)
         except ValueError as exc:
             print(f"coreset-dump failed: {exc}", file=sys.stderr)
             return 2
         base = baseline_solve(build_augmented_instance(inst))
         rp = ring_partition(inst, base.centers, params.tau)
-        cs = build_coreset(rp, params, generator_for(args.seed, TAG_ROUND, 0))
+        cs = build_coreset(rp, params, rng)
         fileio.save_coreset(
             cs, args.out,
             seed=args.seed, R=rp.R, phi=rp.phi, tau=params.tau, baseline=rp.baseline,

@@ -71,8 +71,8 @@ class CoresetParams:
             raise ValueError("epsilon must be in (0, 1)")
         if not 0 < self.lam < 1:
             raise ValueError("lam must be in (0, 1)")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
+        if not 1 <= self.tau < math.inf:
+            raise ValueError("tau must be >= 1 and finite")
         if self.mode not in ("theory", "practical"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "practical":
@@ -96,20 +96,6 @@ class CoresetParams:
         if self.z > 1:
             base *= 2.0 ** (self.c_prime * self.z)
         return max(1, math.ceil(base))
-
-    def xi(self) -> float:
-        """Per-ring deviation parameter fed to the concentration bound."""
-        if self.z == 1:
-            return self.epsilon / (8.0 * self.tau)
-        return self.epsilon / (2.0 ** (self.c_prime * self.z) * self.tau)
-
-    def lambda_prime(self, n: int, k: int, m: int, phi: int) -> float:
-        """Per-ring failure budget after the union bound over rings and center sets."""
-        return n ** (-float(k)) * self.lam / (4.0 * (k + m) * (1 + phi))
-
-    def s_prime(self, q: int, lambda_prime: float) -> int:
-        """Sample size the concentration bound needs for outlier counts up to q."""
-        return math.ceil(4.0 / self.xi() ** 2 * (q + math.log(2.0 / lambda_prime)))
 
 
 @dataclass(frozen=True)
@@ -190,8 +176,8 @@ def ring_partition(inst: MetricInstance, A: Sequence[PointId], tau: float) -> Ri
     """
     if len(A) == 0:
         raise ValueError("baseline center set must be nonempty")
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    if not 1 <= tau < math.inf:
+        raise ValueError("tau must be >= 1 and finite")
     A = tuple(int(a) for a in A)
     X = list(inst.clients)
     D = inst.dist.pairwise(X, A)

@@ -447,7 +447,7 @@ def _variant_oracle(
         for t in range(1, cinst.ell + 1):
             if cls := cinst.color_class(t):
                 groups.append((np.asarray([row[p] for p in cls]), cinst.budgets[t - 1]))
-    d = inst.power_distances(X, space.col_ids)
+    d = _cost_block(inst.dist, X, None, space.col_ids, inst.z)
     centers = space.centers_at(argmin_trimmed(d, space, groups))
     cost, outliers = _scorer(inst, cinst)(centers)
     return Solution(centers=centers, outliers=outliers, cost=cost, candidate_tag="oracle")

@@ -1,25 +1,25 @@
-"""Text formats for instances, colors, matroids, coresets, and JSON reports.
+"""Text formats for instances, coreset dumps, and JSON reports.
 
-Formats are versioned, diff-friendly, and canonical: loading a file and saving
-the result reproduces the file byte for byte (floats are written with
-``repr``, the shortest round-tripping form).
+Formats are versioned and diff-friendly.  The instance format is canonical:
+loading a file and saving the result reproduces it byte for byte (floats are
+written with ``repr``, the shortest round-tripping form).  A file that breaks
+the layout its headers declare is rejected with a ValueError naming the line.
+`coreset_to_text` writes a coreset dump, which `coreset_entries_from_text`
+parses.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .coreset import WeightedCoreset
-from .extensions import ColorfulInstance
-from .matroids import ExplicitMatroid, MatroidOracle, PartitionMatroid, UniformMatroid
 from .metric import EuclideanOracle, MatrixOracle, MetricInstance, PointId
 
 INSTANCE_MAGIC = "trimclust-instance v1"
-COLORS_MAGIC = "trimclust-colors v1"
-MATROID_MAGIC = "trimclust-matroid v1"
 CORESET_MAGIC = "trimclust-coreset v1"
 
 
@@ -29,6 +29,10 @@ def _fmt(x: float) -> str:
 
 def _ids(ids: Sequence[int]) -> str:
     return ",".join(str(int(i)) for i in ids)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(i) for i in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +79,32 @@ def save_instance(inst: MetricInstance, path) -> None:
         fh.write(instance_to_text(inst))
 
 
-def _header(lines: list[str], idx: int, key: str) -> str:
-    line = lines[idx]
-    prefix = key + "="
-    if not line.startswith(prefix):
-        raise ValueError(f"expected '{key}=...' on line {idx + 1}, got {line!r}")
-    return line[len(prefix):]
+@contextmanager
+def _on_line(idx: int):
+    """Name 1-based line ``idx + 1`` in any ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"line {idx + 1}: {exc}") from None
+
+
+def _header(lines: list[str], idx: int, key: str, parse: Callable[[str], Any] = str) -> Any:
+    with _on_line(idx):
+        line = lines[idx] if idx < len(lines) else None
+        prefix = key + "="
+        if line is None or not line.startswith(prefix):
+            got = "end of file" if line is None else repr(line)
+            raise ValueError(f"expected '{key}=...', got {got}")
+        return parse(line[len(prefix):])
+
+
+def _body(lines: list[str], start: int, rows: int, key: str) -> list[str]:
+    """The ``rows`` lines from ``start`` on, which must end the file."""
+    body = lines[start:]
+    if len(body) != rows:
+        line = start + min(len(body), rows) + 1
+        raise ValueError(f"line {line}: {key}={rows}, but the file has {len(body)} rows")
+    return body
 
 
 def instance_from_text(text: str) -> MetricInstance:
@@ -89,150 +113,52 @@ def instance_from_text(text: str) -> MetricInstance:
         raise ValueError(f"not a {INSTANCE_MAGIC} file")
     fmt = _header(lines, 1, "format")
     if fmt == "euclidean":
-        dim = int(_header(lines, 2, "dim"))
-        k = int(_header(lines, 3, "k"))
-        m = int(_header(lines, 4, "m"))
-        z = float(_header(lines, 5, "z"))
-        n = int(_header(lines, 6, "points"))
-        coords = np.zeros((n, dim))
-        clients, facilities = [], []
-        for row, line in enumerate(lines[7 : 7 + n]):
-            parts = line.split(",")
-            pid = int(parts[0])
-            if pid != row:
-                raise ValueError(f"point ids must be 0..n-1 in order, got {pid}")
-            role = parts[1]
-            coords[row] = [float(c) for c in parts[2 : 2 + dim]]
+        dim = _header(lines, 2, "dim", int)
+        k = _header(lines, 3, "k", int)
+        m = _header(lines, 4, "m", int)
+        z = _header(lines, 5, "z", float)
+        n = _header(lines, 6, "points", int)
+        rows, clients, facilities = [], [], []
+        for pid, line in enumerate(_body(lines, 7, n, "points")):
+            with _on_line(7 + pid):
+                parts = line.split(",")
+                if len(parts) != 2 + dim:
+                    raise ValueError(f"expected id,role and {dim} coordinates, got {line!r}")
+                if int(parts[0]) != pid:
+                    raise ValueError(f"point ids must be 0..n-1 in order, got {parts[0]}")
+                role = parts[1]
+                if role not in ("client", "facility", "both", "none"):
+                    raise ValueError(f"unknown role {role!r}")
+                rows.append([float(c) for c in parts[2:]])
             if role in ("client", "both"):
                 clients.append(pid)
             if role in ("facility", "both"):
                 facilities.append(pid)
-            if role not in ("client", "facility", "both", "none"):
-                raise ValueError(f"unknown role {role!r}")
+        coords = np.array(rows, dtype=float).reshape(n, dim)
         return MetricInstance(tuple(clients), tuple(facilities), EuclideanOracle(coords), k, m, z)
     if fmt == "matrix":
-        n = int(_header(lines, 2, "n"))
-        k = int(_header(lines, 3, "k"))
-        m = int(_header(lines, 4, "m"))
-        z = float(_header(lines, 5, "z"))
-        clients = tuple(int(i) for i in _header(lines, 6, "clients").split(","))
-        facilities = tuple(int(i) for i in _header(lines, 7, "facilities").split(","))
+        n = _header(lines, 2, "n", int)
+        k = _header(lines, 3, "k", int)
+        m = _header(lines, 4, "m", int)
+        z = _header(lines, 5, "z", float)
+        clients = _header(lines, 6, "clients", _int_list)
+        facilities = _header(lines, 7, "facilities", _int_list)
+        body = _body(lines, 8, n, "n")
         mat = np.zeros((n, n))
-        for i, line in enumerate(lines[8 : 8 + n]):
-            vals = [float(v) for v in line.split()]
-            if len(vals) != i + 1:
-                raise ValueError(f"matrix row {i} must have {i + 1} entries")
+        for i, line in enumerate(body):
+            with _on_line(8 + i):
+                vals = [float(v) for v in line.split()]
+                if len(vals) != i + 1:
+                    raise ValueError(f"matrix row {i} must have {i + 1} entries")
             mat[i, : i + 1] = vals
             mat[: i + 1, i] = vals
         return MetricInstance(clients, facilities, MatrixOracle(mat), k, m, z)
-    raise ValueError(f"unknown format {fmt!r}")
+    raise ValueError(f"line 2: unknown format {fmt!r}")
 
 
 def load_instance(path) -> MetricInstance:
     with open(path) as fh:
         return instance_from_text(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# colors
-# ---------------------------------------------------------------------------
-
-
-def colors_to_text(colors: dict[PointId, int], budgets: Sequence[int]) -> str:
-    lines = [COLORS_MAGIC, f"budgets={_ids(budgets)}"]
-    for p in sorted(colors):
-        lines.append(f"{p},{colors[p]}")
-    return "\n".join(lines) + "\n"
-
-
-def save_colors(cinst: ColorfulInstance, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(colors_to_text(cinst.colors, cinst.budgets))
-
-
-def colors_from_text(text: str) -> tuple[dict[PointId, int], tuple[int, ...]]:
-    lines = text.splitlines()
-    if not lines or lines[0] != COLORS_MAGIC:
-        raise ValueError(f"not a {COLORS_MAGIC} file")
-    budgets = tuple(int(b) for b in _header(lines, 1, "budgets").split(","))
-    colors: dict[PointId, int] = {}
-    for line in lines[2:]:
-        if not line:
-            continue
-        pid, col = line.split(",")
-        colors[int(pid)] = int(col)
-    return colors, budgets
-
-
-def load_colors(path) -> tuple[dict[PointId, int], tuple[int, ...]]:
-    with open(path) as fh:
-        return colors_from_text(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# matroids
-# ---------------------------------------------------------------------------
-
-
-def matroid_to_text(matroid: MatroidOracle) -> str:
-    lines = [MATROID_MAGIC]
-    if isinstance(matroid, UniformMatroid):
-        lines.append("kind=uniform")
-        lines.append(f"ground={_ids(matroid.ground_set)}")
-        lines.append(f"rank={matroid.rank}")
-    elif isinstance(matroid, PartitionMatroid):
-        lines.append("kind=partition")
-        for ids, cap in matroid.parts:
-            lines.append(f"part={cap}:{_ids(ids)}")
-    elif isinstance(matroid, ExplicitMatroid):
-        lines.append("kind=explicit")
-        lines.append(f"ground={_ids(matroid.ground_set)}")
-        for s in sorted(matroid._sets, key=lambda fs: (len(fs), sorted(fs))):
-            if s:
-                lines.append(f"set={_ids(sorted(s))}")
-    else:
-        raise TypeError(f"cannot serialize matroid of type {type(matroid).__name__}")
-    return "\n".join(lines) + "\n"
-
-
-def save_matroid(matroid: MatroidOracle, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(matroid_to_text(matroid))
-
-
-def matroid_from_text(text: str) -> MatroidOracle:
-    lines = text.splitlines()
-    if not lines or lines[0] != MATROID_MAGIC:
-        raise ValueError(f"not a {MATROID_MAGIC} file")
-    kind = _header(lines, 1, "kind")
-    if kind == "uniform":
-        ground = [int(i) for i in _header(lines, 2, "ground").split(",")]
-        rank = int(_header(lines, 3, "rank"))
-        return UniformMatroid(ground, rank)
-    if kind == "partition":
-        parts = []
-        for line in lines[2:]:
-            if not line:
-                continue
-            payload = _header([line], 0, "part")
-            cap, ids = payload.split(":")
-            parts.append(([int(i) for i in ids.split(",")], int(cap)))
-        return PartitionMatroid(parts)
-    if kind == "explicit":
-        ground = [int(i) for i in _header(lines, 2, "ground").split(",")]
-        sets = []
-        for line in lines[3:]:
-            if not line:
-                continue
-            payload = _header([line], 0, "set")
-            sets.append([int(i) for i in payload.split(",")])
-        return ExplicitMatroid(ground, sets)
-    raise ValueError(f"unknown matroid kind {kind!r}")
-
-
-def load_matroid(path) -> MatroidOracle:
-    with open(path) as fh:
-        return matroid_from_text(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -274,30 +200,14 @@ def coreset_entries_from_text(text: str) -> tuple[dict[str, str], list[tuple[int
     lines = text.splitlines()
     if not lines or lines[0] != CORESET_MAGIC:
         raise ValueError(f"not a {CORESET_MAGIC} file")
-    header: dict[str, str] = {}
-    idx = 1
-    for key in ("seed", "s", "R", "phi", "tau", "baseline", "entries"):
-        header[key] = _header(lines, idx, key)
-        idx += 1
+    keys = ("seed", "s", "R", "phi", "tau", "baseline", "entries")
+    header = {key: _header(lines, idx, key) for idx, key in enumerate(keys, start=1)}
     rows = []
-    for line in lines[idx:]:
-        if not line:
-            continue
-        i, j, pid, w = line.split(",")
-        rows.append((int(i), int(j), int(pid), int(w)))
+    for idx, line in enumerate(_body(lines, 8, _header(lines, 7, "entries", int), "entries"), 8):
+        with _on_line(idx):
+            i, j, pid, w = line.split(",")
+            rows.append((int(i), int(j), int(pid), int(w)))
     return header, rows
-
-
-def coreset_parts_to_text(
-    header: dict[str, str], rows: list[tuple[int, int, int, int]]
-) -> str:
-    """Re-serialize a parsed dump; round-trips `coreset_entries_from_text` exactly."""
-    lines = [CORESET_MAGIC]
-    for key in ("seed", "s", "R", "phi", "tau", "baseline", "entries"):
-        lines.append(f"{key}={header[key]}")
-    for i, j, pid, w in rows:
-        lines.append(f"{i},{j},{pid},{w}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

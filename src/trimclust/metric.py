@@ -156,11 +156,6 @@ class MetricInstance:
         """Instance size: number of distinct points in clients union facilities."""
         return len(set(self.clients) | set(self.facilities))
 
-    def power_distances(self, points: Sequence[PointId], centers: Sequence[PointId]) -> np.ndarray:
-        """Block of d(p, c)**z values."""
-        d = self.dist.pairwise(points, centers)
-        return d if self.z == 1.0 else d**self.z
-
 
 @dataclass(frozen=True)
 class WeightedPointSet:

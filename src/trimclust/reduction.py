@@ -377,9 +377,10 @@ def per_subset_local_search(
     Per state, only the swaps of `_live_columns` enter the gather-sum, under
     a margin of ``4 * tol`` and after the ``+inf`` mask, so a dependent swap
     is dropped whenever the margin is finite and some swap is allowed; the
-    current column, which sets the bar, is always kept.  A dropped swap is more than ``tol`` above every subset's best, so
-    it is neither the best nor a runner-up that could fail the runner-up
-    test, and every decision above is the same as over all swaps.
+    current column, which sets the bar, is always kept.  A dropped swap is
+    more than ``tol`` above every subset's best, so it is neither the best
+    nor a runner-up that could fail the runner-up test, and every decision
+    above is the same as over all swaps.
     """
     n_cols = D.shape[1]
     if k == n_cols:

@@ -202,9 +202,12 @@ def test_solver_from_dict_rejects_unknown_kind(kind):
         solver_from_dict({"kind": kind})
 
 
+GENERATE = ["--clusters", "2", "--points-per-cluster", "4", "--seed", "1"]
+
 # (verb, flags, what the one line must say).  Without a message the verb
 # runs on an unloadable instance: a nan coordinate, then a missing file.
-# With one, it runs on a good instance, given an invalid flag value.
+# With one, it runs on a good instance (unless the flags name another),
+# given an invalid flag value.
 BAD_INPUTS = [
     pytest.param("solve", ["--seed", "1"], None, id="solve"),
     pytest.param("oracle", [], None, id="oracle"),
@@ -226,6 +229,11 @@ BAD_INPUTS = [
         id="coreset-dump-no-s",
     ),
     pytest.param("check-rings", ["--tau", "0.5"], "tau must be >= 1", id="check-rings-tau-0.5"),
+    pytest.param("check-rings", ["--tau", "inf"], "tau must be >= 1", id="check-rings-tau-inf"),
+    pytest.param(
+        "solve", ["--s", "4", "--seed", "1", "--tau", "nan"], "tau must be >= 1",
+        id="solve-tau-nan",
+    ),
     pytest.param(
         "experiment", ["--suite", "OUT"], "No such file", id="experiment-missing-suite"
     ),
@@ -263,23 +271,54 @@ BAD_INPUTS = [
         ["--suite", {"seed": 1, "solver": {"kind": "Local-Search"}, "instances": []}],
         "unknown solver kind 'Local-Search'", id="experiment-solver-Local-Search",
     ),
+    pytest.param(
+        "generate", ["--clusters", "0", "--points-per-cluster", "4", "--seed", "1", "--out", "OUT"],
+        "need at least one cluster", id="generate-clusters-0",
+    ),
+    pytest.param(
+        "generate", GENERATE + ["--m", "99", "--out", "OUT"], "m must satisfy",
+        id="generate-m-99",
+    ),
+    pytest.param(
+        "generate", GENERATE + ["--out", "NODIR"], "No such file", id="generate-out-unwritable",
+    ),
+    pytest.param(
+        "solve", ["--s", "4", "--seed", "1", "--out", "NODIR"], "No such file",
+        id="solve-out-unwritable",
+    ),
+    pytest.param(
+        "coreset-dump", ["--s", "4", "--seed", "-1", "--out", "OUT"],
+        "expected non-negative integer", id="coreset-dump-seed--1",
+    ),
+    pytest.param(
+        "oracle", ["--instance", "trimclust-instance v1\nformat=euclidean\ndim=2\nk=1\nm=0\n"
+                   "z=1.0\npoints=9\n0,both,0.0,0.0\n1,both,3.0,0.0\n2,both,0.0,4.0\n"],
+        "line 11: points=9, but the file has 3 rows", id="oracle-points-9-rows-3",
+    ),
 ]
 
 
 def _arg(tmp_path, x):
-    """A command-line word; a dict is a suite, written to a file first."""
+    """A command-line word.
+
+    A dict (a suite) or a multi-line string (a file's text) is written to a
+    file first; OUT is a writable path and NODIR one in a missing directory.
+    """
     if isinstance(x, dict):
-        path = tmp_path / "suite.json"
-        path.write_text(json.dumps(x))
+        x = json.dumps(x) + "\n"
+    if "\n" in x:
+        path = tmp_path / "given.txt"
+        path.write_text(x)
         return str(path)
-    return str(tmp_path / "out.txt") if x == "OUT" else x
+    return {"OUT": str(tmp_path / "out.txt"), "NODIR": str(tmp_path / "no" / "out.txt")}.get(x, x)
 
 
 @pytest.mark.parametrize("verb, extra, message", BAD_INPUTS)
 def test_unloadable_instance_is_one_line_and_exit_2(tmp_path, capsys, verb, extra, message):
     extra = [_arg(tmp_path, x) for x in extra]
     if message is not None:
-        good = [] if verb == "experiment" else ["--instance", str(_generate(tmp_path))]
+        named = verb in ("experiment", "generate") or "--instance" in extra
+        good = [] if named else ["--instance", str(_generate(tmp_path))]
         assert main([verb] + good + extra) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err

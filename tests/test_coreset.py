@@ -356,17 +356,6 @@ def want_base(z):
     return 1.0 * 4.0 / 0.25 * (1 + 2 * math.log(100) + math.log(10))
 
 
-def test_derived_fields():
-    p = CoresetParams(epsilon=0.4, lam=0.2, tau=2.0, mode="practical", practical_s=5)
-    assert p.xi() == pytest.approx(0.4 / 16.0)
-    lp = p.lambda_prime(n=50, k=2, m=1, phi=6)
-    assert lp == pytest.approx(50**-2 * 0.2 / (4 * 3 * 7))
-    sp = p.s_prime(q=1, lambda_prime=lp)
-    assert sp == math.ceil(4 / p.xi() ** 2 * (1 + math.log(2 / lp)))
-    pz = CoresetParams(epsilon=0.4, lam=0.2, tau=2.0, mode="practical", practical_s=5, z=2.0)
-    assert pz.xi() == pytest.approx(0.4 / (2.0**18 * 2.0))
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         CoresetParams(epsilon=1.5, practical_s=5)

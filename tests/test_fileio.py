@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from trimclust import (
-    ColorfulInstance,
     CoresetParams,
-    ExplicitMatroid,
-    PartitionMatroid,
     PlantedConfig,
-    UniformMatroid,
     baseline_solve,
     build_augmented_instance,
     build_coreset,
@@ -56,6 +52,57 @@ def test_instance_rejects_garbage(tmp_path):
         fileio.load_instance(p)
 
 
+EUCLIDEAN = """trimclust-instance v1
+format=euclidean
+dim=2
+k=1
+m=0
+z=1.0
+points=3
+0,both,0.0,0.0
+1,both,3.0,0.0
+2,both,0.0,4.0
+"""
+MATRIX = """trimclust-instance v1
+format=matrix
+n=3
+k=1
+m=0
+z=1.0
+clients=0,1,2
+facilities=0,1,2
+0.0
+3.0 0.0
+4.0 5.0 0.0
+"""
+
+
+# (good file, its text to replace, the replacement, the line the error names)
+BROKEN_LAYOUTS = [
+    pytest.param(EUCLIDEAN, EUCLIDEAN, "trimclust-instance v1\n", 2, id="magic-line-only"),
+    pytest.param(EUCLIDEAN, "points=3", "points=9", 11, id="points-9-rows-3"),
+    pytest.param(EUCLIDEAN, "2,both,0.0,4.0\n", "", 10, id="row-missing"),
+    pytest.param(EUCLIDEAN, "0.0,4.0\n", "0.0,4.0\n\n", 11, id="trailing-blank-line"),
+    pytest.param(EUCLIDEAN, "2,both,0.0,4.0", "2,both,1.5", 10, id="coordinate-missing"),
+    pytest.param(EUCLIDEAN, "2,both,0.0,4.0", "2,both,0.0,4.0,7.0", 10, id="coordinate-extra"),
+    pytest.param(EUCLIDEAN, "2,both,0.0,4.0", "2", 10, id="role-missing"),
+    pytest.param(EUCLIDEAN, "2,both,0.0,4.0", "2,both,x,4.0", 10, id="coordinate-not-a-number"),
+    pytest.param(EUCLIDEAN, "k=1", "k=one", 4, id="k-not-a-number"),
+    pytest.param(MATRIX, "4.0 5.0 0.0\n", "", 11, id="matrix-row-missing"),
+    pytest.param(MATRIX, "4.0 5.0 0.0\n", "4.0 5.0 0.0\n0.0\n", 12, id="matrix-row-extra"),
+    pytest.param(MATRIX, "4.0 5.0 0.0", "4.0 5.0", 11, id="matrix-row-short"),
+]
+
+
+@pytest.mark.parametrize("good, old, new, line", BROKEN_LAYOUTS)
+def test_instance_rejects_broken_layout(good, old, new, line):
+    fileio.instance_from_text(good)
+    bad = good.replace(old, new, 1)
+    assert bad != good
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        fileio.instance_from_text(bad)
+
+
 def test_instance_rejects_nan_coordinate(tmp_path):
     inst, _ = generate_planted(
         PlantedConfig(
@@ -73,38 +120,6 @@ def test_instance_rejects_nan_coordinate(tmp_path):
         fileio.load_instance(p)
 
 
-def test_colors_round_trip(rng, tmp_path):
-    inst = random_instance(rng, 8, 3, k=1, m=2)
-    colors = {p: 1 + (p % 2) for p in inst.clients}
-    cinst = ColorfulInstance(base=inst, colors=colors, budgets=(1, 1))
-    p = tmp_path / "c.colors"
-    fileio.save_colors(cinst, p)
-    got_colors, got_budgets = fileio.load_colors(p)
-    assert got_colors == colors and got_budgets == (1, 1)
-    assert fileio.colors_to_text(got_colors, got_budgets) == p.read_text()
-
-
-@pytest.mark.parametrize(
-    "matroid",
-    [
-        UniformMatroid(range(5), 2),
-        PartitionMatroid([((0, 1, 2), 1), ((3, 4), 2)]),
-        ExplicitMatroid(range(3), [[0, 1], [1, 2], [0, 2]]),
-    ],
-)
-def test_matroid_round_trip(matroid, tmp_path):
-    p = tmp_path / "m.matroid"
-    fileio.save_matroid(matroid, p)
-    again = fileio.load_matroid(p)
-    assert fileio.matroid_to_text(again) == p.read_text()
-    assert again.ground_set == matroid.ground_set and again.rank == matroid.rank
-    from itertools import combinations
-
-    for r in range(len(matroid.ground_set) + 1):
-        for s in combinations(matroid.ground_set, r):
-            assert again.is_independent(s) == matroid.is_independent(s)
-
-
 def test_coreset_dump_round_trip(rng, tmp_path):
     inst = random_instance(rng, 30, 4, k=2, m=1)
     params = CoresetParams(mode="practical", practical_s=4)
@@ -114,9 +129,23 @@ def test_coreset_dump_round_trip(rng, tmp_path):
     p = tmp_path / "c.coreset"
     fileio.save_coreset(cs, p, seed=5, R=rp.R, phi=rp.phi, tau=params.tau, baseline=rp.baseline)
     header, rows = fileio.coreset_entries_from_text(p.read_text())
-    assert int(header["entries"]) == len(rows) == len(cs.union)
+    assert rows == [
+        (i, j, pid, w)
+        for (i, j), pid, w in zip(cs.entry_rings, cs.union.points, cs.union.weights)
+    ]
+    assert int(header["seed"]) == 5 and int(header["s"]) == cs.sample_size
     assert float(header["R"]) == rp.R and int(header["phi"]) == rp.phi
-    assert fileio.coreset_parts_to_text(header, rows) == p.read_text()  # byte round trip
+    assert float(header["tau"]) == params.tau
+    assert tuple(int(b) for b in header["baseline"].split(",")) == tuple(rp.baseline)
+    assert int(header["entries"]) == len(cs.union)
+    # a dump that breaks its declared layout is rejected, naming the line
+    text = p.read_text()
+    for bad, line in (
+        (text.replace(f"entries={len(rows)}\n", f"entries={len(rows) + 1}\n"), 9 + len(rows)),
+        (text[: text.rindex(",")] + "\n", 8 + len(rows)),  # last row loses its weight
+    ):
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            fileio.coreset_entries_from_text(bad)
     # weight conservation survives the dump
     by_ring: dict[tuple[int, int], int] = {}
     for i, j, pid, w in rows:
