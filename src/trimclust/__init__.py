@@ -20,6 +20,7 @@ from .metric import (
     farthest_points,
     set_distance,
     trimmed_cost,
+    trimmed_score,
     trimmed_sum,
     weighted_trimmed_cost,
 )

@@ -33,7 +33,6 @@ from .metric import (
     diameter,
     set_distance,
     trimmed_cost,
-    trimmed_sum,
 )
 from .solvers import (
     CandidateSpace,
@@ -184,7 +183,7 @@ def ring_partition(inst: MetricInstance, A: Sequence[PointId], tau: float) -> Ri
     assign = D.argmin(axis=1)  # first occurrence = lowest center index
     dists = D[np.arange(len(X)), assign]
     powered = dists if inst.z == 1.0 else dists**inst.z
-    delta0 = trimmed_sum(powered.tolist(), 0)
+    delta0 = math.fsum(powered.tolist())
 
     n_x = len(X)
     phi = max(0, math.ceil(math.log2(tau * n_x)))
@@ -251,15 +250,12 @@ def verify_ring_bounds(rp: RingPartition, inst: MetricInstance) -> RingBoundRepo
     every input; the report exists to exercise them.
     """
     z = rp.z
-    radius_sum = trimmed_sum(
-        (len(pts) * (2.0**j * rp.R) ** z for (i, j), pts in rp.rings.items()), 0
+    radius_sum = math.fsum(
+        len(pts) * (2.0**j * rp.R) ** z for (i, j), pts in rp.rings.items()
     )
-    diameter_sum = trimmed_sum(
-        (
-            len(pts) * (diameter(inst.dist, pts) ** z if len(pts) > 1 else 0.0)
-            for pts in rp.rings.values()
-        ),
-        0,
+    diameter_sum = math.fsum(
+        len(pts) * (diameter(inst.dist, pts) ** z if len(pts) > 1 else 0.0)
+        for pts in rp.rings.values()
     )
     factor = 1.0 + 2.0**z
     radius_bound = factor * rp.delta0

@@ -3,9 +3,12 @@ budgets, matroid-constrained centers, and their combination.
 
 All variants share the round driver from `reduction`; they differ in how the
 coreset is grouped (per color), which center sets are candidates (matroid
-bases instead of all k-subsets), and how candidates are scored (per-color
-trimming).  Each solve has an exhaustive oracle counterpart for testing, the
-plain outlier problem's (`exact_outlier_oracle`) included.
+bases instead of all k-subsets), and how candidates are trimmed.  Every
+candidate, in a solve or an oracle, is scored by one `metric.trimmed_score`
+call through `reduction.evaluate_candidate`, under a colorful instance's
+``groups`` (a budget per color class) or by evicting the m farthest clients.
+Each solve has an exhaustive oracle counterpart for testing, the plain
+outlier problem's (`exact_outlier_oracle`) included.
 
 Under a matroid, the local-search black box (the lockstep engine of
 `reduction.per_subset_local_search`) and the heuristic baseline run the one
@@ -16,7 +19,7 @@ the centers independent; no approximation factor is claimed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -37,10 +40,10 @@ from .metric import (
     PointId,
     Solution,
     WeightedPointSet,
-    farthest_points,
+    farthest_points,  # noqa: F401  (the benchmark's tracer wraps it here by name)
     trimmed_cost,
 )
-from .reduction import _run_rounds, _up_to, per_subset_best_exact
+from .reduction import _run_rounds, _up_to, evaluate_candidate, per_subset_best_exact
 from .matroids import (
     MatroidOracle,
     direct_sum_matroid,
@@ -64,11 +67,18 @@ from .solvers import (
 
 @dataclass(frozen=True)
 class ColorfulInstance:
-    """Clients carry colors 1..ell; color t may lose at most budgets[t-1] points."""
+    """Clients carry colors 1..ell; color t may lose at most budgets[t-1] points.
+
+    ``classes[t - 1]`` holds the clients of color t in client order, and
+    ``groups`` one `trimmed_score` group ``(rows of base.clients, budget)``
+    per nonempty class, in color order; both are built once, here.
+    """
 
     base: MetricInstance
     colors: dict[PointId, int]
     budgets: tuple[int, ...]
+    classes: tuple[tuple[PointId, ...], ...] = field(init=False, repr=False, compare=False)
+    groups: tuple[tuple[np.ndarray, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
@@ -77,43 +87,32 @@ class ColorfulInstance:
             raise ValueError("need at least one color class")
         if set(self.colors) != set(self.base.clients):
             raise ValueError("colors must cover exactly the clients")
-        for p, t in self.colors.items():
-            if not 1 <= t <= ell:
-                raise ValueError(f"client {p} has color {t} outside 1..{ell}")
+        rows: list[list[int]] = [[] for _ in range(ell)]
+        for i, p in enumerate(self.base.clients):
+            t = self.colors[p]
+            if not isinstance(t, (int, np.integer)) or not 1 <= t <= ell:
+                raise ValueError(f"client {p} has color {t!r}, not an integer in 1..{ell}")
+            rows[t - 1].append(i)
         if sum(self.budgets) != self.base.m:
             raise ValueError("color budgets must sum to the instance's m")
-        for t in range(1, ell + 1):
-            if self.budgets[t - 1] > len(self.color_class(t)):
+        for t, (r, budget) in enumerate(zip(rows, self.budgets), start=1):
+            if budget > len(r):
                 raise ValueError(f"budget of color {t} exceeds its class size")
-
-    @property
-    def ell(self) -> int:
-        return len(self.budgets)
-
-    def color_class(self, t: int) -> tuple[PointId, ...]:
-        return tuple(p for p in self.base.clients if self.colors[p] == t)
+        clients = self.base.clients
+        object.__setattr__(self, "classes", tuple(tuple(clients[i] for i in r) for r in rows))
+        object.__setattr__(self, "groups", tuple(
+            (np.asarray(r, dtype=np.intp), budget) for r, budget in zip(rows, self.budgets) if r
+        ))
 
 
 def colorful_cost(cinst: ColorfulInstance, C: Sequence[PointId]) -> float:
     """Sum over colors of the per-color trimmed cost."""
-    inst = cinst.base
-    per_color = [
-        trimmed_cost(inst.dist, cinst.color_class(t), C, cinst.budgets[t - 1], inst.z)
-        for t in range(1, cinst.ell + 1)
-        if cinst.color_class(t)
-    ]
-    return math.fsum(per_color)
+    return evaluate_candidate(C, cinst.base, cinst.groups)[0]
 
 
 def colorful_outliers(cinst: ColorfulInstance, C: Sequence[PointId]) -> tuple[PointId, ...]:
     """Per-color farthest clients, concatenated in color order."""
-    inst = cinst.base
-    out: list[PointId] = []
-    for t in range(1, cinst.ell + 1):
-        cls = cinst.color_class(t)
-        if cls:
-            out.extend(farthest_points(inst.dist, cls, C, cinst.budgets[t - 1], inst.z))
-    return tuple(out)
+    return evaluate_candidate(C, cinst.base, cinst.groups)[1]
 
 
 @dataclass(frozen=True)
@@ -150,11 +149,10 @@ def build_colored_coreset(
     pts: list[PointId] = []
     w: list[int] = []
     colors: list[int] = []
-    for t in range(1, cinst.ell + 1):
-        cls = frozenset(cinst.color_class(t))
+    for t, cls in enumerate(cinst.classes, start=1):
         if not cls:
             continue
-        cs = build_coreset(_restrict_rings(rp, cls), params, rng)
+        cs = build_coreset(_restrict_rings(rp, frozenset(cls)), params, rng)
         per_color[t] = cs
         pts.extend(cs.union.points)
         w.extend(cs.union.weights)
@@ -357,16 +355,6 @@ def _candidates(
     return CandidateSpace.from_center_sets(matroid_bases(matroid, budget))
 
 
-def _scorer(inst: MetricInstance, cinst: ColorfulInstance | None):
-    """Cost and outliers of a center set: farthest-m or per-color trimming."""
-    if cinst is None:
-        return lambda C: (
-            trimmed_cost(inst.dist, inst.clients, C, inst.m, inst.z),
-            farthest_points(inst.dist, inst.clients, C, inst.m, inst.z),
-        )
-    return lambda C: (colorful_cost(cinst, C), colorful_outliers(cinst, C))
-
-
 def _solve_variant(
     inst: MetricInstance,
     cinst: ColorfulInstance | None,
@@ -398,21 +386,14 @@ def _solve_variant(
     else:
         build_cs = lambda rp, rng: build_colored_coreset(rp, cinst, params, rng)
         enum_subsets = lambda ccs: enumerate_colorful_subsets(ccs, cinst.budgets)
-    score = _scorer(inst, cinst)
-
-    def objective(C):
-        if matroid is not None and not matroid.is_independent(C):
-            raise RuntimeError(f"candidate {C} is not independent in the matroid")
-        return score(C)
-
     return _run_rounds(
         inst, params, solver, seed=seed, rounds=rounds,
         space=lambda: _candidates(inst, matroid, solver.enumeration_budget),
         baseline=baseline,
         build_cs=build_cs,
-        objective=objective,
         enum_subsets=enum_subsets,
         independent=independent,
+        groups=None if cinst is None else cinst.groups,
     ).best
 
 
@@ -438,16 +419,8 @@ def _variant_oracle(
     if matroid is not None:
         _check_matroid_instance(inst, matroid)
     space = _refuse_over_budget(_candidates(inst, matroid, budget), budget)
-    X = list(inst.clients)
-    if cinst is None:
-        groups = [(slice(None), inst.m)]
-    else:
-        row = {p: i for i, p in enumerate(X)}
-        groups = []
-        for t in range(1, cinst.ell + 1):
-            if cls := cinst.color_class(t):
-                groups.append((np.asarray([row[p] for p in cls]), cinst.budgets[t - 1]))
-    d = _cost_block(inst.dist, X, None, space.col_ids, inst.z)
+    groups = [(slice(None), inst.m)] if cinst is None else cinst.groups
+    d = _cost_block(inst.dist, inst.clients, None, space.col_ids, inst.z)
     centers = space.centers_at(argmin_trimmed(d, space, groups))
-    cost, outliers = _scorer(inst, cinst)(centers)
+    cost, outliers = evaluate_candidate(centers, inst, groups)
     return Solution(centers=centers, outliers=outliers, cost=cost, candidate_tag="oracle")

@@ -114,6 +114,8 @@ def instance_from_text(text: str) -> MetricInstance:
     fmt = _header(lines, 1, "format")
     if fmt == "euclidean":
         dim = _header(lines, 2, "dim", int)
+        if dim < 1:
+            raise ValueError(f"line 3: dim must be at least 1, got {dim}")
         k = _header(lines, 3, "k", int)
         m = _header(lines, 4, "m", int)
         z = _header(lines, 5, "z", float)

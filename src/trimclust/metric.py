@@ -8,7 +8,9 @@ is simply the same id appearing in both lists).
 Costs are powered distances ``d(p, C)**z`` with ``z >= 1`` (``z=1`` is the
 median objective, ``z=2`` the means objective).  The trimmed variants drop the
 largest values, which is exactly what declaring points as outliers does once a
-center set is fixed.
+center set is fixed.  Every trimming of the original clients, whether of the m
+farthest or of a budget per color, is one call of `trimmed_score`: one
+distance block per center set, the cost and the evicted clients together.
 
 All cost aggregation uses ``math.fsum`` so a sum depends only on the multiset
 of values, not on accumulation order.  That makes equalities such as
@@ -237,6 +239,39 @@ def _min_power_dists(
     return d if z == 1.0 else d**z
 
 
+def trimmed_score(
+    dist: DistanceOracle,
+    X: Sequence[PointId],
+    C: Sequence[PointId],
+    groups: Sequence[tuple[np.ndarray | slice, int]],
+    z: float = 1.0,
+) -> tuple[float, tuple[PointId, ...]]:
+    """Trimmed cost of C over X and the evicted clients, from one distance block.
+
+    Each group ``(rows, drop)`` (``rows`` index X, ``slice(None)`` for all of
+    X; the groups of `solvers.argmin_trimmed`) evicts its ``drop`` rows
+    farthest from C: larger powered distance first, then larger PointId (so
+    among tied distances the lower id stays clustered).  The cost is the
+    ``math.fsum`` of each group's ``math.fsum`` over its kept rows, so with
+    one group it is that group's sum bit for bit.  The outliers come group by
+    group, each ordered by (powered distance descending, PointId ascending).
+    """
+    if len(C) == 0:
+        raise ValueError("center set must be nonempty")
+    vals = _min_power_dists(dist, X, C, z)
+    ids = np.asarray(X, dtype=np.intp)
+    sums, outliers = [], []
+    for rows, drop in groups:
+        v, p = vals[rows], ids[rows]
+        if not 0 <= drop <= len(v):
+            raise ValueError(f"drop={drop} out of range for {len(v)} clients")
+        evict = np.lexsort((-p, -v))[:drop] if drop else np.empty(0, dtype=np.intp)
+        evict = evict[np.lexsort((p[evict], -v[evict]))]
+        outliers.extend(p[evict].tolist())
+        sums.append(math.fsum(np.delete(v, evict).tolist()))
+    return math.fsum(sums), tuple(outliers)
+
+
 def trimmed_cost(
     dist: DistanceOracle,
     X: Sequence[PointId],
@@ -249,12 +284,7 @@ def trimmed_cost(
     Equals the minimum, over all ways to evict ``drop`` points, of the powered
     assignment cost of the remainder.
     """
-    if len(C) == 0:
-        raise ValueError("center set must be nonempty")
-    if not 0 <= drop <= len(X):
-        raise ValueError(f"drop={drop} out of range for {len(X)} clients")
-    vals = _min_power_dists(dist, X, C, z)
-    return trimmed_sum(vals.tolist(), drop)
+    return trimmed_score(dist, X, C, [(slice(None), drop)], z)[0]
 
 
 def weighted_trimmed_cost(
@@ -291,21 +321,12 @@ def farthest_points(
 ) -> tuple[PointId, ...]:
     """The ``count`` clients farthest from C, i.e. the canonical outlier set.
 
-    Eviction prefers larger powered distance, then larger PointId (so among
-    tied distances the lower id stays clustered).  The returned tuple is
-    ordered by (powered distance descending, PointId ascending).
+    Chosen and ordered as by `trimmed_score`: ties go out by larger PointId,
+    and the tuple runs by (powered distance descending, PointId ascending).
     """
-    if len(C) == 0:
-        raise ValueError("center set must be nonempty")
     if not 0 <= count <= len(X):
         raise ValueError(f"count={count} out of range for {len(X)} clients")
-    if count == 0:
-        return ()
-    vals = _min_power_dists(dist, X, C, z)
-    ids = [int(p) for p in X]
-    evict = sorted(range(len(ids)), key=lambda i: (-vals[i], -ids[i]))[:count]
-    evict.sort(key=lambda i: (-vals[i], ids[i]))
-    return tuple(ids[i] for i in evict)
+    return trimmed_score(dist, X, C, [(slice(None), count)], z)[1]
 
 
 def diameter(dist: DistanceOracle, S: Sequence[PointId]) -> float:

@@ -6,13 +6,13 @@ the original instance.
 `extensions`.  It checks the arguments, builds the candidate space (exact
 black box only), runs the baseline and the ring partition, and then the
 rounds; the entry points only choose its pieces: the baseline, the coreset
-flavor, the subset stream, the candidate space, the black box and the
-objective.
+flavor, the subset stream, the candidate space, the black box, the
+independence test and the trimming groups (one per color).
 
 Candidate selection always re-evaluates centers on the full original instance
-(cheap), never on coreset costs, so sampling noise can degrade quality but
-never soundness: the returned solution is feasible and its cost is the true
-trimmed cost of its centers.
+(`evaluate_candidate`, one `trimmed_score` call), never on coreset costs, so
+sampling noise can degrade quality but never soundness: the returned solution
+is feasible and its cost is the true trimmed cost of its centers.
 
 Both outlier-free black boxes answer a round in one batched pass, because a
 row's cost terms do not depend on which other rows are evicted: the cost of
@@ -76,8 +76,7 @@ from .metric import (
     MetricInstance,
     PointId,
     Solution,
-    farthest_points,
-    trimmed_cost,
+    trimmed_score,
 )
 from .rng import TAG_ROUND, generator_for
 from .solvers import (
@@ -148,12 +147,17 @@ def enumerate_outlier_subsets(cs: WeightedCoreset, m: int) -> np.ndarray:
 
 
 def evaluate_candidate(
-    C: Sequence[PointId], inst: MetricInstance
+    C: Sequence[PointId],
+    inst: MetricInstance,
+    groups: Sequence[tuple[np.ndarray | slice, int]] | None = None,
 ) -> tuple[float, tuple[PointId, ...]]:
-    """Trimmed cost of C on the original instance and the evicted clients."""
-    cost = trimmed_cost(inst.dist, inst.clients, C, inst.m, inst.z)
-    outliers = farthest_points(inst.dist, inst.clients, C, inst.m, inst.z)
-    return cost, outliers
+    """Trimmed cost of C on the original instance and the evicted clients.
+
+    ``groups`` are `trimmed_score`'s over ``inst.clients`` (a colorful
+    instance's ``groups``); ``None`` evicts the ``inst.m`` farthest clients.
+    """
+    groups = [(slice(None), inst.m)] if groups is None else groups
+    return trimmed_score(inst.dist, inst.clients, C, groups, inst.z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,9 +492,9 @@ def _run_rounds(
     space: Callable[[], CandidateSpace],
     baseline: Callable[[], BaselineResult],
     build_cs: Callable[[RingPartition, np.random.Generator], object],
-    objective: Callable[[tuple[PointId, ...]], tuple[float, tuple[PointId, ...]]],
     enum_subsets: Callable[[object], np.ndarray] | None = None,
-    independent: Callable[[list[PointId]], bool] | None = None,
+    independent: Callable[[Sequence[PointId]], bool] | None = None,
+    groups: Sequence[tuple[np.ndarray, int]] | None = None,
 ) -> ReductionReport:
     """The one solve driver behind every solve entry point.
 
@@ -498,9 +502,9 @@ def _run_rounds(
     will read it (so an over-budget space is refused before the baseline
     runs; local search never reads it), then runs the baseline, the ring
     partition and the rounds.  Every subset of every round gets an answer,
-    and each distinct answer is rescored once per round with ``objective``,
-    in the order of the first subset that gets it; that subset, its padding
-    stripped, tags the candidate.
+    and each distinct answer is rescored once per round by `evaluate_candidate`
+    under ``groups``, in the order of the first subset that gets it; that
+    subset, its padding stripped, tags the candidate.
     ``build_cs`` may return any coreset flavor exposing ``union`` (a
     WeightedPointSet) and ``lossless``; ``enum_subsets`` receives it whole so
     variant-specific enumeration (per-color budgets) can see the provenance,
@@ -510,7 +514,8 @@ def _run_rounds(
     `per_subset_best_exact` over the candidate space for the exact solver,
     and `per_subset_local_search` over one cost block of the facilities for
     local search, for every variant.  ``independent`` tests a set of facility
-    ids (``None``: no constraint); local search only makes swaps it accepts.
+    ids (``None``: no constraint); local search only makes swaps it accepts,
+    and a rejected candidate raises RuntimeError.
     """
     if params.z != inst.z:
         raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
@@ -555,7 +560,9 @@ def _run_rounds(
         _, first = np.unique(answers.which, return_index=True)
         for q in np.sort(first).tolist():
             centers = found[answers.which[q]]
-            cost, outliers = objective(centers)
+            if independent is not None and not independent(centers):
+                raise RuntimeError(f"candidate {centers} is not independent in the matroid")
+            cost, outliers = evaluate_candidate(centers, inst, groups)
             if round_best is None or cost < round_best:
                 round_best = cost
             if best is None or cost < best.cost:
@@ -605,5 +612,4 @@ def solve_with_outliers(
         space=lambda: CandidateSpace.subsets(inst.facilities, inst.k),
         baseline=lambda: baseline_solve(build_augmented_instance(inst)),
         build_cs=lambda rp, rng: build_coreset(rp, params, rng),
-        objective=lambda C: evaluate_candidate(C, inst),
     )

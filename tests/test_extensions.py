@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from trimclust import (
     ColorfulInstance,
     CoresetParams,
+    EuclideanOracle,
+    MetricInstance,
     PartitionMatroid,
     SolverHandle,
     UniformMatroid,
@@ -15,17 +19,21 @@ from trimclust import (
     colorful_matroid_oracle,
     colorful_matroid_solve,
     colorful_oracle,
+    colorful_outliers,
     colorful_solve,
+    evaluate_candidate,
     exact_kmedian,
     exact_outlier_oracle,
     matroid_median_oracle,
     matroid_median_solve,
     solve_with_outliers,
     trimmed_cost,
+    trimmed_score,
+    trimmed_sum,
 )
 from trimclust import reduction
 from trimclust.bench import report_to_dict
-from conftest import random_instance, shared_point_instance
+from conftest import line_instance, random_instance, shared_point_instance
 
 
 def practical(s, z=1.0, epsilon=0.5):
@@ -150,6 +158,83 @@ def test_colorful_validation(rng):
     colors2 = {p: (1 if p == 0 else 2) for p in inst.clients}
     with pytest.raises(ValueError):
         ColorfulInstance(base=inst, colors=colors2, budgets=(2, 0))
+    # a color between two integers puts its client in no class, so it would
+    # be neither scored nor evicted
+    line = line_instance([0, 1, 10, 11, 50], [0, 50], k=1, m=1)
+    with pytest.raises(ValueError, match="client 4 has color 1.5, not an integer"):
+        ColorfulInstance(base=line, colors={0: 1, 1: 1, 2: 2, 3: 2, 4: 1.5}, budgets=(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the trimmed-score kernel against the per-class path it replaced
+# ---------------------------------------------------------------------------
+
+
+def per_class_score(dist, clients, colors, budgets, C, z):
+    """Per color class in client order: the trimmed sum of its powered
+    distances, and its evicted ids by a key sort (larger distance first,
+    then larger id), listed by distance descending, then id ascending."""
+    costs, outliers = [], []
+    for t, drop in enumerate(budgets, start=1):
+        cls = [p for p in clients if colors[p] == t]
+        if not cls:
+            continue
+        vals = dist.pairwise(cls, C).min(axis=1)
+        vals = vals if z == 1.0 else vals**z
+        costs.append(trimmed_sum(vals.tolist(), drop))
+        evict = sorted(range(len(cls)), key=lambda i: (-vals[i], -cls[i]))[:drop]
+        evict.sort(key=lambda i: (-vals[i], cls[i]))
+        outliers.extend(cls[i] for i in evict)
+    return math.fsum(costs), tuple(outliers)
+
+
+def _budget_cases(rng, sizes):
+    """Zero budgets, a budget equal to its class, and random ones; the last
+    color has no clients, so its budget is 0."""
+    yield (0,) * len(sizes)
+    yield (sizes[0], 0, *sizes[2:])
+    yield (0, sizes[1], *[0] * (len(sizes) - 2))
+    yield tuple(int(rng.integers(0, size + 1)) for size in sizes)
+
+
+@pytest.mark.parametrize("z", [1.0, 2.0])
+def test_trimmed_score_matches_the_per_class_path(rng, z):
+    for _ in range(25):
+        # integer coordinates on a small grid, so many distances tie
+        coords = rng.integers(0, 4, size=(14, 2)).astype(float)
+        clients = tuple(int(p) for p in rng.permutation(12))  # ties must go by id, not order
+        colors = {p: 1 + int(rng.integers(0, 3)) for p in clients}
+        sizes = [sum(1 for t in colors.values() if t == c) for c in (1, 2, 3, 4)]
+        C = tuple(int(c) for c in rng.choice(14, size=int(rng.integers(1, 4)), replace=False))
+        for budgets in _budget_cases(rng, sizes):
+            inst = MetricInstance(clients, (12, 13), EuclideanOracle(coords), 1, sum(budgets), z)
+            cinst = ColorfulInstance(base=inst, colors=colors, budgets=budgets)
+            want = per_class_score(inst.dist, clients, colors, budgets, C, z)
+            got = trimmed_score(inst.dist, clients, C, cinst.groups, z)
+            assert got == want, (budgets, C)
+            assert (colorful_cost(cinst, C), colorful_outliers(cinst, C)) == want
+            assert evaluate_candidate(C, inst, cinst.groups) == want
+        # a single color is the m-farthest trimming of the plain instance
+        m = int(rng.integers(0, 13))
+        inst = MetricInstance(clients, (12, 13), EuclideanOracle(coords), 1, m, z)
+        want = per_class_score(inst.dist, clients, dict.fromkeys(clients, 1), (m,), C, z)
+        assert trimmed_score(inst.dist, clients, C, [(slice(None), m)], z) == want
+        assert evaluate_candidate(C, inst) == want
+
+
+def test_one_distance_block_per_rescored_candidate(rng, monkeypatch):
+    cinst = colorful(rng, 12, 4, 2, (1, 2, 1))
+    inst = cinst.base
+    calls = []
+    pairwise = inst.dist.pairwise
+    monkeypatch.setattr(inst.dist, "pairwise", lambda a, b: calls.append(1) or pairwise(a, b))
+    C = inst.facilities[:2]
+    colorful_cost(cinst, C)
+    assert len(calls) == 1
+    evaluate_candidate(C, inst)
+    assert len(calls) == 2
+    evaluate_candidate(C, inst, cinst.groups)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

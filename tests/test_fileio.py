@@ -76,6 +76,8 @@ facilities=0,1,2
 4.0 5.0 0.0
 """
 
+# the euclidean file from its dim= line on
+EUCLIDEAN_TAIL = EUCLIDEAN[EUCLIDEAN.index("dim="):]
 
 # (good file, its text to replace, the replacement, the line the error names)
 BROKEN_LAYOUTS = [
@@ -88,6 +90,10 @@ BROKEN_LAYOUTS = [
     pytest.param(EUCLIDEAN, "2,both,0.0,4.0", "2", 10, id="role-missing"),
     pytest.param(EUCLIDEAN, "2,both,0.0,4.0", "2,both,x,4.0", 10, id="coordinate-not-a-number"),
     pytest.param(EUCLIDEAN, "k=1", "k=one", 4, id="k-not-a-number"),
+    pytest.param(EUCLIDEAN, EUCLIDEAN_TAIL, "dim=-1\nk=1\nm=0\nz=1.0\npoints=0\n", 3,
+                 id="dim-negative"),
+    pytest.param(EUCLIDEAN, EUCLIDEAN_TAIL, "dim=0\nk=1\nm=0\nz=1.0\npoints=2\n0,both\n1,both\n",
+                 3, id="dim-zero"),
     pytest.param(MATRIX, "4.0 5.0 0.0\n", "", 11, id="matrix-row-missing"),
     pytest.param(MATRIX, "4.0 5.0 0.0\n", "4.0 5.0 0.0\n0.0\n", 12, id="matrix-row-extra"),
     pytest.param(MATRIX, "4.0 5.0 0.0", "4.0 5.0", 11, id="matrix-row-short"),

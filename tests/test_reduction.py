@@ -804,16 +804,24 @@ def _four_solves(rng, solver, budgets=(1, 0), params=None):
     return inst, matroid, solves
 
 
-def test_benchmark_trace_sees_every_layer(rng):
+def test_benchmark_trace_sees_every_layer(rng, monkeypatch):
     # each solve entry point must still call its layers through the wrapped
     # module names, or a traced benchmark run loses their spans
     tracing = _benchmark_tracing()
     inst, matroid, solves = _four_solves(rng, SolverHandle.exact())
-    tracer = tracing.Tracer()
+    scored = {sid: [] for sid in range(4)}  # the centers of each rescore, per solve
+    evaluate = reduction.evaluate_candidate
+
+    def recorded(C, *args):
+        scored[sid].append(tuple(C))  # ``sid``: the solve that is running
+        return evaluate(C, *args)
+
+    monkeypatch.setattr(reduction, "evaluate_candidate", recorded)
+    tracer, results = tracing.Tracer(), []
     with tracer.installed(matroid):
         for sid, solve in enumerate(solves):
             with tracer.span("solve", sid):
-                solve()
+                results.append(solve())
     _, problems = tracing.layer_metrics(tracer, {sid: len(inst.clients) for sid in range(4)})
     assert problems == []
     layers = {"baseline", "rings", "build", "enumerate", "blackbox", "rescore"}
@@ -821,7 +829,15 @@ def test_benchmark_trace_sees_every_layer(rng):
         root = next(
             i for i, s in enumerate(tracer.spans) if s.name == "solve" and s.solve_id == sid
         )
-        assert layers <= {s.name for s in tracer.spans if s.parent == root}, sid
+        kids = [s for s in tracer.spans if s.parent == root]
+        assert layers <= {s.name for s in kids}, sid
+        # one `evaluate_candidate` span per rescored candidate, each distinct
+        # in the solve's one round
+        rescores = [s for s in kids if s.name == "rescore"]
+        assert {s.func for s in rescores} == {"evaluate_candidate"}, sid
+        assert all(s.info.get("candidate") for s in rescores), sid
+        assert len(rescores) == len(scored[sid]) == len(set(scored[sid])), sid
+    assert len(scored[0]) == results[0].candidates_evaluated
 
 
 def _report_bytes(result):
