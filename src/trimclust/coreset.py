@@ -30,6 +30,7 @@ from .metric import (
     MetricInstance,
     PointId,
     WeightedPointSet,
+    _min_power_dists,
     diameter,
     set_distance,
     trimmed_cost,
@@ -430,8 +431,8 @@ def sample_concentration_check(
         raise ValueError("need at least one trial")
 
     z = cfg.z
-    d = dist.pairwise(V, C).min(axis=1)
-    vals = np.sort(d if z == 1.0 else d**z)
+    raw = _min_power_dists(dist, V, C, z)
+    vals = np.sort(raw)
     prefix = np.concatenate([[0.0], np.cumsum(vals)])
     full_trimmed = [float(prefix[n - t]) for t in range(cfg.q + 1)]
 
@@ -443,7 +444,6 @@ def sample_concentration_check(
         bound = 2.0 ** (2 * z + 2) * cfg.xi * n * (diam_v**z + dist_vc**z)
 
     w = n / s_prime
-    raw = d if z == 1.0 else d**z
     violations = 0
     max_dev = 0.0
     dev_sum = 0.0

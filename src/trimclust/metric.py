@@ -15,6 +15,10 @@ distance block per center set, the cost and the evicted clients together.
 All cost aggregation uses ``math.fsum`` so a sum depends only on the multiset
 of values, not on accumulation order.  That makes equalities such as
 "trimmed cost == plain cost over the non-evicted points" hold bit-for-bit.
+
+`EuclideanOracle` adds the squared coordinate differences first coordinate
+to last, then takes the square root: scipy's ``cdist`` order, so every
+distance is cdist's float, ``inf`` past the float range included.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 PointId = int
 
@@ -106,14 +109,23 @@ class EuclideanOracle(DistanceOracle):
         c = np.ascontiguousarray(coords, dtype=float)
         if c.ndim != 2:
             raise ValueError("coords must be a 2-D array (n_points, dimension)")
+        if c.shape[1] < 1:
+            raise ValueError("coords need at least one dimension")
         _check_finite(c, "coords")
         self.coords = c
         self.n_points = c.shape[0]
+        self._columns = np.ascontiguousarray(c.T)  # one row per coordinate
 
     def pairwise(self, a, b):
         a = np.asarray(a, dtype=np.intp)
         b = np.asarray(b, dtype=np.intp)
-        return cdist(self.coords[a], self.coords[b])
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = None
+            for col in self._columns:
+                diff = np.subtract.outer(col[a], col[b])
+                diff *= diff
+                total = diff if total is None else np.add(total, diff, out=total)
+            return np.sqrt(total, out=total)
 
 
 @dataclass(frozen=True)

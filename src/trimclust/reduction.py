@@ -281,9 +281,7 @@ def per_subset_best_exact(
     _refuse_over_budget(space, budget)
     if space.count == 0:
         raise ValueError("empty candidate space")
-    d = dist.pairwise(points, space.col_ids)
-    if z != 1.0:
-        d = d**z
+    d = _cost_block(dist, points, None, space.col_ids, z)
     w = np.asarray(weights, dtype=float)
     every = np.arange(len(subsets))
     best_cost = np.full(len(subsets), np.inf)

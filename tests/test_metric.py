@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -221,14 +222,42 @@ def test_euclidean_oracle_rejects_non_finite(rng, bad):
         EuclideanOracle(coords)
 
 
+def test_euclidean_oracle_rejects_zero_dimensions():
+    with pytest.raises(ValueError, match="at least one dimension"):
+        EuclideanOracle(np.zeros((3, 0)))
+
+
 def test_matrix_matches_euclidean(rng):
-    coords = rng.uniform(0, 10, size=(8, 3))
+    """EuclideanOracle's blocks are scipy's cdist, bit for bit, overflow included."""
     from scipy.spatial.distance import cdist
 
-    mo = MatrixOracle(cdist(coords, coords))
-    eo = EuclideanOracle(coords)
+    coords = rng.uniform(0, 10, size=(8, 3))
     ids = list(range(8))
-    assert np.allclose(mo.pairwise(ids, ids), eo.pairwise(ids, ids))
+    mo = MatrixOracle(cdist(coords, coords))
+    assert mo.pairwise(ids, ids).tobytes() == EuclideanOracle(coords).pairwise(ids, ids).tobytes()
+
+    blocks = [
+        (ids, ids),
+        ((5, 0, 7), ids),
+        ([], ids),
+        (ids, []),
+        ([], []),
+        ([3, 3, 0, 3], (6, 3, 6, 6, 1)),  # repeated ids
+    ]
+    overflowed = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dim in range(1, 13):
+            for scale in (1e-200, 1e-3, 1.0, 1e5, 1e150, 1e300, 1.7e308):
+                coords = rng.uniform(-1.0, 1.0, size=(8, dim)) * scale
+                eo = EuclideanOracle(coords)
+                for a, b in blocks:
+                    want = cdist(coords[list(a)], coords[list(b)])
+                    got = eo.pairwise(a, b)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (dim, scale, a, b)
+                    overflowed |= bool(np.isinf(want).any())
+    assert overflowed  # the squares past the float range were exercised
 
 
 def test_weighted_point_set_validation():
