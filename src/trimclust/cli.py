@@ -25,7 +25,7 @@ from .extensions import exact_outlier_oracle
 from .generate import PlantedConfig, generate_planted
 from .reduction import solve_with_outliers
 from .rng import TAG_ROUND, generator_for
-from .solvers import SolverBudgetExceeded
+from .solvers import DEFAULT_ENUMERATION_BUDGET, SolverBudgetExceeded
 
 
 def _add_params_flags(p: argparse.ArgumentParser) -> None:
@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
 
     o = sub.add_parser("oracle", help="exact optimum by brute force")
     o.add_argument("--instance", required=True)
-    o.add_argument("--budget", type=int, default=2_000_000)
+    o.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
     o.add_argument("--out", default=None)
 
     e = sub.add_parser("experiment", help="run a JSON suite against the oracle")

@@ -36,7 +36,6 @@ from .metric import (
     trimmed_cost,
 )
 from .solvers import (
-    CandidateSpace,
     SolverHandle,
     _cost_block,
     _local_search,
@@ -128,17 +127,17 @@ def baseline_solve(
     if inst_aug.m != 0:
         raise ValueError("baseline expects an outlier-free instance (m = 0)")
     X = list(inst_aug.clients)
-    space = CandidateSpace.subsets(inst_aug.facilities, inst_aug.k)
-    if space.count <= exact_budget:
+    fac = tuple(sorted(int(f) for f in inst_aug.facilities))
+    if math.comb(len(fac), min(inst_aug.k, len(fac))) <= exact_budget:
         centers = exact_kmedian(
             inst_aug.dist, X, None, inst_aug.facilities, inst_aug.k, inst_aug.z,
             budget=exact_budget,
         )
         cost = trimmed_cost(inst_aug.dist, X, centers, 0, inst_aug.z)
         return BaselineResult(tuple(centers), cost, "exact", 1.0, True)
-    d = _cost_block(inst_aug.dist, X, None, space.col_ids, inst_aug.z)
-    res = _local_search(d, space.k, SolverHandle.local_search(inst_aug.z))
-    centers = tuple(space.col_ids[i] for i in res.centers)
+    d = _cost_block(inst_aug.dist, X, None, fac, inst_aug.z)
+    res = _local_search(d, min(inst_aug.k, len(fac)), SolverHandle.local_search(inst_aug.z))
+    centers = tuple(fac[i] for i in res.centers)
     cost = trimmed_cost(inst_aug.dist, X, centers, 0, inst_aug.z)
     guarantee = 5.0 if inst_aug.z == 1.0 else None
     return BaselineResult(centers, cost, "local_search", guarantee, res.converged)
@@ -417,13 +416,16 @@ def sample_concentration_check(
 ) -> ConcentrationReport:
     """Estimate how often a uniform sample's trimmed cost strays off the full set's.
 
-    Each trial draws ``cfg.sample_size`` points of V uniformly with
-    replacement, weights them |V|/|U|, and compares the weighted trimmed cost
-    (trim floor(t|U|/|V|)) against the plain trimmed cost (trim t) for every
-    t up to q.  A trial violates if any t exceeds the deviation bound.  The
-    violation fraction should stay around lambda_prime or (much) below.
+    Each trial draws ``cfg.sample_size`` points of V uniformly, without
+    replacement unless ``cfg.with_replacement``, weights them |V|/|U|, and
+    compares the weighted trimmed cost (trim floor(t|U|/|V|)) against the
+    plain trimmed cost (trim t) for every t up to q <= |V|.  A trial violates
+    if any t exceeds the deviation bound.  The violation fraction should stay
+    around lambda_prime or (much) below.
     """
     n = len(V)
+    if cfg.q > n:
+        raise ValueError(f"q = {cfg.q} exceeds |V| = {n}: cannot trim more points than V has")
     s_prime = cfg.sample_size
     if n < s_prime:
         raise ValueError(f"|V| = {n} is below the required sample size {s_prime}")

@@ -43,7 +43,12 @@ from .metric import (
     farthest_points,  # noqa: F401  (the benchmark's tracer wraps it here by name)
     trimmed_cost,
 )
-from .reduction import _run_rounds, _up_to, evaluate_candidate, per_subset_best_exact
+from .reduction import (
+    _run_rounds,
+    _up_to,
+    evaluate_candidate,
+    per_subset_best_exact,  # noqa: F401  (the benchmark's tracer wraps it here by name)
+)
 from .matroids import (
     MatroidOracle,
     direct_sum_matroid,
@@ -56,7 +61,6 @@ from .solvers import (
     SolverHandle,
     _cost_block,
     _local_search,
-    _refuse_over_budget,
     argmin_trimmed,
 )
 
@@ -249,10 +253,8 @@ def matroid_baseline(
         picks = list(combinations(sorted(inst.clients), m))
         cands = [tuple(sorted(b + y)) for b in bases_f for y in picks]
         space = CandidateSpace.from_center_sets(cands)
-        no_eviction = np.full((1, 1), len(X), dtype=np.intp)
-        best = per_subset_best_exact(
-            inst.dist, X, np.ones(len(X)), space, inst.z, no_eviction, budget
-        ).centers[0]
+        d = _cost_block(inst.dist, X, None, space.col_ids, inst.z)
+        best = space.centers_at(argmin_trimmed(d, space, [(slice(None), 0)]))
         cost = trimmed_cost(inst.dist, X, best, 0, inst.z)
         return BaselineResult(tuple(sorted(best)), cost, "exact", 1.0, True)
     m_aug = direct_sum_matroid(matroid, inst.clients, inst.m)
@@ -351,7 +353,7 @@ def _candidates(
 ) -> CandidateSpace:
     """Every k-subset of the facilities, or the matroid's bases (refused over budget)."""
     if matroid is None:
-        return CandidateSpace.subsets(inst.facilities, inst.k)
+        return CandidateSpace.subsets(inst.facilities, inst.k, budget)
     return CandidateSpace.from_center_sets(matroid_bases(matroid, budget))
 
 
@@ -418,7 +420,7 @@ def _variant_oracle(
     """Exhaustive optimum over the candidate space under the variant's trimming."""
     if matroid is not None:
         _check_matroid_instance(inst, matroid)
-    space = _refuse_over_budget(_candidates(inst, matroid, budget), budget)
+    space = _candidates(inst, matroid, budget)
     groups = [(slice(None), inst.m)] if cinst is None else cinst.groups
     d = _cost_block(inst.dist, inst.clients, None, space.col_ids, inst.z)
     centers = space.centers_at(argmin_trimmed(d, space, groups))

@@ -12,7 +12,7 @@ from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .metric import PointId
-from .solvers import SolverBudgetExceeded
+from .solvers import DEFAULT_ENUMERATION_BUDGET, SolverBudgetExceeded
 
 
 class MatroidOracle:
@@ -143,7 +143,9 @@ def direct_sum_matroid(
     return DirectSumMatroid(matroid, clients, m)
 
 
-def matroid_bases(matroid: MatroidOracle, budget: int = 2_000_000) -> list[tuple[PointId, ...]]:
+def matroid_bases(
+    matroid: MatroidOracle, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> list[tuple[PointId, ...]]:
     """All maximal independent sets, as sorted tuples in lexicographic order.
 
     Since clustering costs only drop when centers are added, optimizing over

@@ -41,7 +41,7 @@ same, bit for bit.
 
 * Exact (`per_subset_best_exact`): per chunk of candidate sets the terms are
   the weighted minima ``w * min_d``, and only the distinct winning candidates
-  are unranked into center tuples.  Its answers are the per-subset ones
+  are looked up as center tuples.  Its answers are the per-subset ones
   except where two candidates' costs differ only by rounding.
 * Single-swap local search (`per_subset_local_search`): every subset starts
   from the same state, so the subsets search in lockstep, grouped by their
@@ -82,10 +82,10 @@ from .rng import TAG_ROUND, generator_for
 from .solvers import (
     CandidateSpace,
     SolverHandle,
+    _combinations,
     _cost_block,
     _greedy_basis,
     _local_search,
-    _refuse_over_budget,
     _swap_basis,
     _warn_iteration_cap,
     solve_outlier_free,  # noqa: F401  (the benchmark's tracer wraps it here by name)
@@ -101,23 +101,6 @@ _BLOCK_ELEMENTS = 65_536
 def default_rounds(failure_target: float = DEFAULT_FAILURE_TARGET) -> int:
     """Repetitions needed to push a constant per-round failure odds below target."""
     return max(1, math.ceil(math.log2(1.0 / failure_target)))
-
-
-def _combinations(n: int, size: int) -> np.ndarray:
-    """Every ``size``-subset of ``range(n)`` (``size <= n``), one increasing
-    row each, in lexicographic order.
-
-    Built a column at a time: each row repeats once per value its next
-    column can take, in increasing order.
-    """
-    rows, last = np.empty((1, 0), dtype=np.intp), np.full(1, -1, dtype=np.intp)
-    for col in range(size):
-        counts = n - size + col - last  # the next value runs over last + 1 .. n - size + col
-        ends = np.cumsum(counts)
-        step = np.arange(ends[-1], dtype=np.intp) - np.repeat(ends - counts, counts)
-        last = np.repeat(last + 1, counts) + step
-        rows = np.column_stack([np.repeat(rows, counts, axis=0), last])
-    return rows
 
 
 def _up_to(n: int, cap: int, width: int, pad: int) -> np.ndarray:
@@ -251,14 +234,13 @@ def per_subset_best_exact(
     space: CandidateSpace,
     z: float,
     subsets: np.ndarray,
-    budget: int,
 ) -> Answers:
     """Exact black-box answers for every evicted subset, amortized.
 
     For each subset T the candidate set with the least weighted cost of
     ``S \\ T`` is found, with ties toward the earliest candidate in
-    enumeration order (the lexicographically smallest center tuple).  Raises
-    SolverBudgetExceeded if the candidate space itself is too large.
+    enumeration order (the lexicographically smallest center tuple).  The
+    candidate space was refused over budget when it was built.
 
     Per candidate chunk, ``wm = w * min_d`` holds every entry's weighted
     distance to every candidate set, plus one zero row at index ``n`` =
@@ -267,7 +249,7 @@ def per_subset_best_exact(
     gather-sum over the ``(n_T, width)`` subset array, whose padding ``n``
     picks the zero row, taken in row blocks of about ``_BLOCK_ELEMENTS``
     costs so memory stays bounded whatever the number of subsets.  Only the
-    distinct winning candidates are unranked.
+    distinct winning candidates are looked up as center tuples.
 
     Per chunk, only the columns of `_live_columns` enter the gather-sum, in
     a C-contiguous copy; the margin is ``_PRUNE_SLACK`` rounding bounds of
@@ -278,7 +260,6 @@ def per_subset_best_exact(
     finite, so a subset left with no finite cost means the cost sums
     overflowed: CostOverflowError.
     """
-    _refuse_over_budget(space, budget)
     if space.count == 0:
         raise ValueError("empty candidate space")
     d = _cost_block(dist, points, None, space.col_ids, z)
@@ -521,11 +502,11 @@ def _run_rounds(
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if solver.kind == "exact":  # only the exact black box reads the candidate space
-        cands = _refuse_over_budget(space(), solver.enumeration_budget)
+        cands = space()
     else:
-        facs = CandidateSpace.subsets(inst.facilities, inst.k)
+        fac = tuple(sorted(int(f) for f in inst.facilities))
         test = None if independent is None else (
-            lambda cols: independent([facs.col_ids[i] for i in cols])
+            lambda cols: independent([fac[i] for i in cols])
         )
     base = baseline()
     rp = ring_partition(inst, base.centers, params.tau)
@@ -546,14 +527,12 @@ def _run_rounds(
         round_best: float | None = None
 
         if solver.kind == "exact":
-            answers = per_subset_best_exact(
-                inst.dist, pts, w, cands, inst.z, subsets, solver.enumeration_budget
-            )
+            answers = per_subset_best_exact(inst.dist, pts, w, cands, inst.z, subsets)
             found = answers.centers
         else:
-            D = _cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
-            answers = per_subset_local_search(D, subsets, facs.k, solver, test)
-            found = [tuple(facs.col_ids[i] for i in c) for c in answers.centers]
+            D = _cost_block(inst.dist, pts, w, fac, inst.z)
+            answers = per_subset_local_search(D, subsets, min(inst.k, len(fac)), solver, test)
+            found = [tuple(fac[i] for i in c) for c in answers.centers]
 
         _, first = np.unique(answers.which, return_index=True)
         for q in np.sort(first).tolist():
@@ -607,7 +586,7 @@ def solve_with_outliers(
     """
     return _run_rounds(
         inst, params, solver, seed=seed, rounds=rounds,
-        space=lambda: CandidateSpace.subsets(inst.facilities, inst.k),
+        space=lambda: CandidateSpace.subsets(inst.facilities, inst.k, solver.enumeration_budget),
         baseline=lambda: baseline_solve(build_augmented_instance(inst)),
         build_cs=lambda rp, rng: build_coreset(rp, params, rng),
     )

@@ -15,7 +15,13 @@ matroid; no factor is claimed).
 Every exhaustive search over center sets, here and in the variants, is one
 call of `argmin_trimmed` over a `CandidateSpace`: per candidate chunk, take
 each point's distance to its nearest candidate center, trim each group of
-points by its outlier budget, sum, and keep the first minimum.
+points by its outlier budget, sum, and keep the first minimum.  The batched
+exact black box, `reduction.per_subset_best_exact`, reads the same space.
+
+A `CandidateSpace` is an index array, one center set per row.  Its k-subsets
+of the facilities come from `_combinations`, the one k-combination builder,
+which also builds the reduction's outlier subsets; `CandidateSpace.subsets`
+refuses a space over the enumeration budget before it builds any row.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -85,23 +90,30 @@ class SolverHandle:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSpace:
-    """The center sets a solver may return.
+    """The center sets a solver may return, one per row of ``combos``.
 
-    Either every ``k``-subset of ``col_ids`` (generated lazily, in
-    lexicographic order) or an explicit tuple of index tuples into
-    ``col_ids`` (used for matroid bases).
+    Row ``i`` of the ``(count, set_size)`` intp array ``combos`` holds the
+    indices into ``col_ids`` of candidate ``i``, in enumeration order:
+    every ``min(k, |F|)``-subset of the sorted facilities in lexicographic
+    order (`subsets`, refused over budget before any is built), or the
+    given center sets in the given order (`from_center_sets`, used for
+    matroid bases).
     """
 
     col_ids: tuple[PointId, ...]
-    k: int | None
-    explicit: tuple[tuple[int, ...], ...] | None
+    combos: np.ndarray
 
     @classmethod
-    def subsets(cls, facilities: Sequence[PointId], k: int) -> "CandidateSpace":
+    def subsets(
+        cls, facilities: Sequence[PointId], k: int, budget: int = DEFAULT_ENUMERATION_BUDGET
+    ) -> "CandidateSpace":
         ids = tuple(sorted(int(f) for f in facilities))
-        return cls(col_ids=ids, k=min(k, len(ids)), explicit=None)
+        size = min(k, len(ids))
+        if (count := math.comb(len(ids), size)) > budget:
+            raise SolverBudgetExceeded(f"{count} candidate center sets exceed budget {budget}")
+        return cls(col_ids=ids, combos=_combinations(len(ids), size))
 
     @classmethod
     def from_center_sets(
@@ -109,50 +121,39 @@ class CandidateSpace:
     ) -> "CandidateSpace":
         ids = tuple(sorted({int(c) for cset in center_sets for c in cset}))
         index = {c: i for i, c in enumerate(ids)}
-        explicit = tuple(tuple(index[int(c)] for c in sorted(cset)) for cset in center_sets)
-        return cls(col_ids=ids, k=None, explicit=explicit)
+        rows = [[index[int(c)] for c in sorted(cset)] for cset in center_sets]
+        width = len(rows[0]) if rows else 0
+        return cls(col_ids=ids, combos=np.array(rows, dtype=np.intp).reshape(len(rows), width))
 
     @property
     def count(self) -> int:
-        if self.explicit is not None:
-            return len(self.explicit)
-        return math.comb(len(self.col_ids), self.k)
+        return len(self.combos)
 
     def chunks(self, n_rows: int) -> Iterator[np.ndarray]:
-        """Index arrays (chunk, set_size) over all candidate sets, in order."""
-        if self.explicit is not None:
-            width = len(self.explicit[0]) if self.explicit else 0
-            combos: Iterator[tuple[int, ...]] = iter(self.explicit)
-        else:
-            width = self.k
-            combos = combinations(range(len(self.col_ids)), self.k)
-        per = max(1, _CHUNK_ELEMENTS // max(1, n_rows * max(1, width)))
-        while block := list(islice(combos, per)):
-            yield np.asarray(block, dtype=np.intp)
+        """Row slices of ``combos``, each about ``_CHUNK_ELEMENTS`` distances wide."""
+        per = max(1, _CHUNK_ELEMENTS // max(1, n_rows * max(1, self.combos.shape[1])))
+        for lo in range(0, len(self.combos), per):
+            yield self.combos[lo : lo + per]
 
     def centers_at(self, idx: int) -> tuple[PointId, ...]:
-        if self.explicit is not None:
-            combo = self.explicit[idx]
-        else:
-            combo = _combo_unrank(len(self.col_ids), self.k, idx)
-        return tuple(self.col_ids[i] for i in combo)
+        return tuple(self.col_ids[i] for i in self.combos[idx].tolist())
 
 
-def _combo_unrank(n: int, k: int, rank: int) -> tuple[int, ...]:
-    """The rank-th k-combination of range(n) in lexicographic order."""
-    combo = []
-    prev = -1
-    for slot in range(k, 0, -1):
-        c = prev + 1
-        while True:
-            block = math.comb(n - c - 1, slot - 1)
-            if rank < block:
-                break
-            rank -= block
-            c += 1
-        combo.append(c)
-        prev = c
-    return tuple(combo)
+def _combinations(n: int, size: int) -> np.ndarray:
+    """Every ``size``-subset of ``range(n)`` (``size <= n``), one increasing
+    row each, in lexicographic order.
+
+    Built a column at a time: each row repeats once per value its next
+    column can take, in increasing order.
+    """
+    rows, last = np.empty((1, 0), dtype=np.intp), np.full(1, -1, dtype=np.intp)
+    for col in range(size):
+        counts = n - size + col - last  # the next value runs over last + 1 .. n - size + col
+        ends = np.cumsum(counts)
+        step = np.arange(ends[-1], dtype=np.intp) - np.repeat(ends - counts, counts)
+        last = np.repeat(last + 1, counts) + step
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), last])
+    return rows
 
 
 def _cost_block(dist: DistanceOracle, points, weights, cols, z: float) -> np.ndarray:
@@ -161,14 +162,6 @@ def _cost_block(dist: DistanceOracle, points, weights, cols, z: float) -> np.nda
     if z != 1.0:
         d = d**z
     return d if weights is None else d * np.asarray(weights, dtype=float)[:, None]
-
-
-def _refuse_over_budget(space: CandidateSpace, budget: int) -> CandidateSpace:
-    if space.count > budget:
-        raise SolverBudgetExceeded(
-            f"{space.count} candidate center sets exceed budget {budget}"
-        )
-    return space
 
 
 def argmin_trimmed(
@@ -225,10 +218,10 @@ def exact_kmedian(
     Raises SolverBudgetExceeded instead of silently attempting an enumeration
     larger than ``budget``.
     """
-    space = CandidateSpace.subsets(facilities, k)
-    if space.k == len(space.col_ids):
-        return space.col_ids
-    _refuse_over_budget(space, budget)
+    ids = tuple(sorted(int(f) for f in facilities))
+    if k >= len(ids):
+        return ids
+    space = CandidateSpace.subsets(ids, k, budget)
     d = _cost_block(dist, points, weights, space.col_ids, z)
     return space.centers_at(argmin_trimmed(d, space, [(slice(None), 0)]))
 
@@ -357,15 +350,14 @@ def local_search_kmedian(
     first k facilities in ascending id order.
     """
     handle = handle or SolverHandle.local_search(z)
-    space = CandidateSpace.subsets(facilities, k)
-    fac = space.col_ids
+    fac = tuple(sorted(int(f) for f in facilities))
     d = _cost_block(dist, points, weights, fac, z)
     if initial is not None:
         index_of = {f: i for i, f in enumerate(fac)}
         if unknown := [int(f) for f in initial if int(f) not in index_of]:
             raise ValueError(f"initial centers {unknown} are not facilities")
         initial = [index_of[int(f)] for f in initial]
-    best = _local_search(d, space.k, handle, initial)
+    best = _local_search(d, min(k, len(fac)), handle, initial)
     return tuple(fac[i] for i in best.centers)
 
 

@@ -399,6 +399,19 @@ def test_concentration_rejects_small_population(rng):
         sample_concentration_check(inst.dist, inst.clients, inst.facilities, cfg, 5, rng)
 
 
+def test_concentration_rejects_q_above_population(rng):
+    # trimming more points than V has would read the prefix sums from the end
+    inst = line_instance([0, 1, 2, 3, 4, 5], [10], k=1, m=0)
+    cfg = SampleCheckConfig(xi=10, q=8, lambda_prime=0.5)
+    assert cfg.sample_size <= 6
+    with pytest.raises(ValueError, match=r"q = 8 exceeds \|V\| = 6"):
+        sample_concentration_check(inst.dist, inst.clients, inst.facilities, cfg, 5, rng)
+    # q = |V| may trim every point
+    cfg = SampleCheckConfig(xi=10, q=6, lambda_prime=0.5)
+    rep = sample_concentration_check(inst.dist, inst.clients, inst.facilities, cfg, 5, rng)
+    assert rep.trials == 5
+
+
 def test_concentration_violations_rare(rng):
     inst = random_instance(rng, 300, 3, k=1, m=0, dim=2)
     cfg = SampleCheckConfig(xi=0.3, q=2, lambda_prime=0.05)

@@ -404,7 +404,7 @@ def test_batched_engine_matches_per_subset_calls(rng, monkeypatch):
         pts, w = cs.union.as_arrays()
         rows = enumerate_outlier_subsets(cs, inst.m)
         space = CandidateSpace.subsets(inst.facilities, inst.k)
-        batched = per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows, budget=10**6)
+        batched = per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)
         generic = list(_per_subset_generic(
             inst, pts, w, _tuples(rows, len(pts)), None, SolverHandle.exact()
         ))
@@ -497,7 +497,7 @@ def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
         assert len(list(space.chunks(len(pts)))) > 2
         subsets = _tuples(rows, len(pts))
         want = _reference_best_exact(inst.dist, pts, w, space, inst.z, subsets)
-        got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows, 10**6)
+        got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)
         assert _expand(got) == want
 
 
@@ -553,7 +553,7 @@ def _partition(inst, dealt):
     in turn, the greedy basis is the first k columns, the start without a
     matroid too; in consecutive blocks, it is not."""
     space = CandidateSpace.subsets(inst.facilities, inst.k)
-    cols, k = space.col_ids, space.k
+    cols, k = space.col_ids, space.combos.shape[1]
     parts = [cols[p::k] for p in range(k)] if dealt else np.array_split(cols, k)
     return PartitionMatroid([(part, 1) for part in parts])
 
@@ -601,6 +601,7 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
             improvement_threshold=float(rng.choice([1e-3, 0.25])),
         )
         facs = CandidateSpace.subsets(inst.facilities, inst.k)
+        k = facs.combos.shape[1]
         black_box = test = None
         if matroid is not None:
             black_box = lambda p, ww: extensions.matroid_local_search(
@@ -615,7 +616,7 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
             warnings.simplefilter("always")
             D = solvers._cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
             rows = _padded(subsets, len(pts))
-            got = _expand(per_subset_local_search(D, rows, facs.k, solver, test))
+            got = _expand(per_subset_local_search(D, rows, k, solver, test))
         assert [tuple(facs.col_ids[c] for c in cols) for cols in got] == want, i
         assert [str(x.message) for x in new] == [str(x.message) for x in old], i
         answered += len(subsets) - len(kernel_runs)
@@ -623,20 +624,20 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
         # a kernel run keeping more rows than the widest subset leaves was
         # given a row with padding
         short_fallbacks += sum(kept > len(pts) - rows.shape[1] for kept in kernel_runs)
-        all_columns += facs.k == len(facs.col_ids)
+        all_columns += k == len(facs.col_ids)
         all_evicted += max(map(len, subsets)) == len(pts)
         capped += len(old) > 0
         if matroid is not None:
             matroid_fallbacks += len(kernel_runs)
             matroid_capped += len(old) > 0
-            start = solvers._greedy_basis(len(facs.col_ids), facs.k, test)
-            if not kernel_runs and start == list(range(facs.k)):
+            start = solvers._greedy_basis(len(facs.col_ids), k, test)
+            if not kernel_runs and start == list(range(k)):
                 # every subset searched in lockstep; from the same start
                 # without the test, a different answer means the mask
                 # decided a move
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    free = _expand(per_subset_local_search(D, rows, facs.k, solver))
+                    free = _expand(per_subset_local_search(D, rows, k, solver))
                 masked += got != free
     assert fallbacks and answered  # both paths were taken ...
     assert all_columns and all_evicted and capped and short_fallbacks  # ... on every kind of input
@@ -688,7 +689,7 @@ def test_local_search_prune_keeps_the_current_column(monkeypatch):
         reduction, "_evicted_sums",
         lambda full, per_row, *a: offered.append((full, per_row)) or evicted(full, per_row, *a),
     )
-    per_subset_local_search(D, rows, facs.k, SolverHandle.local_search())
+    per_subset_local_search(D, rows, facs.combos.shape[1], SolverHandle.local_search())
     assert len(seen) == len(offered) > 1
     for (terms, _), (full, per_row) in zip(seen, offered):
         np.testing.assert_array_equal(per_row[:, -1], terms[:, -1])

@@ -402,6 +402,33 @@ def _argmin_loop(d, space, groups):
     return best_idx
 
 
+def test_combinations_match_itertools():
+    for n in range(10):
+        for size in range(n + 1):
+            got = solvers._combinations(n, size)
+            want = np.array(list(combinations(range(n), size)), dtype=np.intp)
+            assert got.dtype == np.intp and got.shape == (math.comb(n, size), size)
+            np.testing.assert_array_equal(got, want.reshape(got.shape))
+
+
+def test_candidate_space_refused_before_it_is_built():
+    # C(100000, 5) rows would not fit in memory; the count alone refuses them
+    with pytest.raises(SolverBudgetExceeded, match="candidate center sets exceed budget 10"):
+        CandidateSpace.subsets(range(100_000), 5, budget=10)
+
+
+def test_candidate_space_keeps_the_given_order(monkeypatch):
+    monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 4)  # two center sets a chunk
+    sets = [(9, 4), (2, 7), (4, 2), (7, 9), (2, 9)]
+    space = CandidateSpace.from_center_sets(sets)
+    assert space.col_ids == (2, 4, 7, 9) and space.count == 5
+    assert [space.centers_at(i) for i in range(5)] == [tuple(sorted(c)) for c in sets]
+    chunks = list(space.chunks(1))
+    assert [len(c) for c in chunks] == [2, 2, 1]
+    rows = [tuple(space.col_ids[i] for i in row) for row in np.vstack(chunks).tolist()]
+    assert rows == [tuple(sorted(c)) for c in sets]
+
+
 @pytest.mark.parametrize("explicit", [False, True])
 def test_argmin_trimmed_matches_per_candidate_loop(rng, monkeypatch, explicit):
     # 1-D integer coordinates make every sum exact on both sides, and twin
