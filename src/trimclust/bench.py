@@ -18,6 +18,10 @@ A suite is a plain dict (usually loaded from JSON):
       ]
     }
 
+``params`` holds `CoresetParams` fields and may restate ``z``, which must then
+equal each instance's own; every row records the instance's z.  ``solver``
+holds `SolverHandle` fields; ``kind`` is "exact" (the default), "local-search"
+or "local_search".
 Ratios compare re-evaluated costs only.  Timing is off by default so a report
 is a pure function of (seed, params, instances).
 """
@@ -39,12 +43,11 @@ from .solvers import DEFAULT_ENUMERATION_BUDGET, SolverBudgetExceeded, SolverHan
 
 
 def solver_from_dict(d: dict[str, Any]) -> SolverHandle:
-    d = dict(d)
-    kind = d.pop("kind", "exact")
-    if kind in ("local-search", "local_search"):
-        guarantee = SolverHandle.local_search(d.pop("z", 1.0)).beta_guarantee
-        return SolverHandle(kind="local_search", beta_guarantee=guarantee, **d)
-    return SolverHandle(kind=kind, beta_guarantee=1, **d)  # SolverHandle rejects a bad kind
+    """The handle of a suite's ``solver`` entry; SolverHandle rejects a bad
+    kind, and an unknown field (``z`` included) is a TypeError."""
+    rest = dict(d)
+    kind = rest.pop("kind", "exact")
+    return SolverHandle(kind="local_search" if kind == "local-search" else kind, **rest)
 
 
 def solution_to_dict(sol: Solution) -> dict[str, Any]:
@@ -116,8 +119,9 @@ def run_experiment(suite: dict[str, Any]) -> tuple[dict[str, Any], bool]:
     for idx, spec in enumerate(sorted(suite["instances"], key=lambda s: str(s["id"]))):
         inst = _load_suite_instance(spec)
         row_params = dict(params_spec)
-        row_params.setdefault("z", inst.z)
-        params = CoresetParams(**row_params)
+        if row_params.setdefault("z", inst.z) != inst.z:
+            raise ValueError(f"params.z={row_params['z']} disagrees with instance z={inst.z}")
+        params = CoresetParams(**{k: v for k, v in row_params.items() if k != "z"})
         inst_seed = derived_seed(seed, TAG_EXPERIMENT, idx)
 
         t0 = time.perf_counter()

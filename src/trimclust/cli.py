@@ -38,7 +38,7 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c-prime", type=float, default=9.0, help="theory-mode z exponent constant")
 
 
-def _params_for(args, z: float) -> CoresetParams:
+def _params_for(args) -> CoresetParams:
     return CoresetParams(
         epsilon=args.epsilon,
         lam=args.lam,
@@ -47,7 +47,6 @@ def _params_for(args, z: float) -> CoresetParams:
         c_prime=args.c_prime,
         mode=args.mode,
         practical_s=args.s,
-        z=z,
     )
 
 
@@ -158,12 +157,10 @@ def _run(ap: argparse.ArgumentParser, args: argparse.Namespace, inst) -> int:
             "iteration_cap": args.iteration_cap,
             "improvement_threshold": args.improvement_threshold,
         }
-        if args.solver == "local-search":
-            spec["z"] = inst.z
         if args.solver_budget is not None:
             spec["enumeration_budget"] = args.solver_budget
         try:
-            params = _params_for(args, inst.z)
+            params = _params_for(args)
             solver = solver_from_dict(spec)
             rep = solve_with_outliers(inst, params, solver, seed=args.seed, rounds=args.rounds)
         except (SolverBudgetExceeded, RuntimeError, ValueError) as exc:
@@ -208,7 +205,7 @@ def _run(ap: argparse.ArgumentParser, args: argparse.Namespace, inst) -> int:
 
     if args.verb == "coreset-dump":
         try:
-            params = _params_for(args, inst.z)
+            params = _params_for(args)
             rng = generator_for(args.seed, TAG_ROUND, 0)
         except ValueError as exc:
             print(f"coreset-dump failed: {exc}", file=sys.stderr)

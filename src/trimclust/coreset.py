@@ -45,7 +45,7 @@ from .solvers import (
 DEFAULT_BASELINE_EXACT_BUDGET = 50_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoresetParams:
     """Knobs of the coreset construction.
 
@@ -53,7 +53,8 @@ class CoresetParams:
     to inspect), ``mode="practical"`` uses the explicit ``practical_s``.
     ``tau`` is the guarantee assumed of the baseline solver, ``lam`` the
     failure probability budget, ``c_theory``/``c_prime`` the two free
-    constants of the theory sizing.
+    constants of the theory sizing.  The exponent z is the instance's:
+    `build_coreset` passes the ring partition's z to `sample_size`.
     """
 
     epsilon: float = 0.5
@@ -63,7 +64,6 @@ class CoresetParams:
     c_prime: float = 9.0
     mode: str = "practical"
     practical_s: int | None = None
-    z: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
@@ -77,14 +77,10 @@ class CoresetParams:
         if self.mode == "practical":
             if self.practical_s is None or self.practical_s < 1:
                 raise ValueError("practical mode needs practical_s >= 1")
-        if self.z < 1:
-            raise ValueError("z must be >= 1")
 
-    def sample_size(self, n: int, k: int, m: int) -> int:
-        """Per-ring sample size s (n is the instance size)."""
+    def sample_size(self, n: int, k: int, m: int, z: float) -> int:
+        """Per-ring sample size s (n is the instance size, z its exponent)."""
         if self.mode == "practical":
-            if self.practical_s is None:
-                raise ValueError("practical mode needs practical_s >= 1")
             return self.practical_s
         base = (
             self.c_theory
@@ -92,8 +88,8 @@ class CoresetParams:
             / self.epsilon**2
             * (m + k * math.log(n) + math.log(1.0 / self.lam))
         )
-        if self.z > 1:
-            base *= 2.0 ** (self.c_prime * self.z)
+        if z > 1:
+            base *= 2.0 ** (self.c_prime * z)
         return max(1, math.ceil(base))
 
 
@@ -121,8 +117,10 @@ def baseline_solve(
     """Solve the (outlier-free) augmented instance, exactly when affordable.
 
     Exhaustive search is used while the number of candidate center sets stays
-    within ``exact_budget`` (then tau = 1); otherwise single-swap local search
-    (tau = 5 for z = 1, no claimed factor for z > 1).
+    within ``exact_budget`` (then ``tau_guarantee`` is 1); otherwise
+    single-swap local search, whose ``tau_guarantee`` is 5 for z = 1 and
+    ``None`` (no claimed factor) for z > 1.  This is the only place a solver's
+    guarantee is stated.
     """
     if inst_aug.m != 0:
         raise ValueError("baseline expects an outlier-free instance (m = 0)")
@@ -136,7 +134,7 @@ def baseline_solve(
         cost = trimmed_cost(inst_aug.dist, X, centers, 0, inst_aug.z)
         return BaselineResult(tuple(centers), cost, "exact", 1.0, True)
     d = _cost_block(inst_aug.dist, X, None, fac, inst_aug.z)
-    res = _local_search(d, min(inst_aug.k, len(fac)), SolverHandle.local_search(inst_aug.z))
+    res = _local_search(d, min(inst_aug.k, len(fac)), SolverHandle.local_search())
     centers = tuple(fac[i] for i in res.centers)
     cost = trimmed_cost(inst_aug.dist, X, centers, 0, inst_aug.z)
     guarantee = 5.0 if inst_aug.z == 1.0 else None
@@ -320,7 +318,7 @@ def build_coreset(
     Rings are processed in sorted (center, band) order, so a fixed rng state
     yields an identical coreset.
     """
-    s = params.sample_size(rp.n_instance, rp.k, rp.m)
+    s = params.sample_size(rp.n_instance, rp.k, rp.m, rp.z)
     groups: dict[tuple[int, int], WeightedPointSet] = {}
     small: dict[tuple[int, int], bool] = {}
     union_pts: list[PointId] = []
@@ -386,8 +384,10 @@ class SampleCheckConfig:
     with_replacement: bool = False
 
     def __post_init__(self):
-        if self.xi <= 0 or not 0 < self.lambda_prime < 1 or self.q < 0 or self.z < 1:
+        if self.xi <= 0 or not 0 < self.lambda_prime < 1 or self.q < 0:
             raise ValueError("invalid concentration-check configuration")
+        if not 1 <= self.z < math.inf:
+            raise ValueError(f"z must be >= 1 and finite, got {self.z}")
 
     @property
     def sample_size(self) -> int:

@@ -259,7 +259,7 @@ def matroid_baseline(
         return BaselineResult(tuple(sorted(best)), cost, "exact", 1.0, True)
     m_aug = direct_sum_matroid(matroid, inst.clients, inst.m)
     centers, converged = matroid_local_search(
-        inst.dist, X, None, m_aug, inst.z, SolverHandle.local_search(inst.z)
+        inst.dist, X, None, m_aug, inst.z, SolverHandle.local_search()
     )
     cost = trimmed_cost(inst.dist, X, centers, 0, inst.z)
     return BaselineResult(tuple(centers), cost, "local_search", None, converged)

@@ -58,24 +58,24 @@ class DistanceOracle:
 class MatrixOracle(DistanceOracle):
     """Distances backed by an explicit symmetric matrix.
 
-    Symmetry and the zero diagonal are verified in full; the triangle
-    inequality is verified on a sample of triples (the matrix is user data,
+    Every matrix is checked when the oracle is built, with no way to skip
+    it: finiteness, nonnegativity, symmetry and the zero diagonal in full,
+    the triangle inequality on a sample of triples (the matrix is user data,
     so we check rather than assume).
     """
 
-    def __init__(self, matrix, check: bool = True, triangle_samples: int = 200):
+    def __init__(self, matrix, triangle_samples: int = 200):
         m = np.ascontiguousarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("distance matrix must be square")
         _check_finite(m, "distance matrix")
-        if check:
-            if m.size and m.min() < 0.0:
-                raise ValueError("distances must be nonnegative")
-            if np.any(np.diagonal(m) != 0.0):
-                raise ValueError("self-distances must be exactly zero")
-            if np.any(m != m.T):
-                raise ValueError("distance matrix must be symmetric")
-            self._check_triangle(m, triangle_samples)
+        if m.size and m.min() < 0.0:
+            raise ValueError("distances must be nonnegative")
+        if np.any(np.diagonal(m) != 0.0):
+            raise ValueError("self-distances must be exactly zero")
+        if np.any(m != m.T):
+            raise ValueError("distance matrix must be symmetric")
+        self._check_triangle(m, triangle_samples)
         self.matrix = m
         self.n_points = m.shape[0]
 
@@ -133,7 +133,8 @@ class MetricInstance:
     """An outlier clustering instance: clients X, facilities F, k, m, and z.
 
     ``m`` clients may be discarded from the objective; ``z`` is the distance
-    exponent.  ``m = 0`` is the plain (outlier-free) problem.
+    exponent, finite and at least 1, and every solve reads it from here.
+    ``m = 0`` is the plain (outlier-free) problem.
     """
 
     clients: tuple[PointId, ...]
@@ -162,8 +163,8 @@ class MetricInstance:
             raise ValueError("k must be positive")
         if not 0 <= self.m <= len(self.clients):
             raise ValueError("m must satisfy 0 <= m <= |clients|")
-        if self.z < 1:
-            raise ValueError("z must be >= 1")
+        if not 1 <= self.z < math.inf:
+            raise ValueError(f"z must be >= 1 and finite, got {self.z}")
 
     @property
     def n(self) -> int:

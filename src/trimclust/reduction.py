@@ -189,11 +189,16 @@ _PRUNE_SLACK = 1024
 
 
 def _rounding_bound(block: np.ndarray) -> float:
-    """How far any float sum of at most ``n`` = ``len(block)`` entries of one
-    column of ``block``, each at most its row's largest, can lie from the
-    exact sum: ``(n + 1) * 2**-52 * sum_i max_j block[i, j]``.  ``inf`` or
-    NaN when the block holds either, or its row maxima overflow."""
-    return (len(block) + 1) * 2.0**-52 * float(block.max(axis=1, initial=0.0).sum())
+    """How far any float sum of at most ``n`` = ``len(block)`` finite entries
+    of one column of ``block``, each at most its row's largest, can lie from
+    the exact sum: ``(n + 1) * 2**-52 * sum_i max_j block[i, j]`` over the
+    finite entries.  A sum with an inf or NaN term is inf or NaN on every
+    path, so those entries need no margin; the bound is ``inf`` only when the
+    finite row maxima overflow."""
+    row_max = block.max(axis=1, initial=0.0)
+    if not np.isfinite(row_max).all():
+        row_max = np.where(np.isfinite(block), block, 0.0).max(axis=1, initial=0.0)
+    return (len(block) + 1) * 2.0**-52 * float(row_max.sum())
 
 
 def _live_columns(full: np.ndarray, terms: np.ndarray, width: int, bound: float) -> np.ndarray:
@@ -345,9 +350,10 @@ def per_subset_local_search(
     move.
 
     These costs differ from the kernel's own sums only by rounding.  Every
-    compared value of either path is a sum of at most ``n`` = ``len(D)``
-    terms, each at most its row's largest entry, so it lies within
-    ``bound = (n + 1) * 2**-52 * sum_i max_j D[i, j]`` of the exact sum.
+    finite compared value of either path is a sum of at most ``n`` =
+    ``len(D)`` finite terms, each at most its row's largest finite entry, so
+    it lies within ``bound`` (`_rounding_bound`) of the exact sum; a sum with
+    an inf term is inf or NaN, and a NaN fails every test below.
     A subset moves only if its best swap is below the bar
     ``(1 - threshold) * cost`` by more than ``tol = 256 * bound`` and the
     runner-up swap is more than ``tol`` above the best; it has converged only
@@ -496,8 +502,6 @@ def _run_rounds(
     ids (``None``: no constraint); local search only makes swaps it accepts,
     and a rejected candidate raises RuntimeError.
     """
-    if params.z != inst.z:
-        raise ValueError(f"params.z={params.z} disagrees with instance z={inst.z}")
     rounds = default_rounds() if rounds is None else rounds
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

@@ -49,13 +49,12 @@ class SolverBudgetExceeded(RuntimeError):
 class SolverHandle:
     """Configuration of the pluggable outlier-free solver.
 
-    ``beta_guarantee`` is the approximation factor the solver is entitled to
-    claim (1 for exact, 5 for single-swap local search at z=1, and the string
-    "heuristic" when no factor is known).
+    The handle carries no exponent and no approximation factor: every solve
+    reads z from its instance, and the one stated guarantee is the
+    baseline's ``BaselineResult.tau_guarantee``.
     """
 
     kind: str  # "exact" | "local_search"
-    beta_guarantee: float | str
     iteration_cap: int = 200
     improvement_threshold: float = 1e-3
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
@@ -63,8 +62,6 @@ class SolverHandle:
     def __post_init__(self):
         if self.kind not in ("exact", "local_search"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
-        if self.kind == "exact" and self.beta_guarantee != 1:
-            raise ValueError("exact solver must claim beta_guarantee = 1")
         if self.iteration_cap < 1:
             raise ValueError("iteration_cap must be positive")
         if not 0 < self.improvement_threshold < 1:
@@ -72,19 +69,14 @@ class SolverHandle:
 
     @classmethod
     def exact(cls, enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET) -> "SolverHandle":
-        return cls(kind="exact", beta_guarantee=1, enumeration_budget=enumeration_budget)
+        return cls(kind="exact", enumeration_budget=enumeration_budget)
 
     @classmethod
     def local_search(
-        cls,
-        z: float = 1.0,
-        iteration_cap: int = 200,
-        improvement_threshold: float = 1e-3,
+        cls, *, iteration_cap: int = 200, improvement_threshold: float = 1e-3
     ) -> "SolverHandle":
-        guarantee: float | str = 5.0 if z == 1.0 else "heuristic"
         return cls(
             kind="local_search",
-            beta_guarantee=guarantee,
             iteration_cap=iteration_cap,
             improvement_threshold=improvement_threshold,
         )
@@ -349,7 +341,7 @@ def local_search_kmedian(
     The search starts from ``initial`` (facility ids) or, by default, from the
     first k facilities in ascending id order.
     """
-    handle = handle or SolverHandle.local_search(z)
+    handle = handle or SolverHandle.local_search()
     fac = tuple(sorted(int(f) for f in facilities))
     d = _cost_block(dist, points, weights, fac, z)
     if initial is not None:

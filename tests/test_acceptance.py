@@ -140,7 +140,7 @@ def test_criterion_04_coreset_size_bound():
         inst = random_instance(rng, n_c, int(rng.integers(2, 6)),
                                k=int(rng.integers(1, 4)), m=int(rng.integers(0, 4)))
         s = int(rng.integers(1, 12))
-        params = CoresetParams(mode="practical", practical_s=s, z=inst.z)
+        params = CoresetParams(mode="practical", practical_s=s)
         base = baseline_solve(build_augmented_instance(inst), exact_budget=5_000)
         rp = ring_partition(inst, base.centers, tau=1.0)
         cs = build_coreset(rp, params, generator_for(built, 1, 0))
@@ -161,7 +161,7 @@ def test_criterion_05_lossless_regime_exactness():
             rng, n_c, int(rng.integers(2, 9)),
             k=int(rng.integers(1, 4)), m=int(rng.integers(0, 3)),
         )
-        params = CoresetParams(mode="practical", practical_s=n_c, z=inst.z)
+        params = CoresetParams(mode="practical", practical_s=n_c)
         rep = solve_with_outliers(inst, params, SolverHandle.exact(), seed=i, rounds=1)
         oracle = exact_outlier_oracle(inst)
         if not math.isclose(rep.best.cost, oracle.cost, rel_tol=REL, abs_tol=1e-15):
@@ -214,7 +214,7 @@ def test_criterion_06_sampled_regime_guarantee():
         inst, _ = generate_planted(cfg)
         n = inst.n
         s = math.ceil(8 * (inst.m + inst.k * math.log(n)))
-        params = CoresetParams(epsilon=epsilon, mode="practical", practical_s=s, z=inst.z)
+        params = CoresetParams(epsilon=epsilon, mode="practical", practical_s=s)
         rep = solve_with_outliers(
             inst, params, SolverHandle.exact(), seed=7_000 + i, rounds=2
         )
@@ -305,7 +305,7 @@ def test_criterion_09_colorful_correctness():
                                k=int(rng.integers(1, 3)), m=m1 + m2)
         colors = {p: 1 + (j % 2) for j, p in enumerate(inst.clients)}
         cinst = ColorfulInstance(base=inst, colors=colors, budgets=(m1, m2))
-        params = CoresetParams(mode="practical", practical_s=n_c, z=inst.z)
+        params = CoresetParams(mode="practical", practical_s=n_c)
         sol = colorful_solve(cinst, params, SolverHandle.exact(), seed=i, rounds=1)
         oracle = colorful_oracle(cinst)
         if not math.isclose(sol.cost, oracle.cost, rel_tol=REL, abs_tol=1e-15):
@@ -319,7 +319,7 @@ def test_criterion_09_colorful_correctness():
         inst = random_instance(rng, 24, 4, k=2, m=3)
         colors = {p: 1 + (p % 2) for p in inst.clients}
         cinst = ColorfulInstance(base=inst, colors=colors, budgets=(2, 1))
-        params = CoresetParams(mode="practical", practical_s=3, z=inst.z)
+        params = CoresetParams(mode="practical", practical_s=3)
         sol = colorful_solve(cinst, params, SolverHandle.exact(), seed=100 + i, rounds=1)
         counts = {1: 0, 2: 0}
         for p in sol.outliers:
@@ -357,7 +357,7 @@ def test_criterion_10_matroid_correctness():
         matroid = PartitionMatroid(
             [((fac[0], fac[1]), 1), ((fac[2], fac[3]), 1), ((fac[4],), 1)]
         )
-        params = CoresetParams(mode="practical", practical_s=n_c, z=inst.z)
+        params = CoresetParams(mode="practical", practical_s=n_c)
         sol = matroid_median_solve(
             inst, matroid, params, SolverHandle.exact(), seed=i, rounds=1
         )

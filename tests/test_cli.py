@@ -148,6 +148,7 @@ def test_experiment_verb(tmp_path):
     for row in report["rows"]:
         assert row["ratio"] >= 1 - 1e-9
         assert "wall_time_s" not in row  # timing is opt-in, reports stay deterministic
+        assert row["params"]["z"] == 1.0  # the instance's z, recorded though the suite omits it
 
     # byte determinism of the whole experiment report
     out2 = tmp_path / "report2.json"
@@ -259,6 +260,20 @@ BAD_INPUTS = [
         "epsilon must be in (0, 1)", id="experiment-epsilon-1.5",
     ),
     pytest.param(
+        "experiment", ["--suite", {"seed": 1, "params": {"z": 2.0, "practical_s": 4}, "instances": [
+            {"id": "a", "planted": {
+                "clusters": 2, "points_per_cluster": 4, "spread": 1.0, "outlier_count": 1,
+                "outlier_distance_factor": 25.0, "dimension": 2, "seed": 1,
+            }},
+        ]}],
+        "params.z=2.0 disagrees with instance z=1.0", id="experiment-params-z-2",
+    ),
+    pytest.param(
+        "experiment", ["--suite", {"seed": 1, "solver": {"kind": "local-search", "z": 1.0},
+                                   "instances": []}],
+        "unexpected keyword argument 'z'", id="experiment-solver-z",
+    ),
+    pytest.param(
         "experiment", ["--suite", {"seed": 1, "instances": [{"id": "a", "file": "nope.txt"}]}],
         "No such file", id="experiment-missing-instance-file",
     ),
@@ -281,6 +296,10 @@ BAD_INPUTS = [
     ),
     pytest.param(
         "generate", GENERATE + ["--out", "NODIR"], "No such file", id="generate-out-unwritable",
+    ),
+    pytest.param(
+        "generate", GENERATE + ["--z", "nan", "--out", "OUT"], "z must be >= 1 and finite",
+        id="generate-z-nan",
     ),
     pytest.param(
         "solve", ["--s", "4", "--seed", "1", "--out", "NODIR"], "No such file",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import combinations
 
@@ -27,8 +28,8 @@ from trimclust.rng import generator_for
 from conftest import line_instance, random_instance, shared_point_instance
 
 
-def practical(s, z=1.0, epsilon=0.5, lam=0.1, tau=1.0):
-    return CoresetParams(epsilon=epsilon, lam=lam, tau=tau, mode="practical", practical_s=s, z=z)
+def practical(s, epsilon=0.5, lam=0.1, tau=1.0):
+    return CoresetParams(epsilon=epsilon, lam=lam, tau=tau, mode="practical", practical_s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +205,8 @@ def test_ring_bounds_random(rng, z):
 # ---------------------------------------------------------------------------
 
 
-def _pipeline(inst, s, seed=7, tau=1.0, z=None):
-    params = practical(s, z=inst.z if z is None else z, tau=tau)
+def _pipeline(inst, s, seed=7, tau=1.0):
+    params = practical(s, tau=tau)
     aug = build_augmented_instance(inst)
     base = baseline_solve(aug, exact_budget=3000)
     rp = ring_partition(inst, base.centers, tau)
@@ -347,9 +348,8 @@ def test_theory_mode_sample_size():
     p = CoresetParams(epsilon=0.5, lam=0.1, tau=2.0, mode="theory")
     n, k, m = 100, 2, 1
     want = math.ceil(1.0 * 4.0 / 0.25 * (1 + 2 * math.log(100) + math.log(10)))
-    assert p.sample_size(n, k, m) == want
-    p2 = CoresetParams(epsilon=0.5, lam=0.1, tau=2.0, mode="theory", z=2.0)
-    assert p2.sample_size(n, k, m) == math.ceil(want_base(2.0) * 2.0**18)
+    assert p.sample_size(n, k, m, 1.0) == want
+    assert p.sample_size(n, k, m, 2.0) == math.ceil(want_base(2.0) * 2.0**18)
 
 
 def want_base(z):
@@ -366,11 +366,11 @@ def test_params_validation():
 
 
 def test_sample_size_refuses_practical_s_cleared_after_construction():
-    # the dataclass is mutable, so the check at construction is not enough
+    # the dataclass is frozen, so the check at construction is the only one needed
     params = CoresetParams(mode="practical", practical_s=5)
-    params.practical_s = None
-    with pytest.raises(ValueError, match="practical_s"):
-        params.sample_size(10, 2, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.practical_s = None
+    assert params.sample_size(10, 2, 1, 1.0) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +410,12 @@ def test_concentration_rejects_q_above_population(rng):
     cfg = SampleCheckConfig(xi=10, q=6, lambda_prime=0.5)
     rep = sample_concentration_check(inst.dist, inst.clients, inst.facilities, cfg, 5, rng)
     assert rep.trials == 5
+
+
+@pytest.mark.parametrize("z", [0.5, math.nan, math.inf])
+def test_concentration_config_rejects_z_outside_one_to_inf(z):
+    with pytest.raises(ValueError, match="z must be >= 1 and finite"):
+        SampleCheckConfig(xi=0.5, q=0, lambda_prime=0.1, z=z)
 
 
 def test_concentration_violations_rare(rng):

@@ -32,12 +32,12 @@ FEW = settings(max_examples=30, deadline=None, derandomize=True)
 COORD = st.integers(0, 6)
 
 
-def _solvers(z):
-    return (SolverHandle.exact(), SolverHandle.local_search(z))
+def _solvers():
+    return (SolverHandle.exact(), SolverHandle.local_search())
 
 
 def _lossless(inst):
-    return CoresetParams(epsilon=0.5, mode="practical", practical_s=len(inst.clients), z=inst.z)
+    return CoresetParams(epsilon=0.5, mode="practical", practical_s=len(inst.clients))
 
 
 def _check_centers(sol, inst):
@@ -56,7 +56,7 @@ def _check_against_oracle(cost, oracle_cost, solver, z):
 
 def _check_plain(inst):
     oracle = exact_outlier_oracle(inst)
-    for solver in _solvers(inst.z):
+    for solver in _solvers():
         sol = solve_with_outliers(inst, _lossless(inst), solver, seed=0, rounds=1).best
         _check_centers(sol, inst)
         assert len(sol.outliers) <= inst.m and set(sol.outliers) <= set(inst.clients)
@@ -124,7 +124,7 @@ def test_color_class_with_zero_budget(xs, fs, data):
     inst = line_instance(xs, fs, k, m=sum(budgets))
     cinst = ColorfulInstance(base=inst, colors=dict(enumerate(colors)), budgets=budgets)
     oracle = colorful_oracle(cinst)
-    for solver in _solvers(1.0):
+    for solver in _solvers():
         sol = colorful_solve(cinst, _lossless(inst), solver, seed=0, rounds=1)
         _check_centers(sol, inst)
         evicted = Counter(cinst.colors[p] for p in sol.outliers)

@@ -1,4 +1,5 @@
-"""The package imports only what pyproject.toml declares, and scipy is not among it."""
+"""The package imports only what pyproject.toml declares, and scipy is not among it;
+the repo's pytest settings report a failing property test as one failure."""
 
 from __future__ import annotations
 
@@ -48,3 +49,27 @@ def test_runtime_imports_are_declared_and_scipy_free():
     ).stdout.splitlines()
     assert Path(out[0]).resolve().parent == PACKAGE.resolve()
     assert out[1] == "[]", out[1]
+
+
+FAILING_PROPERTY = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_failing_property_test_is_one_failure_not_an_internal_error(tmp_path):
+    # with warnings as errors, a warning raised while hypothesis reports the
+    # failing example would end the session with INTERNALERROR (exit 3)
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_fails.py")],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed" in run.stdout.splitlines()[-1], run.stdout

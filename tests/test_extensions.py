@@ -36,12 +36,12 @@ from trimclust.bench import report_to_dict
 from conftest import line_instance, random_instance, shared_point_instance
 
 
-def practical(s, z=1.0, epsilon=0.5):
-    return CoresetParams(epsilon=epsilon, mode="practical", practical_s=s, z=z)
+def practical(s, epsilon=0.5):
+    return CoresetParams(epsilon=epsilon, mode="practical", practical_s=s)
 
 
 def lossless(inst):
-    return practical(len(inst.clients), z=inst.z)
+    return practical(len(inst.clients))
 
 
 def colorful(rng, n_clients, n_fac, k, budgets, z=1.0):
@@ -90,8 +90,9 @@ def test_squared_distances_relaxed_triangle(rng):
 def test_kz_rejects_invalid_z(rng):
     inst = random_instance(rng, 5, 2, k=1, m=0)
     object.__setattr__(inst, "z", 0.5)  # bypass the constructor check
-    with pytest.raises(ValueError):
-        solve_with_outliers(inst, practical(5, z=0.5), SolverHandle.exact(), seed=0)
+    # the augmented instance of the baseline is built through the same check
+    with pytest.raises(ValueError, match="z must be >= 1"):
+        solve_with_outliers(inst, practical(5), SolverHandle.exact(), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,7 @@ def test_matroid_local_search_solve_builds_no_bases(rng):
     cinst = ColorfulInstance(
         base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(1, 0)
     )
-    solver = SolverHandle(kind="local_search", beta_guarantee=5.0, enumeration_budget=1000)
+    solver = SolverHandle(kind="local_search", enumeration_budget=1000)
     for solve, oracle in (
         (lambda: matroid_median_solve(
             inst, matroid, lossless(inst), solver, seed=1, rounds=1

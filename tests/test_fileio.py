@@ -126,6 +126,12 @@ def test_instance_rejects_nan_coordinate(tmp_path):
         fileio.load_instance(p)
 
 
+@pytest.mark.parametrize("z", ["nan", "inf"])
+def test_instance_rejects_non_finite_z(z):
+    with pytest.raises(ValueError, match=f"z must be >= 1 and finite, got {z}"):
+        fileio.instance_from_text(EUCLIDEAN.replace("z=1.0", f"z={z}"))
+
+
 def test_coreset_dump_round_trip(rng, tmp_path):
     inst = random_instance(rng, 30, 4, k=2, m=1)
     params = CoresetParams(mode="practical", practical_s=4)

@@ -281,3 +281,6 @@ def test_instance_validation():
         MetricInstance((0,), (5,), oracle, k=1)  # id outside universe
     with pytest.raises(ValueError):
         MetricInstance((0,), (1,), oracle, k=1, z=0.5)  # z < 1
+    for z in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="z must be >= 1 and finite"):
+            MetricInstance((0,), (1,), oracle, k=1, z=z)

@@ -159,8 +159,7 @@ def test_local_search_deterministic(rng):
 def test_local_search_iteration_cap_warns(rng):
     inst = random_instance(rng, 40, 20, k=4, m=0)
     handle = SolverHandle(
-        kind="local_search", beta_guarantee="heuristic", iteration_cap=1,
-        improvement_threshold=1e-9,
+        kind="local_search", iteration_cap=1, improvement_threshold=1e-9,
     )
     with pytest.warns(RuntimeWarning):
         local_search_kmedian(inst.dist, inst.clients, None, inst.facilities, 4, handle=handle)
@@ -168,11 +167,10 @@ def test_local_search_iteration_cap_warns(rng):
 
 def test_handle_validation():
     with pytest.raises(ValueError):
-        SolverHandle(kind="exact", beta_guarantee=2)
-    with pytest.raises(ValueError):
-        SolverHandle(kind="simplex", beta_guarantee=1)
-    assert SolverHandle.local_search(2.0).beta_guarantee == "heuristic"
-    assert SolverHandle.local_search(1.0).beta_guarantee == 5.0
+        SolverHandle(kind="simplex")
+    # the handle takes no exponent: a positional z is a TypeError, not an iteration cap
+    with pytest.raises(TypeError):
+        SolverHandle.local_search(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +271,7 @@ def _swap_cases(rng):
         )
         weights = None if trial % 3 == 0 else rng.integers(1, 4, size=len(inst.clients))
         handle = SolverHandle(
-            kind="local_search", beta_guarantee="heuristic",
+            kind="local_search",
             iteration_cap=1 if trial % 5 == 0 else 200,
             improvement_threshold=(1e-3, 0.25, 0.5)[trial % 4 % 3],
         )
