@@ -32,6 +32,10 @@ import numpy as np
 PointId = int
 
 _TRIANGLE_CHECK_SEED = 0x7461_6272  # fixed; the check must not consume user randomness
+# entries per row chunk of `EuclideanOracle.pairwise` (256 KB of float64):
+# the passes over one chunk stay in cache, and a block of up to 181 x 181
+# is one chunk
+_PAIRWISE_CHUNK = 32_768
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -117,15 +121,26 @@ class EuclideanOracle(DistanceOracle):
         self._columns = np.ascontiguousarray(c.T)  # one row per coordinate
 
     def pairwise(self, a, b):
+        """cdist's Euclidean block, bit for bit: per entry the squared
+        coordinate differences are added in coordinate order, then rooted.
+        Rows go in chunks of about ``_PAIRWISE_CHUNK`` entries, each written
+        straight into the one result block, so every pass stays in cache."""
         a = np.asarray(a, dtype=np.intp)
         b = np.asarray(b, dtype=np.intp)
+        (first_a, first_b), *others = [(col[a], col[b]) for col in self._columns]
+        total = np.empty((len(a), len(b)))
+        per = max(1, _PAIRWISE_CHUNK // max(1, len(b)))
         with np.errstate(over="ignore", invalid="ignore"):
-            total = None
-            for col in self._columns:
-                diff = np.subtract.outer(col[a], col[b])
-                diff *= diff
-                total = diff if total is None else np.add(total, diff, out=total)
-            return np.sqrt(total, out=total)
+            for lo in range(0, len(a), per):
+                out = total[lo : lo + per]
+                np.subtract.outer(first_a[lo : lo + per], first_b, out=out)
+                out *= out
+                for col_a, col_b in others:
+                    diff = np.subtract.outer(col_a[lo : lo + per], col_b)
+                    diff *= diff
+                    out += diff
+                np.sqrt(out, out=out)
+        return total
 
 
 @dataclass(frozen=True)

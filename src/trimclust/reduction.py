@@ -29,13 +29,15 @@ and `_run_rounds` rescores each distinct answer once, in the order of its
 first subset.
 
 Before the gather-sum both engines drop the columns that cannot be any
-subset's best (`_live_columns`).  A column's cost for T is its sum ``full``
-minus at most ``width`` nonnegative terms, so it is at least ``lb = full -
-top``, ``top`` the sum of its ``width`` largest terms, while no subset's best
-exceeds ``U``, the least finite ``full``.  A column with ``lb > U + margin``
-goes; the margin is ``_PRUNE_SLACK`` times the rounding bound of
-`_rounding_bound`, so rounding never turns a dropped column into a best.  A
-NaN ``lb`` keeps its column and a non-finite margin keeps them all, so
+subset's best (`_live_columns`).  Against a reference column ``r``, the
+first with the least finite ``full``, a column ``c`` costs every subset at
+least ``gap = (full[c] - full[r]) - top`` more than ``r`` does, ``top`` the
+sum of the ``width`` largest positive differences ``terms[i, c] -
+terms[i, r]``.  A column whose gap exceeds the margin goes; the margin is
+``_PRUNE_SLACK`` times the rounding bound of `_rounding_bound`, so rounding
+never turns a dropped column into a best.  Two cheaper bounds screen the
+block first, so the differences are taken only on the few columns left.  A
+NaN gap keeps its column and a non-finite margin keeps them all, so
 overflowing input is answered as without the prune.  The answers are the
 same, bit for bit.
 
@@ -182,9 +184,9 @@ def _evicted_sums(
         yield pos[lo : lo + per], np.subtract(full, removed, out=removed)
 
 
-# a column is dropped only if its lower bound exceeds the best upper bound by
-# this many rounding bounds (`_rounding_bound`); in the local-search engine
-# that is 4 * tol, so every dropped swap is more than tol above every best
+# a column is dropped only if it costs every subset this many rounding bounds
+# (`_rounding_bound`) more than the reference column; in the local-search
+# engine that is 4 * tol, so every dropped swap is more than tol above every best
 _PRUNE_SLACK = 1024
 
 
@@ -206,26 +208,67 @@ def _live_columns(full: np.ndarray, terms: np.ndarray, width: int, bound: float)
 
     Column ``c`` costs subset T ``full[c] - (terms[T0, c] + terms[T1, c] +
     ...)`` (see `_evicted_sums`), with nonnegative terms and at most
-    ``width`` real rows in T, so no cost of ``c`` is below ``lb[c] =
-    full[c] - top[c]``, where ``top[c]`` is the sum of the ``width`` largest
-    of its real-row terms (every row but the last, zero one).  No subset's
-    best is above ``U``, the least finite ``full``, since evicting rows never
-    raises a float cost.  A column with ``lb > U + _PRUNE_SLACK * bound`` is
-    strictly above every subset's best, even after rounding, so it is never
-    a best, nor a runner-up within the slack.  Only those are dropped: a NaN
-    ``lb`` keeps its column, a ``+inf`` ``full`` (a masked swap) drops it, an
-    ``inf`` or NaN ``bound`` keeps every column, and so does a ``full`` with
-    no finite entry.
+    ``width`` real rows in T (every row of ``terms`` but the last, zero
+    one).  The reference ``r`` is the first column with the least finite
+    ``full``; its terms are finite, since their sum is.  With ``d_i =
+    terms[i, c] - terms[i, r]``, in exact arithmetic
+
+        cost_T(c) - cost_T(r) = (F_c - F_r) - sum_{i in T} d_i >= gap[c],
+
+    ``gap[c] = (F_c - F_r) - top[c]``, where ``top[c]`` sums the ``width``
+    largest of ``max(d_i, 0)``, which no ``|T| <= width`` of the ``d_i`` can
+    exceed.  A column with ``gap > _PRUNE_SLACK * bound`` is dropped.  Three
+    passes, each a valid lower bound on the gap, drop columns; the cheap ones
+    first, so the differences are taken only on the columns they keep:
+
+    1. ``full - width * max_i terms[i, c] > full[r] + slack``, which reads
+       the block once and allocates nothing of its size;
+    2. ``(full - full[r]) - width * max(0, max_i d_i) > slack``, on the
+       columns pass 1 keeps (the ``max(0, .)`` keeps it a lower bound when
+       every ``d_i`` is negative: the empty subset costs ``c`` still
+       ``F_c - F_r`` more than ``r``);
+    3. the gap itself, by `np.partition`, on the columns pass 2 keeps.
+
+    Rounding: ``bound`` bounds the error of a float sum of at most ``n``
+    finite entries of one column, each at most its row's largest finite
+    entry, and also one rounding of any value at most the sum ``S`` of those
+    row maxima.  In pass 3 the computed ``full[c]`` and ``full[r]`` are each
+    one bound off, the differences together one (each ``d_i`` is rounded
+    once, relative to itself), the top sum one, and the two subtractions one
+    each: 6 bounds.  Passes 1 and 2 take as many: ``full[c]``, ``full[r]``,
+    the subtraction and the final comparison's term, plus the product
+    ``width * x`` and, in pass 2, ``x``'s own rounding, each at most one
+    bound whenever the pass drops, since ``width * x`` is then below
+    ``full[c] <= S``.  A subset's computed cost is within 3 bounds of its
+    exact cost (``full``, the gather-sum, the subtraction).  So a dropped
+    column costs every subset more than ``(1024 - 6 - 6) * bound`` more
+    than ``r`` does, after rounding too: it is never a best, nor a runner-up
+    within the local search's ``tol = 256 * bound``.
+
+    A NaN value keeps its column (``inf - inf``, where a column holds an
+    ``inf`` term and an ``inf`` ``full``), a ``+inf`` ``full`` with finite
+    terms (a masked swap) is dropped, an ``inf`` or NaN ``bound`` keeps
+    every column, and so does a ``full`` with no finite entry.
     """
     finite = np.isfinite(full)
     if not finite.any():
         return np.arange(len(full))
+    r = int(np.argmin(np.where(finite, full, np.inf)))
+    slack = _PRUNE_SLACK * bound
     real = terms[:-1]
-    rest = max(len(real) - width, 0)  # the rows below the top ``width``
-    top = np.partition(real, rest, axis=0)[rest:].sum(axis=0) if rest else real.sum(axis=0)
-    with np.errstate(invalid="ignore"):  # inf - inf: a NaN bound, which keeps its column
-        lb = full - top
-    return np.flatnonzero(~(lb > full[finite].min() + _PRUNE_SLACK * bound))
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN value, which keeps its column
+        # pass 1
+        live = np.flatnonzero(~(full - width * real.max(axis=0, initial=0.0) > full[r] + slack))
+        # pass 2
+        d = real[:, live] - real[:, r, None]
+        over = full[live] - full[r]
+        keep = ~(over - width * d.max(axis=0, initial=0.0) > slack)
+        # pass 3
+        live, d, over = live[keep], d[:, keep], over[keep]
+        np.maximum(d, 0.0, out=d)
+        rest = max(len(real) - width, 0)  # the rows below the top ``width``
+        top = np.partition(d, rest, axis=0)[rest:].sum(axis=0) if rest else d.sum(axis=0)
+        return live[~(over - top > slack)]
 
 
 class CostOverflowError(ValueError):
@@ -249,8 +292,10 @@ def per_subset_best_exact(
 
     Per candidate chunk, ``wm = w * min_d`` holds every entry's weighted
     distance to every candidate set, plus one zero row at index ``n`` =
-    ``len(points)``, and the cost of T is ``w @ min_d - (wm[T0] + wm[T1] +
-    ...)``, the evicted rows added in T's own order.  All subsets are one
+    ``len(points)``, and the cost of T is ``full - (wm[T0] + wm[T1] +
+    ...)``, ``full`` the numpy column sum of the ``n`` real rows (no BLAS
+    product, whose kernel and summation order may vary with the CPU), the
+    evicted rows added in T's own order.  All subsets are one
     gather-sum over the ``(n_T, width)`` subset array, whose padding ``n``
     picks the zero row, taken in row blocks of about ``_BLOCK_ELEMENTS``
     costs so memory stays bounded whatever the number of subsets.  Only the
@@ -259,9 +304,10 @@ def per_subset_best_exact(
     Per chunk, only the columns of `_live_columns` enter the gather-sum, in
     a C-contiguous copy; the margin is ``_PRUNE_SLACK`` rounding bounds of
     ``wm`` (`_rounding_bound`), which covers the rounding of ``full``, the
-    gather-sums and each column's ``top``.  A dropped column costs every
-    subset more than its chunk's best, so the first least cost of every
-    subset, ties included, is the one over all columns.  Distances are
+    gather-sums and each column's gap to the chunk's reference column.  A
+    dropped column costs every subset more than the reference does, so the
+    first least cost of every subset, ties included, is the one over all
+    columns.  Distances are
     finite, so a subset left with no finite cost means the cost sums
     overflowed: CostOverflowError.
     """
@@ -275,9 +321,9 @@ def per_subset_best_exact(
     offset = 0
     for chunk in space.chunks(len(points)):
         min_d = d[:, chunk].min(axis=2)  # (n_points, chunk_size)
-        full = w @ min_d
-        wm = np.zeros((len(w) + 1, len(full)))
+        wm = np.zeros((len(w) + 1, min_d.shape[1]))
         np.multiply(w[:, None], min_d, out=wm[:-1])
+        full = wm[:-1].sum(axis=0)
         live = _live_columns(full, wm, subsets.shape[1], _rounding_bound(wm[:-1]))
         # a C-contiguous copy: the row gathers below read whole rows of it
         wm_live = np.ascontiguousarray(wm[:, live])
@@ -366,10 +412,10 @@ def per_subset_local_search(
     Per state, only the swaps of `_live_columns` enter the gather-sum, under
     a margin of ``4 * tol`` and after the ``+inf`` mask, so a dependent swap
     is dropped whenever the margin is finite and some swap is allowed; the
-    current column, which sets the bar, is always kept.  A dropped swap is
-    more than ``tol`` above every subset's best, so it is neither the best
-    nor a runner-up that could fail the runner-up test, and every decision
-    above is the same as over all swaps.
+    current column, which sets the bar, is always kept.  A dropped swap costs
+    every subset more than ``tol`` above the reference swap, which is kept,
+    so it is neither the best nor a runner-up that could fail the runner-up
+    test, and every decision above is the same as over all swaps.
     """
     n_cols = D.shape[1]
     if k == n_cols:

@@ -1,5 +1,6 @@
 """The package imports only what pyproject.toml declares, and scipy is not among it;
-the repo's pytest settings report a failing property test as one failure."""
+it calls no BLAS product; the repo's pytest settings report a failing property
+test as one failure."""
 
 from __future__ import annotations
 
@@ -49,6 +50,22 @@ def test_runtime_imports_are_declared_and_scipy_free():
     ).stdout.splitlines()
     assert Path(out[0]).resolve().parent == PACKAGE.resolve()
     assert out[1] == "[]", out[1]
+
+
+def test_no_blas_product_in_the_package():
+    # the engines break exact ties by the first least float sum, so no sum
+    # may come from a BLAS kernel, whose choice and summation order can vary
+    # with the CPU: no ``@``, ``np.dot`` or ``np.matmul`` in the package
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Attribute) and node.attr in {"dot", "matmul"}:
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.alias) and node.name in {"dot", "matmul"}:
+                found.append(f"{path.name}: import {node.name}")
+    assert not found, found
 
 
 FAILING_PROPERTY = """\

@@ -23,6 +23,7 @@ from trimclust import (
     trimmed_sum,
     weighted_trimmed_cost,
 )
+from trimclust import metric
 from conftest import line_instance, random_instance
 
 
@@ -236,6 +237,7 @@ def test_matrix_matches_euclidean(rng):
     mo = MatrixOracle(cdist(coords, coords))
     assert mo.pairwise(ids, ids).tobytes() == EuclideanOracle(coords).pairwise(ids, ids).tobytes()
 
+    many = rng.integers(300, size=300)  # repeated ids too
     blocks = [
         (ids, ids),
         ((5, 0, 7), ids),
@@ -243,13 +245,19 @@ def test_matrix_matches_euclidean(rng):
         (ids, []),
         ([], []),
         ([3, 3, 0, 3], (6, 3, 6, 6, 1)),  # repeated ids
+        # blocks of several row chunks, the last one short
+        (range(300), range(200)),
+        (many, many[:100]),
+        (range(300), []),
+        ([], range(300)),
     ]
+    assert 300 * 200 > metric._PAIRWISE_CHUNK
     overflowed = False
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for dim in range(1, 13):
             for scale in (1e-200, 1e-3, 1.0, 1e5, 1e150, 1e300, 1.7e308):
-                coords = rng.uniform(-1.0, 1.0, size=(8, dim)) * scale
+                coords = rng.uniform(-1.0, 1.0, size=(300, dim)) * scale
                 eo = EuclideanOracle(coords)
                 for a, b in blocks:
                     want = cdist(coords[list(a)], coords[list(b)])

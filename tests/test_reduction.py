@@ -639,31 +639,49 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
 
 
 def test_live_columns_boundaries():
-    # three real rows and the zero row; each column's full is its sum, so
-    # with width 2 its lower bound lb is its least term, and U = 10
+    # three real rows and the zero row, width 2; each column's full is its
+    # sum.  The reference r is the first column with the least finite full,
+    # and a column's gap is (full - full[r]) minus the sum of its two largest
+    # positive differences d = terms - terms[:, r]; the slack is 1.0
+    e = 2.0**-8
     cols = {
-        "U": [0, 4, 6],  # full 10, the least finite full
-        "lb == U": [10, 10, 10],
-        "lb - U below the margin": [10.5, 20, 20],
-        "lb == U + margin": [11, 11, 11],
-        "beyond the margin": [11.5, 12, 12],
-        "NaN lb": [1, np.inf, np.inf],  # inf - inf
+        "r": [0, 4, 6],  # full 10
+        "r's twin": [0, 4, 6],  # a later column with the same full is not r
+        "gap == slack": [1, 5, 9],  # d = [1, 1, 3]: 5 - 4 == 1, kept
+        "gap just over": [1 + e, 5 + e, 9],  # d = [1+e, 1+e, 3]: 1 + e > 1
+        "lb <= U": [10, 10, 10],  # full - top = 10 == full[r], yet the gap is 20 - 16 = 4
+        "pass 1": [11.5, 12, 12],  # full - 2 * max = 11.5 > full[r] + 1
+        "pass 2": [2, 6, 8],  # (16 - 10) - 2 * max(d) = 2 > 1
+        "NaN gap": [1, np.inf, np.inf],  # inf - inf
         "masked": [1, 2, 3],  # full set to +inf below
     }
+    names = list(cols)
     terms = np.vstack([np.array(list(cols.values())).T, np.zeros(len(cols))])
     full = terms[:-1].sum(axis=0)
-    full[list(cols).index("masked")] = np.inf
-    bound = 2.0**-10  # a margin of 1.0: the slack is 1024 rounding bounds
+    full[names.index("masked")] = np.inf
+    bound = 2.0**-10  # a slack of 1.0: the slack is 1024 rounding bounds
     live = reduction._live_columns(full, terms, 2, bound)
-    assert [list(cols)[c] for c in live] == [
-        "U", "lb == U", "lb - U below the margin", "lb == U + margin", "NaN lb",
+    assert [names[c] for c in live] == ["r", "r's twin", "gap == slack", "NaN gap"]
+    # a bound against the least full alone, full - (its two largest terms),
+    # keeps "lb <= U"; the gap drops it
+    row_top = np.sort(terms[:-1], axis=0)[1:].sum(axis=0)
+    assert full[names.index("lb <= U")] - row_top[names.index("lb <= U")] <= full[0]
+    # width above the three real rows: every subset may evict every row, so
+    # every column with a finite full costs 0 then and is kept
+    assert [names[c] for c in reduction._live_columns(full, terms, 4, bound)] == [
+        n for n in names if n != "masked"
     ]
-    # every subset evicted whole: every finite lb is 0
-    assert reduction._live_columns(full, terms, 3, bound).tolist() == [0, 1, 2, 3, 4, 5]
+    # fewer real rows than the width and every difference negative (``full``
+    # is not the sum of the terms here): without the max(0, .) the second
+    # pass would drop column 1, whose gap to r is exactly the slack
+    few = np.array([[5.0, 1.0], [5.0, 1.0], [0.0, 0.0]])
+    assert reduction._live_columns(np.array([1.0, 2.0]), few, 3, bound).tolist() == [0, 1]
     # no finite full: every column is kept
-    assert reduction._live_columns(np.full(7, np.inf), terms, 2, bound).tolist() == list(range(7))
+    assert reduction._live_columns(np.full(len(names), np.inf), terms, 2, bound).tolist() == list(
+        range(len(names))
+    )
     # an unbounded margin (an overflowing block) keeps every column
-    assert len(reduction._live_columns(full, terms, 2, np.inf)) == 7
+    assert len(reduction._live_columns(full, terms, 2, np.inf)) == len(names)
 
 
 def test_local_search_prune_keeps_the_current_column(monkeypatch):
@@ -695,7 +713,7 @@ def test_local_search_prune_keeps_the_current_column(monkeypatch):
 
 
 def test_local_search_prune_drops_most_swaps(monkeypatch):
-    # the benchmark's local-search shape: about 44% of the swaps are kept
+    # the benchmark's local-search shape: about 3% of the swaps are kept
     pruned = _count_live_columns(monkeypatch)
     for seed in (6201, 6202):
         inst, _ = generate_planted(PlantedConfig(
@@ -704,7 +722,23 @@ def test_local_search_prune_drops_most_swaps(monkeypatch):
         ))
         solve_with_outliers(inst, practical(10), SolverHandle.local_search(), seed=1, rounds=1)
     kept, offered = map(sum, zip(*pruned))
-    assert kept < 0.6 * offered
+    assert kept < 0.1 * offered
+
+
+def test_exact_prune_drops_most_candidates(monkeypatch):
+    # the benchmark's exact-enum shape (k = 1, m = 3, every point a
+    # facility): a handful of the 80 candidates per instance are kept
+    pruned = _count_live_columns(monkeypatch)
+    for seed in (6100, 6101):
+        inst, _ = generate_planted(PlantedConfig(
+            clusters=1, points_per_cluster=77, spread=1.0, outlier_count=3,
+            outlier_distance_factor=30.0, dimension=2, seed=seed,
+        ))
+        ids = tuple(range(inst.dist.n_points))
+        inst = replace(inst, clients=ids, facilities=ids, k=1, m=3)
+        solve_with_outliers(inst, practical(60), SolverHandle.exact(), seed=1, rounds=1)
+    kept, offered = map(sum, zip(*pruned))
+    assert kept < 0.1 * offered
 
 
 def _overflowing_instance(seed):
@@ -737,9 +771,138 @@ def test_overflowing_cost_sums_raise_a_named_error(monkeypatch):
         # the rounding bound skips the inf entries, so the engine keeps batching
         # and only a few subsets fall back to the kernel (106 with an inf bound)
         assert len(calls) <= 14, seed
-        with monkeypatch.context() as m:
-            m.setattr(reduction, "_live_columns", lambda full, *a: np.arange(len(full)))
-            assert solve() == pruned, seed
+        assert _unpruned(monkeypatch, solve) == pruned, seed
+
+
+def _unpruned(monkeypatch, run):
+    """``run()`` with every column offered to the gather-sum."""
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "_live_columns", lambda full, *a: np.arange(len(full)))
+        return run()
+
+
+def _assert_same_answers(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.centers == b.centers
+        np.testing.assert_array_equal(a.which, b.which)
+
+
+def _planted_far(seed, k, m):
+    """2-D planted clusters with far outliers, every point a facility."""
+    inst, _ = generate_planted(PlantedConfig(
+        clusters=k, points_per_cluster=30, spread=1.0, outlier_count=m,
+        outlier_distance_factor=30.0, dimension=2, seed=seed,
+    ))
+    ids = tuple(range(inst.dist.n_points))
+    return replace(inst, clients=ids, facilities=ids, k=k, m=m)
+
+
+def _all_evicted(rng):
+    """`_grid_line` on the 0.1 grid, its subsets up to every row."""
+    inst, pts, _, matroid = _grid_line(rng, 0.1)
+    return inst, pts, _all_subsets(len(pts), len(pts)), matroid
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_prune_changes_no_answer(rng, monkeypatch):
+    # float data, where costs differ by rounding: both engines give the same
+    # Answers, centers and which, with the prune as with every column offered
+    pruned = _count_live_columns(monkeypatch)
+    answers = []
+    for name in ("per_subset_best_exact", "per_subset_local_search"):
+        engine = getattr(reduction, name)
+        monkeypatch.setattr(
+            reduction, name,
+            lambda *a, _engine=engine, **kw: answers.append(_engine(*a, **kw)) or answers[-1],
+        )
+
+    def engine_answers(solve):
+        answers.clear()
+        solve()
+        return list(answers)
+
+    solves = []
+    for solver in (SolverHandle.exact(), SolverHandle.local_search()):
+        for seed, k, m in ((7001, 1, 3), (7002, 2, 2), (7003, 2, 3)):
+            inst = _planted_far(seed, k, m)
+            solves.append(lambda inst=inst, solver=solver, seed=seed: solve_with_outliers(
+                inst, practical(10), solver, seed=seed, rounds=1
+            ))
+        # the colorful stream, matroid bases and masked swaps, and both at once
+        solves += _four_solves(rng, solver, budgets=(2, 1))[2][1:]
+    overflowing = _overflowing_instance(3)
+    solves.append(lambda: solve_with_outliers(
+        overflowing, practical(4), SolverHandle.local_search(), seed=3, rounds=1
+    ))
+    for solve in solves:
+        want = _unpruned(monkeypatch, lambda: engine_answers(solve))
+        _assert_same_answers(engine_answers(solve), want)
+    # the exact engine raises on the overflowing instance either way
+    exact = lambda: solve_with_outliers(
+        overflowing, practical(4), SolverHandle.exact(), seed=3, rounds=1
+    )
+    with pytest.raises(CostOverflowError):
+        exact()
+    with pytest.raises(CostOverflowError):
+        _unpruned(monkeypatch, exact)
+
+    # the batched engines called directly: twin facilities, the colorful
+    # stream, matroid bases, masked swaps and every row evicted
+    for case in (_plain_case, _colorful_case, _matroid_case, _empty_case):
+        inst, cs, rows, space = case(rng)
+        pts, w = cs.union.as_arrays()
+        run = lambda: [per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)]
+        _assert_same_answers(run(), _unpruned(monkeypatch, run))
+    builders = [
+        _all_evicted, _plane, _colorful_stream, _one_spot,
+        _plane_partition, _grid_partition, _empty_stream, _twin_facilities,
+    ]
+    for i in range(48):
+        inst, pts, subsets, matroid = builders[i % len(builders)](rng)
+        w = rng.integers(1, 4, size=len(pts)).astype(float)
+        facs = CandidateSpace.subsets(inst.facilities, inst.k)
+        test = None if matroid is None else (
+            lambda cols: matroid.is_independent([facs.col_ids[c] for c in cols])
+        )
+        D = solvers._cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
+        rows = _padded(subsets, len(pts))
+        solver = SolverHandle.local_search(iteration_cap=200)
+        run = lambda: [per_subset_local_search(D, rows, facs.combos.shape[1], solver, test)]
+        _assert_same_answers(run(), _unpruned(monkeypatch, run))
+    assert sum(offered - kept for kept, offered in pruned) > 0  # the prune dropped columns
+
+
+def test_live_columns_keep_every_subsets_best():
+    # small random blocks with ties, inf entries, masked columns and widths
+    # past the real rows: for every subset of at most ``width`` real rows,
+    # its first least cost, every cost within the local search's tol of it
+    # and every NaN cost are on kept columns
+    rng = np.random.default_rng(2117)
+    dropped = 0
+    for _ in range(400):
+        n, n_cols = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        width = int(rng.integers(1, n + 3))
+        terms = np.zeros((n + 1, n_cols))
+        terms[:-1] = rng.integers(0, 6, size=(n, n_cols)) * rng.choice([1.0, 0.1, 1e-3])
+        if rng.random() < 0.5:  # tied columns
+            terms[:, rng.integers(n_cols)] = terms[:, rng.integers(n_cols)]
+        if rng.random() < 0.3:
+            terms[rng.integers(n), rng.integers(n_cols)] = np.inf
+        full = terms[:-1].sum(axis=0)
+        full[rng.random(n_cols) < 0.15] = np.inf  # masked swaps
+        bound = reduction._rounding_bound(terms[:-1])
+        live = set(reduction._live_columns(full, terms, width, bound).tolist())
+        dropped += n_cols - len(live)
+        rows = reduction._up_to(n, min(width, n), width, n)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for _, costs in reduction._evicted_sums(full, terms, np.arange(len(rows)), rows):
+                first = costs.argmin(axis=1)
+                least = costs[np.arange(len(first)), first]
+                near = np.isnan(costs) | (costs <= least[:, None] + 256 * bound)
+                assert set(first.tolist()) <= live
+                assert set(np.flatnonzero(near.any(axis=0)).tolist()) <= live
+    assert dropped > 0
 
 
 def test_theory_mode_pipeline(rng):
