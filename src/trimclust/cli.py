@@ -177,6 +177,9 @@ def _run(ap: argparse.ArgumentParser, args: argparse.Namespace, inst) -> int:
         except SolverBudgetExceeded as exc:
             print(f"oracle refused: {exc}", file=sys.stderr)
             return 2
+        except ValueError as exc:  # e.g. every candidate's cost overflows float64
+            print(f"oracle failed: {exc}", file=sys.stderr)
+            return 2
         payload = {"kind": "oracle-report", "version": 1, "instance": args.instance}
         payload["solution"] = solution_to_dict(sol)
         _out(payload, args.out)

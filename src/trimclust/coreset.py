@@ -118,9 +118,10 @@ def baseline_solve(
 
     Exhaustive search is used while the number of candidate center sets stays
     within ``exact_budget`` (then ``tau_guarantee`` is 1); otherwise
-    single-swap local search, whose ``tau_guarantee`` is 5 for z = 1 and
-    ``None`` (no claimed factor) for z > 1.  This is the only place a solver's
-    guarantee is stated.
+    single-swap local search, whose ``tau_guarantee`` is 5 for z = 1 when the
+    search converged, and ``None`` (no claimed factor) for z > 1 or a search
+    stopped at its iteration cap, whose centers need not be a local optimum.
+    This is the only place a solver's guarantee is stated.
     """
     if inst_aug.m != 0:
         raise ValueError("baseline expects an outlier-free instance (m = 0)")
@@ -137,7 +138,7 @@ def baseline_solve(
     res = _local_search(d, min(inst_aug.k, len(fac)), SolverHandle.local_search())
     centers = tuple(fac[i] for i in res.centers)
     cost = trimmed_cost(inst_aug.dist, X, centers, 0, inst_aug.z)
-    guarantee = 5.0 if inst_aug.z == 1.0 else None
+    guarantee = 5.0 if inst_aug.z == 1.0 and res.converged else None
     return BaselineResult(centers, cost, "local_search", guarantee, res.converged)
 
 

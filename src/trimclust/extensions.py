@@ -45,7 +45,6 @@ from .metric import (
 )
 from .reduction import (
     _run_rounds,
-    _up_to,
     evaluate_candidate,
     per_subset_best_exact,  # noqa: F401  (the benchmark's tracer wraps it here by name)
 )
@@ -61,6 +60,7 @@ from .solvers import (
     SolverHandle,
     _cost_block,
     _local_search,
+    _up_to,
     argmin_trimmed,
 )
 

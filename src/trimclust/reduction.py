@@ -20,15 +20,16 @@ evicting T is a sum over all rows minus ``t[T0] + t[T1] + ...``, added in T's
 own order.  A round's subsets are one ``(n_T, width)`` index array from
 enumeration to rescoring (`enumerate_outlier_subsets`), shorter subsets
 padded with the index ``n`` of a zero row that each per-row term array
-carries past its ``n`` real rows, so a round is one numpy gather-sum
-(`_evicted_sums`) whatever its subset sizes.  It is worked through in row
-blocks of about ``_BLOCK_ELEMENTS`` costs, which bounds the extra memory by
-the block and not by the number of subsets.  Each engine returns its
-distinct answers once, with the index of every subset's answer (`Answers`),
-and `_run_rounds` rescores each distinct answer once, in the order of its
-first subset.
+carries past its ``n`` real rows, so a round is one set of numpy gathers
+whatever its subset sizes.  It is worked through in blocks of subsets, which
+bounds the extra memory by the block and not by the number of subsets.  The
+two engines lay the gathers out differently (see the list below).  Each
+engine returns its distinct answers once, with the index of every subset's
+answer (`Answers`), both counted in one linear pass (`_distinct`), and
+`_run_rounds` rescores each distinct answer once, in the order of its first
+subset.
 
-Before the gather-sum both engines drop the columns that cannot be any
+Before costing any subset both engines drop the columns that cannot be any
 subset's best (`_live_columns`).  Against a reference column ``r``, the
 first with the least finite ``full``, a column ``c`` costs every subset at
 least ``gap = (full[c] - full[r]) - top`` more than ``r`` does, ``top`` the
@@ -43,11 +44,18 @@ same, bit for bit.
 
 * Exact (`per_subset_best_exact`): per chunk of candidate sets the terms are
   the weighted minima ``w * min_d``, and only the distinct winning candidates
-  are looked up as center tuples.  Its answers are the per-subset ones
+  are looked up as center tuples.  Few columns survive the prune and every
+  subset needs only its first least cost, so the layout is column-major
+  (`_first_minimum`): per block of ``_BLOCK_ELEMENTS`` subsets, each live
+  column's costs are 1-D gathers from one contiguous row, and a running
+  minimum keeps the first least one.  Its answers are the per-subset ones
   except where two candidates' costs differ only by rounding.
 * Single-swap local search (`per_subset_local_search`): every subset starts
   from the same state, so the subsets search in lockstep, grouped by their
-  current centers, and the terms are each row's cost under every swap.  A
+  current centers, and the terms are each row's cost under every swap.  Its
+  decisions need each subset's least and second least swap, so the layout
+  is row-major: one gather-sum of whole rows of the live swaps
+  (`_evicted_sums`), in row blocks of about ``_BLOCK_ELEMENTS`` costs.  A
   subset whose next step is not decided beyond a rounding margin runs the
   kernel itself, so the answers are exactly those of one call per subset.
 
@@ -84,37 +92,26 @@ from .rng import TAG_ROUND, generator_for
 from .solvers import (
     CandidateSpace,
     SolverHandle,
-    _combinations,
     _cost_block,
     _greedy_basis,
     _local_search,
     _swap_basis,
+    _up_to,
     _warn_iteration_cap,
     solve_outlier_free,  # noqa: F401  (the benchmark's tracer wraps it here by name)
 )
 
 DEFAULT_FAILURE_TARGET = 0.05
 
-# cap on elements of one (subsets x candidate-sets) cost block of the batched
-# exact engine; much larger blocks raise peak memory and run no faster
-_BLOCK_ELEMENTS = 65_536
+# elements of each temporary of a block: subsets per block of the exact engine,
+# whose temporaries hold one value per subset, and costs per row block of
+# `_evicted_sums`; larger blocks fall out of the cache and run slower
+_BLOCK_ELEMENTS = 16_384
 
 
 def default_rounds(failure_target: float = DEFAULT_FAILURE_TARGET) -> int:
     """Repetitions needed to push a constant per-round failure odds below target."""
     return max(1, math.ceil(math.log2(1.0 / failure_target)))
-
-
-def _up_to(n: int, cap: int, width: int, pad: int) -> np.ndarray:
-    """Every subset of ``range(n)`` of size 0..cap, in (size, lexicographic)
-    order, one per row of ``width`` columns, padded with ``pad``."""
-    blocks = [_combinations(n, size) for size in range(cap + 1)]
-    rows = np.full((sum(map(len, blocks)), width), pad, dtype=np.intp)
-    lo = 0
-    for size, block in enumerate(blocks):
-        rows[lo : lo + len(block), :size] = block
-        lo += len(block)
-    return rows
 
 
 def enumerate_outlier_subsets(cs: WeightedCoreset, m: int) -> np.ndarray:
@@ -295,29 +292,30 @@ def per_subset_best_exact(
     ``len(points)``, and the cost of T is ``full - (wm[T0] + wm[T1] +
     ...)``, ``full`` the numpy column sum of the ``n`` real rows (no BLAS
     product, whose kernel and summation order may vary with the CPU), the
-    evicted rows added in T's own order.  All subsets are one
-    gather-sum over the ``(n_T, width)`` subset array, whose padding ``n``
-    picks the zero row, taken in row blocks of about ``_BLOCK_ELEMENTS``
-    costs so memory stays bounded whatever the number of subsets.  Only the
-    distinct winning candidates are looked up as center tuples.
+    evicted rows added in T's own order; the padding ``n`` of the
+    ``(n_T, width)`` subset array picks the zero row.  Only the distinct
+    winning candidates are looked up as center tuples.
 
-    Per chunk, only the columns of `_live_columns` enter the gather-sum, in
-    a C-contiguous copy; the margin is ``_PRUNE_SLACK`` rounding bounds of
-    ``wm`` (`_rounding_bound`), which covers the rounding of ``full``, the
-    gather-sums and each column's gap to the chunk's reference column.  A
-    dropped column costs every subset more than the reference does, so the
-    first least cost of every subset, ties included, is the one over all
-    columns.  Distances are
-    finite, so a subset left with no finite cost means the cost sums
-    overflowed: CostOverflowError.
+    Per chunk, only the columns of `_live_columns` are costed; the margin is
+    ``_PRUNE_SLACK`` rounding bounds of ``wm`` (`_rounding_bound`), which
+    covers the rounding of ``full``, the gather-sums and each column's gap
+    to the chunk's reference column.  A dropped column costs every subset
+    more than the reference does, so the first least cost of every subset,
+    ties included, is the one over all columns.  The live columns are copied
+    into contiguous rows, and per block of ``_BLOCK_ELEMENTS`` subsets
+    `_first_minimum` costs them one column at a time, in ascending order,
+    with 1-D gathers; the temporaries hold a few values per subset of the
+    block, whatever the number of columns.  A subset whose costs in a chunk
+    include a NaN takes nothing from that chunk, as ``argmin`` would pick
+    the NaN.  Distances are finite, so a subset left with no finite cost
+    means the cost sums overflowed: CostOverflowError.
     """
     if space.count == 0:
         raise ValueError("empty candidate space")
     d = _cost_block(dist, points, None, space.col_ids, z)
     w = np.asarray(weights, dtype=float)
-    every = np.arange(len(subsets))
     best_cost = np.full(len(subsets), np.inf)
-    best_idx = np.full(len(subsets), -1, dtype=np.int64)
+    best_idx = np.full(len(subsets), -1, dtype=np.intp)
     offset = 0
     for chunk in space.chunks(len(points)):
         min_d = d[:, chunk].min(axis=2)  # (n_points, chunk_size)
@@ -325,24 +323,71 @@ def per_subset_best_exact(
         np.multiply(w[:, None], min_d, out=wm[:-1])
         full = wm[:-1].sum(axis=0)
         live = _live_columns(full, wm, subsets.shape[1], _rounding_bound(wm[:-1]))
-        # a C-contiguous copy: the row gathers below read whole rows of it
-        wm_live = np.ascontiguousarray(wm[:, live])
-        for p, costs in _evicted_sums(full[live], wm_live, every, subsets):
-            jk = costs.argmin(axis=1)
-            vals = costs[np.arange(len(jk)), jk]
-            better = vals < best_cost[p]
-            best_cost[p[better]] = vals[better]
-            best_idx[p[better]] = offset + live[jk[better]]
+        # one contiguous row per live column, which the 1-D gathers below read
+        live_full, live_rows = full[live], np.ascontiguousarray(wm[:, live].T)
+        for lo in range(0, len(subsets), _BLOCK_ELEMENTS):
+            block = slice(lo, lo + _BLOCK_ELEMENTS)
+            T = np.ascontiguousarray(subsets[block].T)  # one row per entry position
+            val, arg = _first_minimum(live_full, live_rows, T)
+            take = val < best_cost[block]
+            np.copyto(best_cost[block], val, where=take)
+            np.copyto(best_idx[block], offset + live[arg], where=take)
         offset += chunk.shape[0]
-    winners, which = np.unique(best_idx, return_inverse=True)
-    if len(winners) and winners[0] < 0:
+    if (best_idx < 0).any():
         # the distance oracles accept only finite input, so only an overflow
         # of the cost sums leaves a subset with no finite cost (or a NaN one)
         raise CostOverflowError(
             "the weighted cost sums overflow float64, so some evicted subset has "
             "no finite cost; rescale the coordinates or distances"
         )
-    return Answers([space.centers_at(int(i)) for i in winners], which)
+    winners, which = _distinct(best_idx, space.count)
+    return Answers([space.centers_at(i) for i in winners.tolist()], which)
+
+
+def _first_minimum(
+    full: np.ndarray, rows: np.ndarray, T: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each subset's least cost over the columns and the first column with
+    it, as ``argmin`` picks them, except that a subset with a NaN cost gets
+    NaN beside an arbitrary column: ``argmin`` would pick that NaN, which no
+    comparison takes.
+
+    Column ``c`` costs subset ``q`` ``full[c] - (rows[c, T[0, q]] + rows[c,
+    T[1, q]] + ...)``, the terms added in T's own order as in
+    `_evicted_sums`, so each cost is the row-major gather-sum's, bit for bit.
+    The columns are taken in ascending order and a later one wins only if it
+    is strictly less.  A NaN cost needs a non-finite ``full``: with a finite
+    ``full`` every term is finite, and a sum of finite terms overflows to
+    ``inf`` at worst, never to NaN; so only those columns are searched for
+    NaN.
+    """
+    val = arg = nan = None
+    for c, (f, row) in enumerate(zip(full.tolist(), rows)):
+        cost = row.take(T[0])
+        for t in T[1:]:
+            cost += row.take(t)
+        np.subtract(f, cost, out=cost)
+        if not math.isfinite(f):
+            nan = np.isnan(cost) if nan is None else nan | np.isnan(cost)
+        if val is None:
+            val, arg = cost, np.zeros(len(cost), dtype=np.intp)
+        else:
+            better = cost < val
+            np.copyto(val, cost, where=better)
+            np.copyto(arg, c, where=better)
+    if nan is not None:
+        val[nan] = np.nan
+    return val, arg
+
+
+def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for entries in
+    ``range(size)``, by counting in ``O(len(values) + size)``: mark the
+    entries present, then number them with a cumulative sum."""
+    present = np.zeros(size, dtype=bool)
+    present[values] = True
+    rank = np.cumsum(present, dtype=np.intp) - 1
+    return np.flatnonzero(present), rank[values]
 
 
 def _swap_terms(D: np.ndarray, current: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -388,8 +433,8 @@ def per_subset_local_search(
     tuples).  Per state the per-row swap terms of `_swap_terms` and their
     column sums ``full`` over the ``len(D)`` real rows are computed once; T's
     swap costs and its current cost are then ``full`` minus T's rows, one
-    gather-sum over the state's rows of the subset array (padding picks the
-    zero row of the terms), as in `per_subset_best_exact`.
+    row-major gather-sum over the state's rows of the subset array (padding
+    picks the zero row of the terms, `_evicted_sums`).
     Whether a swap is allowed depends only on the state, so each swap is
     tested once per state, and a dependent swap's sum is ``+inf``: best and
     runner-up below are taken over the allowed swaps, as the kernel takes its
@@ -448,7 +493,7 @@ def per_subset_local_search(
     answer = np.full(len(subsets), -1, dtype=np.intp)
     for _ in range(handle.iteration_cap):
         moved = np.full(len(subsets), -1, dtype=np.intp)
-        for s in np.unique(state[state >= 0]).tolist():
+        for s in _distinct(state[state >= 0], len(states))[0].tolist():
             current = states[s]
             terms, outside = _swap_terms(D, current)
             full = terms[:-1].sum(axis=0)
@@ -486,7 +531,7 @@ def per_subset_local_search(
     answer[capped] = state[capped]
     for _ in capped:
         _warn_iteration_cap(handle, stacklevel=2)
-    used, which = np.unique(answer, return_inverse=True)
+    used, which = _distinct(answer, len(states))
     return Answers([states[i] for i in used.tolist()], which)
 
 
@@ -584,7 +629,9 @@ def _run_rounds(
             answers = per_subset_local_search(D, subsets, min(inst.k, len(fac)), solver, test)
             found = [tuple(fac[i] for i in c) for c in answers.centers]
 
-        _, first = np.unique(answers.which, return_index=True)
+        # the first subset of each answer (every answer has one), in subset order
+        first = np.full(len(found), len(subsets))
+        np.minimum.at(first, answers.which, np.arange(len(subsets)))
         for q in np.sort(first).tolist():
             centers = found[answers.which[q]]
             if independent is not None and not independent(centers):

@@ -18,10 +18,14 @@ each point's distance to its nearest candidate center, trim each group of
 points by its outlier budget, sum, and keep the first minimum.  The batched
 exact black box, `reduction.per_subset_best_exact`, reads the same space.
 
-A `CandidateSpace` is an index array, one center set per row.  Its k-subsets
-of the facilities come from `_combinations`, the one k-combination builder,
-which also builds the reduction's outlier subsets; `CandidateSpace.subsets`
-refuses a space over the enumeration budget before it builds any row.
+A `CandidateSpace` is an index array, one center set per row.  Subsets of
+``range(n)`` have one builder, `_extend`, which writes the subsets of one
+size from those one smaller by suffix copies.  `_up_to` runs it size after
+size straight into one padded array, the reduction's outlier subsets of
+size 0..m; `_combinations`, the k-subsets of the facilities, is the last
+block of that build, keeping of each smaller size only the rows the next
+reads.  `CandidateSpace.subsets` refuses a space over the enumeration budget
+before it builds any row.
 """
 
 from __future__ import annotations
@@ -131,20 +135,59 @@ class CandidateSpace:
         return tuple(self.col_ids[i] for i in self.combos[idx].tolist())
 
 
+def _extend(prev: np.ndarray, out: np.ndarray, n: int, size: int, low: int) -> None:
+    """Write every ``size``-subset of ``range(low, n)`` into ``out[:, :size]``,
+    one increasing row each, in lexicographic order.
+
+    ``prev[:, :size - 1]`` holds the ``(size - 1)``-subsets of ``range(low +
+    1, n)`` or more, in that order.  The ``size``-subsets that start with
+    ``a`` are ``a`` followed by the ``(size - 1)``-subsets whose first entry
+    exceeds ``a``, which are the last ``C(n - a - 1, size - 1)`` rows of
+    ``prev``: one suffix copy per ``a``.  ``prev`` and ``out`` are row
+    blocks of C-contiguous arrays of one width, so each copy is one flat
+    move of those rows, one column to the right; it carries each row's last
+    entry into the next row's first column, which is written last.  Columns
+    past ``size`` get ``prev``'s columns past ``size - 1``.
+    """
+    firsts = np.arange(low, n - size + 1)
+    counts = [math.comb(n - a - 1, size - 1) for a in firsts.tolist()]
+    if size > 1:
+        src, dst, width = prev.reshape(-1), out.reshape(-1), out.shape[1]
+        lo = 0
+        for count in counts:
+            dst[lo * width + 1 : (lo + count) * width] = src[len(src) - count * width : -1]
+            lo += count
+    out[:, 0] = np.repeat(firsts, counts)
+
+
 def _combinations(n: int, size: int) -> np.ndarray:
     """Every ``size``-subset of ``range(n)`` (``size <= n``), one increasing
-    row each, in lexicographic order.
+    row each, in lexicographic order: the last block of `_up_to`'s build.
 
-    Built a column at a time: each row repeats once per value its next
-    column can take, in increasing order.
+    Only the rows the next size reads are built: of the ``j``-subsets, those
+    of ``range(size - j, n)``, each from the block before it (`_extend`).
     """
-    rows, last = np.empty((1, 0), dtype=np.intp), np.full(1, -1, dtype=np.intp)
-    for col in range(size):
-        counts = n - size + col - last  # the next value runs over last + 1 .. n - size + col
-        ends = np.cumsum(counts)
-        step = np.arange(ends[-1], dtype=np.intp) - np.repeat(ends - counts, counts)
-        last = np.repeat(last + 1, counts) + step
-        rows = np.column_stack([np.repeat(rows, counts, axis=0), last])
+    block = np.empty((1, size), dtype=np.intp)
+    for j in range(1, size + 1):
+        block, prev = np.empty((math.comb(n - size + j, j), size), dtype=np.intp), block
+        _extend(prev, block, n, j, size - j)
+    return block
+
+
+def _up_to(n: int, cap: int, width: int, pad: int) -> np.ndarray:
+    """Every subset of ``range(n)`` of size 0..cap (``cap <= min(n, width)``),
+    in (size, lexicographic) order, one per row of ``width`` columns, padded
+    with ``pad``.
+
+    Each size is written straight into the padded array from the block
+    before it (`_extend`), so no block is built twice.
+    """
+    counts = [math.comb(n, size) for size in range(cap + 1)]
+    rows = np.full((sum(counts), width), pad, dtype=np.intp)
+    lo = 1  # the empty subset is the first row, all padding
+    for size in range(1, cap + 1):
+        _extend(rows[lo - counts[size - 1] : lo], rows[lo : lo + counts[size]], n, size, 0)
+        lo += counts[size]
     return rows
 
 

@@ -177,6 +177,20 @@ def test_oracle_budget_refusal_exit_code(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_oracle_error_is_one_line_and_exit_2(tmp_path, capsys):
+    # squared distances of 1e300 overflow, so no center set has a finite cost;
+    # both verbs that search center sets report it the same way
+    path = tmp_path / "far.txt"
+    path.write_text(
+        "trimclust-instance v1\nformat=euclidean\ndim=1\nk=1\nm=1\nz=2.0\npoints=3\n"
+        "0,both,0.0\n1,both,1e300\n2,both,-1e300\n"
+    )
+    for verb, extra in (("oracle", []), ("solve", ["--s", "4", "--seed", "1"])):
+        assert main([verb, "--instance", str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err == f"{verb} failed: no candidate center set has a finite cost\n"
+
+
 def test_solve_local_search_flags(tmp_path):
     inst = _generate(tmp_path)
     out = tmp_path / "ls.json"

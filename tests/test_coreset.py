@@ -23,6 +23,7 @@ from trimclust import (
     verify_ring_bounds,
     weighted_trimmed_cost,
 )
+from trimclust import coreset
 from trimclust.coreset import _band_index
 from trimclust.rng import generator_for
 from conftest import line_instance, random_instance, shared_point_instance
@@ -100,6 +101,18 @@ def test_baseline_local_search_fallback(rng):
     base = baseline_solve(aug, exact_budget=10)
     assert base.method == "local_search" and base.tau_guarantee == 5.0
     assert base.cost >= 0.0 and len(base.centers) <= aug.k
+
+
+def test_baseline_stopped_at_the_cap_claims_no_factor(rng, monkeypatch):
+    # a search stopped at the iteration cap need not be a local optimum, so
+    # the single-swap factor does not hold
+    capped = classmethod(lambda cls: cls(kind="local_search", iteration_cap=1))
+    monkeypatch.setattr(coreset.SolverHandle, "local_search", capped)
+    aug = build_augmented_instance(shared_point_instance(rng, 40, k=2, m=2))
+    with pytest.warns(RuntimeWarning, match="iteration cap"):
+        base = baseline_solve(aug, exact_budget=10)
+    assert base.method == "local_search" and not base.converged
+    assert base.tau_guarantee is None
 
 
 def test_baseline_rejects_outliers():

@@ -495,6 +495,87 @@ def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
         assert _expand(got) == want
 
 
+def _row_major_best_exact(dist, points, weights, space, z, rows):
+    """The exact engine's earlier layout, kept as its reference: per chunk of
+    candidates, one row-major gather-sum of the live columns over the padded
+    subset array, each subset's rows added in T's own order, then
+    ``argmin(axis=1)``.  Returns each subset's candidate index (-1: none)
+    and how many (subset, chunk) pairs met a NaN beside a finite cost."""
+    d = solvers._cost_block(dist, points, None, space.col_ids, z)
+    w = np.asarray(weights, dtype=float)
+    best_cost = np.full(len(rows), np.inf)
+    best_idx = np.full(len(rows), -1)
+    nan_beside_finite = offset = 0
+    for chunk in space.chunks(len(points)):
+        wm = np.zeros((len(w) + 1, chunk.shape[0]))
+        wm[:-1] = w[:, None] * d[:, chunk].min(axis=2)
+        full = wm[:-1].sum(axis=0)
+        live = reduction._live_columns(
+            full, wm, rows.shape[1], reduction._rounding_bound(wm[:-1])
+        )
+        removed = wm[rows[:, 0]][:, live]
+        for col in range(1, rows.shape[1]):
+            removed += wm[rows[:, col]][:, live]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            costs = full[live] - removed
+        j = costs.argmin(axis=1)
+        vals = costs[np.arange(len(j)), j]
+        nan_beside_finite += int((np.isnan(vals) & np.isfinite(costs).any(axis=1)).sum())
+        better = vals < best_cost
+        best_cost[better] = vals[better]
+        best_idx[better] = offset + live[j[better]]
+        offset += chunk.shape[0]
+    return best_idx, nan_beside_finite
+
+
+def _far_facility_case(rng):
+    """1-D float points, one client and one facility at 1e300, z = 2: a
+    candidate set without the far facility has an ``inf`` ``full``, and
+    costs ``inf - inf`` = NaN to a subset that evicts the far client.  The
+    far facility comes first, so in chunks of 4 candidate sets the first
+    chunk is all finite and the second mixes both.  Returns the instance,
+    the entries, the subset array and the candidate space."""
+    xs = rng.uniform(0.0, 10.0, size=21)
+    clients, facs = np.append(xs[:15], 1e300), np.append(1e300, xs[15:])
+    inst = line_instance(clients, facs, k=2, m=2, z=2.0)
+    rows = _padded(_all_subsets(len(clients), 2), len(clients))
+    return inst, np.arange(len(clients)), rows, CandidateSpace.subsets(inst.facilities, inst.k)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_exact_engine_matches_the_row_major_reference(rng, monkeypatch):
+    # float data with twin facilities (ties), the colorful stream (rows not in
+    # size order), the all-padding stream of m = 0, and an inf ``full``
+    # beside finite columns; chunks and subset blocks are crossed
+    monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 150)
+    monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 7)
+    cases = [
+        lambda rng, case=case: (lambda inst, cs, rows, space: (
+            inst, cs.union.as_arrays()[0], rows, space
+        ))(*case(rng))
+        for case in (_plain_case, _colorful_case, _empty_case, _matroid_case)
+    ] + [_far_facility_case]
+    nan_rule = overflowed = 0
+    for i in range(40):
+        inst, pts, rows, space = cases[i % len(cases)](rng)
+        w = rng.uniform(0.5, 3.0, size=len(pts))
+        assert len(list(space.chunks(len(pts)))) > 2 and (len(rows) > 7 or len(rows) == 1)
+        want, nan_beside_finite = _row_major_best_exact(inst.dist, pts, w, space, inst.z, rows)
+        nan_rule += nan_beside_finite
+        if (want < 0).any():
+            overflowed += 1
+            with pytest.raises(CostOverflowError):
+                per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)
+            continue
+        winners, which = np.unique(want, return_inverse=True)
+        got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)
+        assert got.centers == [space.centers_at(int(c)) for c in winners]
+        np.testing.assert_array_equal(got.which, which)
+    # a subset that sees a NaN takes nothing from that chunk, even beside a
+    # finite cost; most far-facility cases still answer every subset
+    assert nan_rule > 0 and overflowed < 4
+
+
 def _grid_line(rng, step):
     """1-D coordinates on a grid of ``step``: costs tie in exact arithmetic,
     and on the 0.1 grid their float sums also carry rounding noise.  Some

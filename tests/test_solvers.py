@@ -409,6 +409,28 @@ def test_combinations_match_itertools():
             np.testing.assert_array_equal(got, want.reshape(got.shape))
 
 
+def test_subsets_up_to_a_cap_match_itertools():
+    # every size 0..cap in (size, lexicographic) order, padded; the colorful
+    # enumeration pads with a value other than n
+    for n in range(10):
+        for cap in range(n + 1):
+            for width in (max(1, cap), cap + 2):
+                for pad in (n, n + 3):
+                    want = [
+                        list(T) + [pad] * (width - size)
+                        for size in range(cap + 1) for T in combinations(range(n), size)
+                    ]
+                    got = solvers._up_to(n, cap, width, pad)
+                    assert got.dtype == np.intp and got.flags.c_contiguous
+                    np.testing.assert_array_equal(
+                        got, np.array(want, dtype=np.intp).reshape(len(want), width)
+                    )
+    combos = CandidateSpace.subsets(range(7), 3).combos
+    assert combos.dtype == np.intp and combos.flags.c_contiguous and combos.shape == (35, 3)
+    # near n, only the rows the last size reads are built, not all 2**40 subsets
+    assert solvers._combinations(40, 38).shape == (780, 38)
+
+
 def test_candidate_space_refused_before_it_is_built():
     # C(100000, 5) rows would not fit in memory; the count alone refuses them
     with pytest.raises(SolverBudgetExceeded, match="candidate center sets exceed budget 10"):
