@@ -90,11 +90,14 @@ from .metric import (
 )
 from .rng import TAG_ROUND, generator_for
 from .solvers import (
+    _PRUNE_SLACK,
     CandidateSpace,
     SolverHandle,
     _cost_block,
     _greedy_basis,
     _local_search,
+    _nearest,
+    _rounding_bound,
     _swap_basis,
     _up_to,
     _warn_iteration_cap,
@@ -179,25 +182,6 @@ def _evicted_sums(
         for col in range(1, block.shape[1]):
             removed += per_row[block[:, col]]
         yield pos[lo : lo + per], np.subtract(full, removed, out=removed)
-
-
-# a column is dropped only if it costs every subset this many rounding bounds
-# (`_rounding_bound`) more than the reference column; in the local-search
-# engine that is 4 * tol, so every dropped swap is more than tol above every best
-_PRUNE_SLACK = 1024
-
-
-def _rounding_bound(block: np.ndarray) -> float:
-    """How far any float sum of at most ``n`` = ``len(block)`` finite entries
-    of one column of ``block``, each at most its row's largest, can lie from
-    the exact sum: ``(n + 1) * 2**-52 * sum_i max_j block[i, j]`` over the
-    finite entries.  A sum with an inf or NaN term is inf or NaN on every
-    path, so those entries need no margin; the bound is ``inf`` only when the
-    finite row maxima overflow."""
-    row_max = block.max(axis=1, initial=0.0)
-    if not np.isfinite(row_max).all():
-        row_max = np.where(np.isfinite(block), block, 0.0).max(axis=1, initial=0.0)
-    return (len(block) + 1) * 2.0**-52 * float(row_max.sum())
 
 
 def _live_columns(full: np.ndarray, terms: np.ndarray, width: int, bound: float) -> np.ndarray:
@@ -288,7 +272,8 @@ def per_subset_best_exact(
     candidate space was refused over budget when it was built.
 
     Per candidate chunk, ``wm = w * min_d`` holds every entry's weighted
-    distance to every candidate set, plus one zero row at index ``n`` =
+    distance to every candidate set (``min_d`` from `solvers._nearest`, as
+    in `argmin_trimmed`), plus one zero row at index ``n`` =
     ``len(points)``, and the cost of T is ``full - (wm[T0] + wm[T1] +
     ...)``, ``full`` the numpy column sum of the ``n`` real rows (no BLAS
     product, whose kernel and summation order may vary with the CPU), the
@@ -305,22 +290,22 @@ def per_subset_best_exact(
     into contiguous rows, and per block of ``_BLOCK_ELEMENTS`` subsets
     `_first_minimum` costs them one column at a time, in ascending order,
     with 1-D gathers; the temporaries hold a few values per subset of the
-    block, whatever the number of columns.  A subset whose costs in a chunk
-    include a NaN takes nothing from that chunk, as ``argmin`` would pick
-    the NaN.  Distances are finite, so a subset left with no finite cost
-    means the cost sums overflowed: CostOverflowError.
+    block, whatever the number of columns.  Where ``full`` is ``inf`` and T
+    evicts an ``inf`` term, ``full`` minus T's terms is ``inf - inf``; there
+    T's cost is the sum of the rows it keeps, in row order, so only those
+    subsets pay for the overflow.  Distances are finite, so a subset left
+    with no finite cost means even a kept sum overflowed: CostOverflowError.
     """
     if space.count == 0:
         raise ValueError("empty candidate space")
-    d = _cost_block(dist, points, None, space.col_ids, z)
+    dT = np.ascontiguousarray(_cost_block(dist, points, None, space.col_ids, z).T)
     w = np.asarray(weights, dtype=float)
     best_cost = np.full(len(subsets), np.inf)
     best_idx = np.full(len(subsets), -1, dtype=np.intp)
     offset = 0
     for chunk in space.chunks(len(points)):
-        min_d = d[:, chunk].min(axis=2)  # (n_points, chunk_size)
-        wm = np.zeros((len(w) + 1, min_d.shape[1]))
-        np.multiply(w[:, None], min_d, out=wm[:-1])
+        wm = np.zeros((len(w) + 1, len(chunk)))
+        np.multiply(w[:, None], _nearest(dT, chunk).T, out=wm[:-1])
         full = wm[:-1].sum(axis=0)
         live = _live_columns(full, wm, subsets.shape[1], _rounding_bound(wm[:-1]))
         # one contiguous row per live column, which the 1-D gathers below read
@@ -335,7 +320,7 @@ def per_subset_best_exact(
         offset += chunk.shape[0]
     if (best_idx < 0).any():
         # the distance oracles accept only finite input, so only an overflow
-        # of the cost sums leaves a subset with no finite cost (or a NaN one)
+        # of the cost sums leaves a subset with no finite cost
         raise CostOverflowError(
             "the weighted cost sums overflow float64, so some evicted subset has "
             "no finite cost; rescale the coordinates or distances"
@@ -348,36 +333,47 @@ def _first_minimum(
     full: np.ndarray, rows: np.ndarray, T: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each subset's least cost over the columns and the first column with
-    it, as ``argmin`` picks them, except that a subset with a NaN cost gets
-    NaN beside an arbitrary column: ``argmin`` would pick that NaN, which no
-    comparison takes.
+    it, as ``argmin`` picks them.
 
     Column ``c`` costs subset ``q`` ``full[c] - (rows[c, T[0, q]] + rows[c,
     T[1, q]] + ...)``, the terms added in T's own order as in
     `_evicted_sums`, so each cost is the row-major gather-sum's, bit for bit.
     The columns are taken in ascending order and a later one wins only if it
-    is strictly less.  A NaN cost needs a non-finite ``full``: with a finite
-    ``full`` every term is finite, and a sum of finite terms overflows to
-    ``inf`` at worst, never to NaN; so only those columns are searched for
-    NaN.
+    is strictly less.  That difference is NaN only where ``full[c]`` and an
+    evicted term are both ``inf`` (with a finite ``full`` every term is
+    finite, and a sum of finite terms overflows to ``inf`` at worst, never
+    to NaN); such a subset is costed on that column by the sum of the rows
+    it keeps (`_kept_sums`), which trims before it sums.
     """
-    val = arg = nan = None
+    val = arg = None
     for c, (f, row) in enumerate(zip(full.tolist(), rows)):
         cost = row.take(T[0])
         for t in T[1:]:
             cost += row.take(t)
-        np.subtract(f, cost, out=cost)
-        if not math.isfinite(f):
-            nan = np.isnan(cost) if nan is None else nan | np.isnan(cost)
+        if math.isfinite(f):
+            np.subtract(f, cost, out=cost)
+        else:
+            with np.errstate(invalid="ignore"):  # inf - inf, costed again below
+                np.subtract(f, cost, out=cost)
+            redo = np.flatnonzero(np.isnan(cost))
+            cost[redo] = _kept_sums(row, T[:, redo])
         if val is None:
             val, arg = cost, np.zeros(len(cost), dtype=np.intp)
         else:
             better = cost < val
             np.copyto(val, cost, where=better)
             np.copyto(arg, c, where=better)
-    if nan is not None:
-        val[nan] = np.nan
     return val, arg
+
+
+def _kept_sums(row: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Each subset's sum of ``row`` over the rows it keeps, added in row
+    order.  ``T`` holds one subset per column, padded with the index of the
+    zero last entry of ``row``; an evicted row adds ``+0.0``, which changes
+    no sum of nonnegative terms."""
+    kept = np.repeat(row[None, :], T.shape[1], axis=0)
+    kept[np.arange(T.shape[1]), T] = 0.0
+    return np.cumsum(kept, axis=1)[:, -1]
 
 
 def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

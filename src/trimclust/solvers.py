@@ -13,10 +13,19 @@ with only the swaps an independence test accepts (a heuristic under a
 matroid; no factor is claimed).
 
 Every exhaustive search over center sets, here and in the variants, is one
-call of `argmin_trimmed` over a `CandidateSpace`: per candidate chunk, take
-each point's distance to its nearest candidate center, trim each group of
-points by its outlier budget, sum, and keep the first minimum.  The batched
-exact black box, `reduction.per_subset_best_exact`, reads the same space.
+call of `argmin_trimmed` over a `CandidateSpace`: take each point's distance
+to its nearest candidate center, trim each group of points by its outlier
+budget, sum, and keep the first minimum.  Both exhaustive searches, this one
+and the batched exact black box `reduction.per_subset_best_exact`, take a
+candidate's nearest distances from one helper, `_nearest`: per position of
+the candidate sets, one 2-D gather of columns of the cost block, folded by
+`np.minimum`, which is exact.  `argmin_trimmed` walks the space in blocks of
+about ``_TRIM_BLOCK_ELEMENTS`` (points x candidates) distances.  A space
+that fits one block is trimmed whole.  Otherwise a lower bound on every
+candidate's trimmed cost, which reads the block's column sums and per-column
+maxima taken once, drops the candidates that cannot be the first minimum,
+beyond ``_PRUNE_SLACK`` rounding bounds (`_rounding_bound`), and only the
+rest are partitioned: the answer, ties included, is the whole search's.
 
 A `CandidateSpace` is an index array, one center set per row.  Subsets of
 ``range(n)`` have one builder, `_extend`, which writes the subsets of one
@@ -41,8 +50,19 @@ from .metric import DistanceOracle, PointId
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
-# cap on elements of a (points x candidate-sets x k) block, to bound memory
+# cap on the distances one candidate chunk of the exact black box gathers
+# (points x candidate-sets x k: k gathers of a (points x candidate-sets)
+# block), to bound memory
 _CHUNK_ELEMENTS = 8_000_000
+
+# (points x candidates) distances per block of `argmin_trimmed`; its
+# temporaries hold one block each, and larger blocks fall out of the cache
+_TRIM_BLOCK_ELEMENTS = 65_536
+
+# a candidate or column is dropped only if its lower bound exceeds a computed
+# cost by this many rounding bounds (`_rounding_bound`); in the local-search
+# engine that is 4 * tol, so every dropped swap is more than tol above every best
+_PRUNE_SLACK = 1024
 
 
 class SolverBudgetExceeded(RuntimeError):
@@ -199,6 +219,85 @@ def _cost_block(dist: DistanceOracle, points, weights, cols, z: float) -> np.nda
     return d if weights is None else d * np.asarray(weights, dtype=float)[:, None]
 
 
+def _rounding_bound(block: np.ndarray) -> float:
+    """How far any float sum of at most ``n`` = ``len(block)`` finite entries
+    of one column of ``block``, each at most its row's largest, can lie from
+    the exact sum: ``(n + 1) * 2**-52 * sum_i max_j block[i, j]`` over the
+    finite entries.  That covers a sum of one entry per row over any subset
+    of the columns, as a candidate's trimmed cost in `argmin_trimmed` or a
+    subset's cost in `reduction`'s engines, and one rounding of any value up
+    to the sum of the row maxima.  A sum with an inf or NaN term is inf or
+    NaN on every path, so those entries need no margin; the bound is ``inf``
+    only when the finite row maxima overflow."""
+    row_max = block.max(axis=1, initial=0.0)
+    if not np.isfinite(row_max).all():
+        row_max = np.where(np.isfinite(block), block, 0.0).max(axis=1, initial=0.0)
+    return (len(block) + 1) * 2.0**-52 * float(row_max.sum())
+
+
+def _nearest(dT: np.ndarray, combos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each point's least distance to each candidate set, one C-contiguous
+    row per row of ``combos`` and one column per point: for ``dT`` the cost
+    block transposed (one row per column), ``d[:, combos].min(axis=2).T``,
+    whose layout it also has.  Per position of the sets, one 2-D gather of
+    rows of ``dT`` (columns of ``d``), folded by `np.minimum`; a minimum is
+    exact, so these are ``min``'s floats.  ``out`` takes the result in
+    ``out[0]`` and, for sets of two or more, each gather in ``out[1]``.  A
+    caller that walks many blocks passes one, so that it reuses that memory
+    instead of mapping fresh pages for every block.  Otherwise it is
+    allocated as one array: freed as two halves, it lowered glibc's dynamic
+    mmap threshold enough that the next solve's subset arrays were mapped
+    afresh, about 1 ms a matroid solve of the `variants` benchmark.
+    """
+    if out is None:
+        out = np.empty((min(2, combos.shape[1]), len(combos), dT.shape[1]))
+    vals = np.take(dT, combos[:, 0], axis=0, out=out[0], mode="clip")  # "raise" would buffer
+    for j in range(1, combos.shape[1]):
+        np.minimum(vals, np.take(dT, combos[:, j], axis=0, out=out[1], mode="clip"), out=vals)
+    return vals
+
+
+def _trimmed_costs(vals: np.ndarray, groups) -> np.ndarray:
+    """Each column's trimmed cost, ``vals`` one row per point and one
+    contiguous column per candidate (a transposed `_nearest`), and the groups
+    those of `argmin_trimmed`.  numpy sums a group of every row down each
+    contiguous column, pairwise, and a gathered group row by row when it has
+    two or more columns (pairwise when it has one); so a candidate's float
+    does not depend on which other candidates share the call, as long as
+    there are two or more of them."""
+    costs = np.zeros(vals.shape[1])
+    for rows, drop in groups:
+        sub = vals[rows]
+        keep = len(sub) - drop
+        if keep <= 0:
+            continue
+        if drop == 0:
+            costs += sub.sum(axis=0)
+        else:
+            costs += np.partition(sub, keep - 1, axis=0)[:keep].sum(axis=0)
+    return costs
+
+
+def _contenders(
+    near: np.ndarray,
+    block: np.ndarray,
+    group_max: np.ndarray,
+    drops: np.ndarray,
+    best_cost: float,
+    slack: float,
+    groups,
+) -> np.ndarray:
+    """Indices of the candidates of one block that may still be the first
+    minimum (see `argmin_trimmed`), ascending; ``near`` is the block's
+    `_nearest`, ``group_max[c, g]`` column ``c``'s largest distance in the
+    ``g``-th group that drops rows, and ``drops[g]`` that group's drop."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its candidate
+        bound = near.sum(axis=1) - (drops * _nearest(group_max, block)).sum(axis=1)
+    j = int(np.argmin(bound))
+    least = min(best_cost, float(_trimmed_costs(near[[j, j]].T, groups)[0]))
+    return np.flatnonzero(~(bound > least + slack) | np.isinf(bound))
+
+
 def argmin_trimmed(
     d: np.ndarray,
     space: CandidateSpace,
@@ -207,32 +306,67 @@ def argmin_trimmed(
     """Index in ``space`` of the candidate set with the least trimmed cost.
 
     ``d`` holds one row per point and one column per ``space.col_ids`` entry
-    (already powered and weighted).  Each group ``(rows, drop)`` keeps the
-    ``len(rows) - drop`` smallest distances of its rows to the candidate set;
-    a candidate's cost is the sum over groups.  Ties go to the earliest
-    candidate in enumeration order.  A group of every row is passed as
-    ``slice(None)``, so its rows are a view, not a copy.
+    (already powered and weighted, so nonnegative).  Each group ``(rows,
+    drop)`` keeps the ``len(rows) - drop`` smallest distances of its rows to
+    the candidate set; a candidate's cost is the sum over groups, and the
+    groups' rows cover every row of ``d``, as every caller's do.  Ties go to
+    the earliest candidate in enumeration order.  A group of every row is
+    passed as ``slice(None)``, so its rows are a view, not a copy.
+
+    The space is walked in blocks of about ``_TRIM_BLOCK_ELEMENTS`` (points x
+    candidates) distances, taken by `_nearest`.  A space that fits in one
+    block is trimmed whole (`_trimmed_costs`).  Otherwise every candidate C
+    of a block is bounded first: a group's ``drop`` largest distances are
+    each at most ``max_{i in g} d[i, c]`` for every center c of C, so
+
+        cost(C) >= colsum(C) - sum_g drop_g * min_{c in C} max_{i in g} d[i, c],
+
+    ``colsum`` the sum of C's nearest distances over every row.  ``U`` is
+    the computed cost of the block's least-bound candidate or the best so
+    far, whichever is less, and a candidate whose bound exceeds ``U`` by
+    more than ``_PRUNE_SLACK * _rounding_bound(d)`` is dropped (an inf or
+    NaN bound keeps its candidate).  Every sum here has at most ``len(d)``
+    terms, each at most its row's largest entry, so each computed cost is
+    within one rounding bound of the exact one, and the computed bound within
+    three (the column sum, the products and their sum, the subtraction; they
+    are below the column sum whenever a candidate is dropped): a dropped
+    candidate's computed cost exceeds ``U``, another candidate's computed
+    cost, and is not the first minimum.  The rest are trimmed together, at
+    least two columns at a time, so each one's float is the one it gets in a
+    whole search of two or more candidates, and the first minimum, ties
+    included, is that search's.
     """
+    per = max(1, _TRIM_BLOCK_ELEMENTS // max(1, d.shape[0]))
+    dT = np.ascontiguousarray(d.T)
+    bounded = space.count > per
+    if bounded:
+        buf = np.empty((2, per, d.shape[0]))
+        # a group that drops nothing adds no term to the bound (and 0 * inf is NaN)
+        pruned = [(rows, drop) for rows, drop in groups if drop > 0]
+        group_max = np.zeros((d.shape[1], len(pruned)))
+        for g, (rows, _) in enumerate(pruned):
+            group_max[:, g] = d[rows].max(axis=0, initial=0.0)
+        drops = np.array([drop for _, drop in pruned], dtype=float)
+        slack = _PRUNE_SLACK * _rounding_bound(d)
     best_cost = math.inf
     best_idx = -1
-    offset = 0
-    for chunk in space.chunks(d.shape[0]):
-        vals = d[:, chunk].min(axis=2)
-        costs = np.zeros(vals.shape[1])
-        for rows, drop in groups:
-            sub = vals[rows]
-            keep = len(sub) - drop
-            if keep <= 0:
+    for lo in range(0, space.count, per):
+        block = space.combos[lo : lo + per]
+        if bounded:
+            near = _nearest(dT, block, buf[:, : len(block)])
+            live = _contenders(near, block, group_max, drops, best_cost, slack, groups)
+            if len(live) == 0:
                 continue
-            if drop == 0:
-                costs += sub.sum(axis=0)
-            else:
-                costs += np.partition(sub, keep - 1, axis=0)[:keep].sum(axis=0)
+            # a lone survivor is trimmed twice: a gathered group of one
+            # column would be summed pairwise, not row by row
+            near = near[live if len(live) > 1 else np.repeat(live, 2)]
+        else:
+            near, live = _nearest(dT, block), range(len(block))
+        costs = _trimmed_costs(near.T, groups)
         j = int(np.argmin(costs))
         if costs[j] < best_cost:
             best_cost = float(costs[j])
-            best_idx = offset + j
-        offset += chunk.shape[0]
+            best_idx = lo + int(live[j])
     if best_idx < 0:
         raise ValueError("no candidate center set has a finite cost")
     return best_idx

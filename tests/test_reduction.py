@@ -499,13 +499,14 @@ def _row_major_best_exact(dist, points, weights, space, z, rows):
     """The exact engine's earlier layout, kept as its reference: per chunk of
     candidates, one row-major gather-sum of the live columns over the padded
     subset array, each subset's rows added in T's own order, then
-    ``argmin(axis=1)``.  Returns each subset's candidate index (-1: none)
-    and how many (subset, chunk) pairs met a NaN beside a finite cost."""
+    ``argmin(axis=1)``.  A cost that is ``inf - inf`` is instead the sum of
+    the rows the subset keeps, added in row order.  Returns each subset's
+    candidate index (-1: none) and how many costs were such kept sums."""
     d = solvers._cost_block(dist, points, None, space.col_ids, z)
     w = np.asarray(weights, dtype=float)
     best_cost = np.full(len(rows), np.inf)
     best_idx = np.full(len(rows), -1)
-    nan_beside_finite = offset = 0
+    kept_sums = offset = 0
     for chunk in space.chunks(len(points)):
         wm = np.zeros((len(w) + 1, chunk.shape[0]))
         wm[:-1] = w[:, None] * d[:, chunk].min(axis=2)
@@ -518,14 +519,17 @@ def _row_major_best_exact(dist, points, weights, space, z, rows):
             removed += wm[rows[:, col]][:, live]
         with np.errstate(invalid="ignore"):  # inf - inf
             costs = full[live] - removed
+        for q, c in zip(*np.nonzero(np.isnan(costs))):
+            evicted = set(rows[q].tolist())
+            costs[q, c] = sum(float(wm[i, live[c]]) for i in range(len(w)) if i not in evicted)
+            kept_sums += 1
         j = costs.argmin(axis=1)
         vals = costs[np.arange(len(j)), j]
-        nan_beside_finite += int((np.isnan(vals) & np.isfinite(costs).any(axis=1)).sum())
         better = vals < best_cost
         best_cost[better] = vals[better]
         best_idx[better] = offset + live[j[better]]
         offset += chunk.shape[0]
-    return best_idx, nan_beside_finite
+    return best_idx, kept_sums
 
 
 def _far_facility_case(rng):
@@ -555,13 +559,13 @@ def test_exact_engine_matches_the_row_major_reference(rng, monkeypatch):
         ))(*case(rng))
         for case in (_plain_case, _colorful_case, _empty_case, _matroid_case)
     ] + [_far_facility_case]
-    nan_rule = overflowed = 0
+    kept_rule = overflowed = 0
     for i in range(40):
         inst, pts, rows, space = cases[i % len(cases)](rng)
         w = rng.uniform(0.5, 3.0, size=len(pts))
         assert len(list(space.chunks(len(pts)))) > 2 and (len(rows) > 7 or len(rows) == 1)
-        want, nan_beside_finite = _row_major_best_exact(inst.dist, pts, w, space, inst.z, rows)
-        nan_rule += nan_beside_finite
+        want, kept_sums = _row_major_best_exact(inst.dist, pts, w, space, inst.z, rows)
+        kept_rule += kept_sums
         if (want < 0).any():
             overflowed += 1
             with pytest.raises(CostOverflowError):
@@ -571,9 +575,9 @@ def test_exact_engine_matches_the_row_major_reference(rng, monkeypatch):
         got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)
         assert got.centers == [space.centers_at(int(c)) for c in winners]
         np.testing.assert_array_equal(got.which, which)
-    # a subset that sees a NaN takes nothing from that chunk, even beside a
-    # finite cost; most far-facility cases still answer every subset
-    assert nan_rule > 0 and overflowed < 4
+    # a subset that evicts the far client from a candidate without the far
+    # facility is costed by its kept rows, so every case answers every subset
+    assert kept_rule > 0 and overflowed == 0
 
 
 def _grid_line(rng, step):
@@ -822,13 +826,17 @@ def test_exact_prune_drops_most_candidates(monkeypatch):
     assert kept < 0.1 * offered
 
 
-def _overflowing_instance(seed):
-    """14 points, one coordinate at 1e300: the squared distances to that
-    point overflow, so every cost sum that has it is inf."""
+def _overflowing_instance(seed, far=1):
+    """14 points, ``far`` of them (a drawn point and the ones after it) with
+    one coordinate at +-1e300, the first two on opposite sides of the first
+    axis, the third on the second: the squared distances to such a point
+    overflow, so every cost sum that has it is inf."""
     rng = np.random.default_rng(seed)
     inst = shared_point_instance(rng, 14, k=2, m=2)
     coords = inst.dist.coords.copy()
-    coords[int(rng.integers(14)), 0] = 1e300
+    first = int(rng.integers(14))
+    for i, (axis, sign) in enumerate([(0, 1), (0, -1), (1, 1)][:far]):
+        coords[(first + i) % 14, axis] = sign * 1e300
     return replace(inst, dist=EuclideanOracle(coords))
 
 
@@ -836,10 +844,15 @@ def _overflowing_instance(seed):
 def test_overflowing_cost_sums_raise_a_named_error(monkeypatch):
     for seed in range(30):
         inst = _overflowing_instance(seed)
-        exact_outlier_oracle(inst)  # trims before it sums, so it answers
-        # evicting the far point leaves inf - inf, for every candidate
-        with pytest.raises(CostOverflowError, match="overflow float64.*rescale"):
-            solve_with_outliers(inst, practical(4), SolverHandle.exact(), seed=seed, rounds=1)
+        oracle = exact_outlier_oracle(inst)  # trims before it sums, so it answers
+        # evicting the far point leaves inf - inf for the candidates without
+        # it; the exact engine costs those subsets by the rows they keep
+        lossless = solve_with_outliers(
+            inst, lossless_params(inst), SolverHandle.exact(), seed=seed, rounds=1
+        )
+        assert lossless.best.cost == oracle.cost, seed
+        sampled = solve_with_outliers(inst, practical(4), SolverHandle.exact(), seed=seed, rounds=1)
+        assert sampled.best.cost >= oracle.cost, seed
         solve = lambda: report_to_dict(solve_with_outliers(
             inst, practical(4), SolverHandle.local_search(), seed=seed, rounds=1
         ))
@@ -853,6 +866,12 @@ def test_overflowing_cost_sums_raise_a_named_error(monkeypatch):
         # and only a few subsets fall back to the kernel (106 with an inf bound)
         assert len(calls) <= 14, seed
         assert _unpruned(monkeypatch, solve) == pruned, seed
+    # three far points and k = 2: the empty subset keeps one of them under
+    # every candidate, so even its kept sum is inf on every column
+    inst = _overflowing_instance(0, far=3)
+    exact_outlier_oracle(inst)
+    with pytest.raises(CostOverflowError, match="overflow float64.*rescale"):
+        solve_with_outliers(inst, lossless_params(inst), SolverHandle.exact(), seed=0, rounds=1)
 
 
 def _unpruned(monkeypatch, run):
@@ -912,21 +931,14 @@ def test_prune_changes_no_answer(rng, monkeypatch):
             ))
         # the colorful stream, matroid bases and masked swaps, and both at once
         solves += _four_solves(rng, solver, budgets=(2, 1))[2][1:]
-    overflowing = _overflowing_instance(3)
-    solves.append(lambda: solve_with_outliers(
-        overflowing, practical(4), SolverHandle.local_search(), seed=3, rounds=1
-    ))
+        # subsets costed by their kept rows, where a sum overflowed
+        overflowing = _overflowing_instance(3)
+        solves.append(lambda solver=solver: solve_with_outliers(
+            overflowing, practical(4), solver, seed=3, rounds=1
+        ))
     for solve in solves:
         want = _unpruned(monkeypatch, lambda: engine_answers(solve))
         _assert_same_answers(engine_answers(solve), want)
-    # the exact engine raises on the overflowing instance either way
-    exact = lambda: solve_with_outliers(
-        overflowing, practical(4), SolverHandle.exact(), seed=3, rounds=1
-    )
-    with pytest.raises(CostOverflowError):
-        exact()
-    with pytest.raises(CostOverflowError):
-        _unpruned(monkeypatch, exact)
 
     # the batched engines called directly: twin facilities, the colorful
     # stream, matroid bases, masked swaps and every row evicted

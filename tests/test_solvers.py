@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from itertools import combinations
@@ -14,12 +15,14 @@ from trimclust import (
     ColorfulInstance,
     EuclideanOracle,
     PartitionMatroid,
+    PlantedConfig,
     SolverBudgetExceeded,
     SolverHandle,
     WeightedPointSet,
     direct_sum_matroid,
     exact_kmedian,
     exact_outlier_oracle,
+    generate_planted,
     local_search_kmedian,
     trimmed_cost,
     weighted_trimmed_cost,
@@ -453,7 +456,7 @@ def test_candidate_space_keeps_the_given_order(monkeypatch):
 def test_argmin_trimmed_matches_per_candidate_loop(rng, monkeypatch, explicit):
     # 1-D integer coordinates make every sum exact on both sides, and twin
     # facilities make ties between candidate sets real
-    monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 100)  # two candidates a chunk
+    monkeypatch.setattr(solvers, "_TRIM_BLOCK_ELEMENTS", 36)  # three candidates a block
     for _ in range(6):
         inst = random_instance(rng, 12, 8, k=3, m=0, integer=True, dim=1)
         coords = inst.dist.coords.copy()
@@ -467,7 +470,7 @@ def test_argmin_trimmed_matches_per_candidate_loop(rng, monkeypatch, explicit):
         else:
             space = CandidateSpace.subsets(fac, 3)
         d = EuclideanOracle(coords).pairwise(inst.clients, space.col_ids)
-        assert len(list(space.chunks(d.shape[0]))) > 2
+        assert space.count > 2 * 3
         rows = rng.permutation(12)
         for groups in (
             [(slice(None), 0)],
@@ -476,6 +479,96 @@ def test_argmin_trimmed_matches_per_candidate_loop(rng, monkeypatch, explicit):
             [(rows[:5], 0), (rows[5:9], 2), (rows[9:], 3)],
         ):
             assert argmin_trimmed(d, space, groups) == _argmin_loop(d, space, groups)
+
+
+def _whole_chunk_argmin(d, space, groups):
+    """The kernel before blocks and the bound, kept verbatim as the
+    reference: per chunk of candidates, the minima of the (points x
+    candidates x k) block, every candidate trimmed."""
+    best_cost = math.inf
+    best_idx = -1
+    offset = 0
+    for chunk in space.chunks(d.shape[0]):
+        vals = d[:, chunk].min(axis=2)
+        costs = np.zeros(vals.shape[1])
+        for rows, drop in groups:
+            sub = vals[rows]
+            keep = len(sub) - drop
+            if keep <= 0:
+                continue
+            if drop == 0:
+                costs += sub.sum(axis=0)
+            else:
+                costs += np.partition(sub, keep - 1, axis=0)[:keep].sum(axis=0)
+        j = int(np.argmin(costs))
+        if costs[j] < best_cost:
+            best_cost = float(costs[j])
+            best_idx = offset + j
+        offset += chunk.shape[0]
+    if best_idx < 0:
+        raise ValueError("no candidate center set has a finite cost")
+    return best_idx
+
+
+@pytest.mark.parametrize("block", [40, 200])
+def test_blocked_kernel_matches_the_whole_chunk_one(rng, monkeypatch, block):
+    # float data with twin facilities, z = 2; per-color groups, one of them
+    # dropped whole; an inf entry; and k = 1 with one outlier, where the
+    # bound equals the cost in exact arithmetic, so only the rounding margin
+    # keeps the best candidate.  Blocks of 40 and 200 distances are crossed.
+    monkeypatch.setattr(solvers, "_TRIM_BLOCK_ELEMENTS", block)
+    bounded = []
+    contenders = solvers._contenders
+    monkeypatch.setattr(solvers, "_contenders", lambda near, *a: bounded.append(
+        (len(near), len(live := contenders(near, *a)))
+    ) or live)
+    for i in range(48):
+        k = 1 + i % 3
+        inst = random_instance(rng, 12, 20, k=k, m=0, z=2.0)
+        coords = inst.dist.coords.copy()
+        fac = inst.facilities
+        for a, b in zip(fac[::2], fac[1::2]):
+            coords[b] = coords[a]
+        if i % 2:
+            combos = list(combinations(fac, k))
+            space = CandidateSpace.from_center_sets(
+                [combos[j] for j in rng.permutation(len(combos))[:60]]
+            )
+        else:
+            space = CandidateSpace.subsets(fac, k)
+        d = EuclideanOracle(coords).pairwise(inst.clients, space.col_ids) ** 2
+        if i % 5 == 0:
+            d[rng.integers(12), rng.integers(d.shape[1])] = np.inf
+        rows = rng.permutation(12)
+        for groups in (
+            [(slice(None), 1)],
+            [(slice(None), 3)],
+            [(rows[:5], 1), (rows[5:8], 3), (rows[8:], 2)],
+            [(rows[:6], 0), (rows[6:], 7)],
+        ):
+            assert space.count * 12 > block
+            assert argmin_trimmed(d, space, groups) == _whole_chunk_argmin(d, space, groups)
+    offered, kept = map(sum, zip(*bounded))
+    assert kept < offered  # the bound dropped candidates
+
+
+def test_exhaustive_oracle_memory_stays_within_blocks():
+    # 162 clients, k = 2: the 13,041 candidate sets were one 34 MB
+    # (points x candidates x k) block; in blocks the traced peak is ~1.6 MB
+    inst, _ = generate_planted(PlantedConfig(
+        clusters=2, points_per_cluster=80, spread=1.0, outlier_count=2,
+        outlier_distance_factor=30.0, dimension=2, seed=6201,
+    ))
+    ids = tuple(range(inst.dist.n_points))
+    inst = replace(inst, clients=ids, facilities=ids, k=2, m=2)
+    assert len(ids) == 162
+    tracemalloc.start()
+    try:
+        exact_outlier_oracle(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize(
