@@ -82,7 +82,8 @@ def main(argv: list[str] | None = None) -> int:
     _add_params_flags(s)
     s.add_argument("--solver", choices=["exact", "local-search"], default="exact")
     s.add_argument("--solver-budget", type=int, default=None,
-                   help="candidate-set enumeration cap of the exact solver")
+                   help="enumeration cap: the exact solver's candidate center sets, "
+                   "and each round's outlier subsets for either solver")
     s.add_argument("--iteration-cap", type=int, default=200)
     s.add_argument("--improvement-threshold", type=float, default=1e-3)
     s.add_argument("--rounds", type=int, default=None)

@@ -17,17 +17,20 @@ is feasible and its cost is the true trimmed cost of its centers.
 Both outlier-free black boxes answer a round in one batched pass, because a
 row's cost terms do not depend on which other rows are evicted: the cost of
 evicting T is a sum over all rows minus ``t[T0] + t[T1] + ...``, added in T's
-own order.  A round's subsets are one ``(n_T, width)`` index array from
-enumeration to rescoring (`enumerate_outlier_subsets`), shorter subsets
+own order.  A round's subsets are a `SubsetStream`
+(`enumerate_outlier_subsets`, or the colorful one of `extensions`): its
+length n_T is counted before any subset is built, so a round over the
+solver's ``enumeration_budget`` is refused (`SolverBudgetExceeded`) before
+it starts, and the subsets come in column-major blocks of at most
+``_BLOCK_ELEMENTS``, written into one reused buffer.  Shorter subsets are
 padded with the index ``n`` of a zero row that each per-row term array
-carries past its ``n`` real rows, so a round is one set of numpy gathers
-whatever its subset sizes.  It is worked through in blocks of subsets, which
-bounds the extra memory by the block and not by the number of subsets.  The
-two engines lay the gathers out differently (see the list below).  Each
-engine returns its distinct answers once, with the index of every subset's
-answer (`Answers`), both counted in one linear pass (`_distinct`), and
-`_run_rounds` rescores each distinct answer once, in the order of its first
-subset.
+carries past its ``n`` real rows, so a block is one set of numpy gathers
+whatever its subset sizes.  Nothing of a round is n_T long: memory is
+bounded by the block, the candidate space and the subsets of size below m.
+The two engines lay the gathers out differently (see the list below).  Each
+merges its per-block answers as it goes (`_FirstAnswers`) and returns each
+distinct answer once, in the order of its first subset, with that subset's
+row (`Answers`); `_run_rounds` rescores them in that order.
 
 Before costing any subset both engines drop the columns that cannot be any
 subset's best (`_live_columns`).  Against a reference column ``r``, the
@@ -46,18 +49,20 @@ same, bit for bit.
   the weighted minima ``w * min_d``, and only the distinct winning candidates
   are looked up as center tuples.  Few columns survive the prune and every
   subset needs only its first least cost, so the layout is column-major
-  (`_first_minimum`): per block of ``_BLOCK_ELEMENTS`` subsets, each live
-  column's costs are 1-D gathers from one contiguous row, and a running
-  minimum keeps the first least one.  Its answers are the per-subset ones
-  except where two candidates' costs differ only by rounding.
+  (`_first_minimum`): the live columns of every chunk are gathered first,
+  then, per block of the stream, each live column's costs are 1-D gathers
+  from one contiguous row, and a running minimum keeps the first least one.
+  Its answers are the per-subset ones except where two candidates' costs
+  differ only by rounding.
 * Single-swap local search (`per_subset_local_search`): every subset starts
-  from the same state, so the subsets search in lockstep, grouped by their
-  current centers, and the terms are each row's cost under every swap.  Its
-  decisions need each subset's least and second least swap, so the layout
-  is row-major: one gather-sum of whole rows of the live swaps
-  (`_evicted_sums`), in row blocks of about ``_BLOCK_ELEMENTS`` costs.  A
-  subset whose next step is not decided beyond a rounding margin runs the
-  kernel itself, so the answers are exactly those of one call per subset.
+  from the same state, so the subsets of a block search in lockstep, grouped
+  by their current centers, and the terms are each row's cost under every
+  swap, priced once per state in a round.  Its decisions need each subset's
+  least and second least swap, so the layout is row-major: one gather-sum of
+  whole rows of the live swaps (`_evicted_sums`), in row blocks of about
+  ``_BLOCK_ELEMENTS`` costs.  A subset whose next step is not decided beyond
+  a rounding margin runs the kernel itself, so the answers are exactly those
+  of one call per subset.
 
 The two engines serve every variant: a matroid gives the exact engine its
 bases as candidates, and local search an independence test.
@@ -66,7 +71,9 @@ bases as candidates, and local search an independence test.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -92,6 +99,7 @@ from .rng import TAG_ROUND, generator_for
 from .solvers import (
     _PRUNE_SLACK,
     CandidateSpace,
+    SolverBudgetExceeded,
     SolverHandle,
     _cost_block,
     _greedy_basis,
@@ -117,18 +125,97 @@ def default_rounds(failure_target: float = DEFAULT_FAILURE_TARGET) -> int:
     return max(1, math.ceil(math.log2(1.0 / failure_target)))
 
 
-def enumerate_outlier_subsets(cs: WeightedCoreset, m: int) -> np.ndarray:
+class SubsetStream:
+    """A round's outlier subsets, counted before any is built and built in blocks.
+
+    ``len`` is the number of subsets, taken from the stream's definition
+    (binomials, or a product of per-color counts) before any row exists.
+    `blocks` yields them in order as column-major ``(width, rows)`` intp
+    blocks of at most ``_BLOCK_ELEMENTS`` subsets, one subset per column:
+    its entries increasing, then the padding, the index ``n`` of the zero row
+    that each per-row term array carries past its ``n`` real rows.  Every
+    block of one pass is a view of one buffer that the next block
+    overwrites, so a consumer copies what it keeps.  Iterating the stream
+    yields its subsets as rows instead, which is how the benchmark's tracer
+    drains it; nothing in the library iterates rows.
+    """
+
+    def __init__(self, count: int, width: int, blocks: Callable[[int], Iterator[np.ndarray]]):
+        self.count = count
+        self.width = width
+        self._blocks = blocks
+
+    def __len__(self) -> int:
+        return self.count
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        return self._blocks(min(_BLOCK_ELEMENTS, self.count))
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for block in self.blocks():
+            yield from block.T.copy()
+
+    @classmethod
+    def from_rows(cls, rows) -> "SubsetStream":
+        """The stream of the given subset rows, one padded subset each."""
+        rows = np.stack(list(rows))
+
+        def blocks(per):
+            buf = np.empty((rows.shape[1], per), dtype=np.intp)
+            for lo in range(0, len(rows), per):
+                block = buf[:, : len(rows) - lo]
+                block[...] = rows[lo : lo + per].T
+                yield block
+
+        return cls(len(rows), rows.shape[1], blocks)
+
+
+def enumerate_outlier_subsets(cs: WeightedCoreset, m: int) -> SubsetStream:
     """All entry-index subsets of size 0..m, sizes ascending, lexicographic within size.
 
     Indices refer to ``cs.union`` entries; evicting an entry removes its whole
-    weight.  One subset per row of an ``(n_T, max(1, m))`` intp array, its
-    entries increasing, shorter subsets padded with ``n = len(cs.union)``.
-    The order is stable across runs.
+    weight.  A `SubsetStream` of width ``max(1, m)``, padded with ``n =
+    len(cs.union)``.  The order is stable across runs.
+
+    The subsets of size below m are one `_up_to` array, whose largest size
+    has C(n, m - 1) rows, copied into the blocks as they are.  Those of size
+    m are written into each block from it: the ones that start with ``a``
+    are ``a`` followed by the last ``C(n - a - 1, m - 1)`` subsets of size
+    ``m - 1``, whose entries all exceed ``a``.  Per block, the first entries
+    are one `np.repeat` and the rest one copy per first entry.
     """
     n = len(cs.union)
     if m > n:
         raise ValueError(f"m={m} exceeds the {n} coreset entries")
-    return _up_to(n, m, max(1, m), n)
+    width = max(1, m)
+    # the size-m subsets of each first entry a, and where they end in size m
+    counts = [math.comb(n - a - 1, m - 1) for a in range(n - m + 1)] if m else []
+    ends = list(accumulate(counts))
+
+    def blocks(per):
+        buf = np.empty((width, per), dtype=np.intp)
+        low = _up_to(n, max(0, m - 1), width, n)  # its last rows: the subsets of size m - 1
+        for lo in range(0, count, per):
+            block = buf[:, : min(per, count - lo)]
+            cut = max(0, min(len(low) - lo, block.shape[1]))  # subsets from ``low``
+            block[:, :cut] = low[lo : lo + cut].T
+            r0, r1 = lo + cut - len(low), lo + block.shape[1] - len(low)
+            if r1 > r0:  # the size-m subsets of ranks r0..r1 - 1
+                firsts, lens, col, rest = [], [], cut, block[1:]
+                for a in range(bisect_right(ends, r0), n - m + 1):
+                    b, e = max(r0, ends[a] - counts[a]), min(r1, ends[a])
+                    src = len(low) - ends[a] + b  # rank b among a's subsets
+                    rest[:, col : col + e - b] = low[src : src + e - b, : m - 1].T
+                    col += e - b
+                    firsts.append(a)
+                    lens.append(e - b)
+                    if e == r1:
+                        break
+                block[0, cut:] = np.repeat(firsts, lens)
+            yield block
+
+    count = sum(math.comb(n, size) for size in range(m + 1))
+    return SubsetStream(count, width, blocks)
 
 
 def evaluate_candidate(
@@ -147,28 +234,60 @@ def evaluate_candidate(
 
 @dataclass(frozen=True, eq=False)
 class Answers:
-    """A batched black box's answer for every subset of a round.
+    """A batched black box's distinct answers over a round's subsets.
 
-    Subset ``i`` (row ``i`` of the subset array) gets ``centers[which[i]]``;
-    ``centers`` holds each distinct answer once.  ``len`` counts the subsets,
-    as for a list of per-subset answers (the benchmark's tracer reads it).
+    ``centers`` holds each distinct answer once, in the order of the first
+    subset that gets it, and ``firsts[i]`` is that subset's padded row;
+    ``count`` subsets were answered.  ``len`` counts the subsets, as for a
+    list of per-subset answers (the benchmark's tracer reads it).
     """
 
     centers: list[tuple[int, ...]]
-    which: np.ndarray
+    firsts: list[np.ndarray]
+    count: int
 
     def __len__(self) -> int:
-        return len(self.which)
+        return self.count
+
+
+class _FirstAnswers:
+    """The distinct keys of per-subset answers given block by block, in the
+    order of their first subset, with that subset's row and a count of the
+    subsets; an engine's `Answers` are built from it (`answers`)."""
+
+    def __init__(self):
+        self.keys: list[int] = []
+        self.firsts: list[np.ndarray] = []
+        self.count = 0
+        self._seen = np.zeros(0, dtype=bool)
+
+    def add(self, block: np.ndarray, keys: np.ndarray) -> None:
+        """Note ``keys[q]``, a nonnegative int, as the answer of the subset in
+        column ``q`` of ``block``."""
+        if (top := int(keys.max()) + 1) > len(self._seen):
+            self._seen = np.concatenate([self._seen, np.zeros(top - len(self._seen), dtype=bool)])
+        fresh = ~self._seen[keys]
+        if fresh.any():
+            at = np.full(len(self._seen), len(keys))  # each new key's first column
+            np.minimum.at(at, keys[fresh], np.flatnonzero(fresh))
+            new = np.flatnonzero(at < len(keys))
+            for q in np.sort(at[new]).tolist():
+                self.keys.append(int(keys[q]))
+                self.firsts.append(block[:, q].copy())
+            self._seen[new] = True
+        self.count += len(keys)
+
+    def answers(self, centers_of: Callable[[int], tuple[int, ...]]) -> Answers:
+        return Answers([centers_of(key) for key in self.keys], self.firsts, self.count)
 
 
 def _evicted_sums(
-    full: np.ndarray, per_row: np.ndarray, pos: np.ndarray, rows: np.ndarray
+    full: np.ndarray, per_row: np.ndarray, pos: np.ndarray, T: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``full - (per_row[T0] + per_row[T1] + ...)`` for each subset T.
 
-    ``rows`` holds one subset per row, padded with the index of the zero last
-    row of ``per_row`` (see `enumerate_outlier_subsets`), and ``pos`` its
-    positions.  The
+    ``T`` holds one subset per column, padded with the index of the zero last
+    row of ``per_row`` (see `SubsetStream`), and ``pos`` its positions.  The
     evicted rows are added in T's own order, then the padding's +0.0 terms,
     so each cost is bit-identical to one summed over T alone (the empty
     subset costs ``full - 0.0 == full``).  Yields ``(positions, costs)``
@@ -177,10 +296,9 @@ def _evicted_sums(
     """
     per = max(1, _BLOCK_ELEMENTS // len(full))
     for lo in range(0, len(pos), per):
-        block = rows[lo : lo + per]
-        removed = per_row[block[:, 0]]
-        for col in range(1, block.shape[1]):
-            removed += per_row[block[:, col]]
+        removed = per_row[T[0, lo : lo + per]]
+        for t in T[1:]:
+            removed += per_row[t[lo : lo + per]]
         yield pos[lo : lo + per], np.subtract(full, removed, out=removed)
 
 
@@ -262,7 +380,7 @@ def per_subset_best_exact(
     weights: Sequence[float],
     space: CandidateSpace,
     z: float,
-    subsets: np.ndarray,
+    subsets: SubsetStream,
 ) -> Answers:
     """Exact black-box answers for every evicted subset, amortized.
 
@@ -277,90 +395,103 @@ def per_subset_best_exact(
     ``len(points)``, and the cost of T is ``full - (wm[T0] + wm[T1] +
     ...)``, ``full`` the numpy column sum of the ``n`` real rows (no BLAS
     product, whose kernel and summation order may vary with the CPU), the
-    evicted rows added in T's own order; the padding ``n`` of the
-    ``(n_T, width)`` subset array picks the zero row.  Only the distinct
-    winning candidates are looked up as center tuples.
+    evicted rows added in T's own order; the padding ``n`` of the subset
+    stream picks the zero row.  Only the distinct winning candidates are
+    looked up as center tuples.
 
-    Per chunk, only the columns of `_live_columns` are costed; the margin is
-    ``_PRUNE_SLACK`` rounding bounds of ``wm`` (`_rounding_bound`), which
-    covers the rounding of ``full``, the gather-sums and each column's gap
-    to the chunk's reference column.  A dropped column costs every subset
-    more than the reference does, so the first least cost of every subset,
-    ties included, is the one over all columns.  The live columns are copied
-    into contiguous rows, and per block of ``_BLOCK_ELEMENTS`` subsets
-    `_first_minimum` costs them one column at a time, in ascending order,
-    with 1-D gathers; the temporaries hold a few values per subset of the
-    block, whatever the number of columns.  Where ``full`` is ``inf`` and T
-    evicts an ``inf`` term, ``full`` minus T's terms is ``inf - inf``; there
-    T's cost is the sum of the rows it keeps, in row order, so only those
-    subsets pay for the overflow.  Distances are finite, so a subset left
-    with no finite cost means even a kept sum overflowed: CostOverflowError.
+    The engine runs in two phases.  First, per chunk, only the columns of
+    `_live_columns` are kept; the margin is ``_PRUNE_SLACK`` rounding bounds
+    of ``wm`` (`_rounding_bound`), which covers the rounding of ``full``,
+    the gather-sums and each column's gap to the chunk's reference column.
+    A dropped column costs every subset more than the reference does, so
+    the first least cost of every subset, ties included, is the one over all
+    columns.  The live columns of every chunk are gathered, in ascending
+    order, into contiguous rows with their ``full``.  Then one pass over the
+    stream's blocks costs them with `_first_minimum`, one column at a time
+    with 1-D gathers, a later column winning only if it is strictly less;
+    the temporaries hold a few values per subset of the block, whatever the
+    number of subsets or columns.  Where ``full`` is ``inf`` and T evicts an
+    ``inf`` term, ``full`` minus T's terms is ``inf - inf``; there T's cost
+    is the sum of the rows it keeps, in row order, so only those subsets pay
+    for the overflow.  Distances are finite, so a subset left with no finite
+    cost means even a kept sum overflowed: CostOverflowError.
     """
     if space.count == 0:
         raise ValueError("empty candidate space")
     dT = np.ascontiguousarray(_cost_block(dist, points, None, space.col_ids, z).T)
     w = np.asarray(weights, dtype=float)
-    best_cost = np.full(len(subsets), np.inf)
-    best_idx = np.full(len(subsets), -1, dtype=np.intp)
+    live_idx, live_full, live_rows = [], [], []
     offset = 0
     for chunk in space.chunks(len(points)):
         wm = np.zeros((len(w) + 1, len(chunk)))
         np.multiply(w[:, None], _nearest(dT, chunk).T, out=wm[:-1])
         full = wm[:-1].sum(axis=0)
-        live = _live_columns(full, wm, subsets.shape[1], _rounding_bound(wm[:-1]))
-        # one contiguous row per live column, which the 1-D gathers below read
-        live_full, live_rows = full[live], np.ascontiguousarray(wm[:, live].T)
-        for lo in range(0, len(subsets), _BLOCK_ELEMENTS):
-            block = slice(lo, lo + _BLOCK_ELEMENTS)
-            T = np.ascontiguousarray(subsets[block].T)  # one row per entry position
-            val, arg = _first_minimum(live_full, live_rows, T)
-            take = val < best_cost[block]
-            np.copyto(best_cost[block], val, where=take)
-            np.copyto(best_idx[block], offset + live[arg], where=take)
+        live = _live_columns(full, wm, subsets.width, _rounding_bound(wm[:-1]))
+        live_idx.append(offset + live)
+        live_full.append(full[live])
+        live_rows.append(wm[:, live].T)
         offset += chunk.shape[0]
-    if (best_idx < 0).any():
-        # the distance oracles accept only finite input, so only an overflow
-        # of the cost sums leaves a subset with no finite cost
-        raise CostOverflowError(
-            "the weighted cost sums overflow float64, so some evicted subset has "
-            "no finite cost; rescale the coordinates or distances"
-        )
-    winners, which = _distinct(best_idx, space.count)
-    return Answers([space.centers_at(i) for i in winners.tolist()], which)
+    live = np.concatenate(live_idx)
+    # one contiguous row per live column, which the 1-D gathers read
+    full, rows = np.concatenate(live_full), np.concatenate(live_rows)
+    first = _FirstAnswers()
+    per = min(_BLOCK_ELEMENTS, len(subsets))
+    work = np.empty((3, per)), np.empty(per, dtype=np.intp), np.empty(per, dtype=bool)
+    for block in subsets.blocks():
+        val, arg = _first_minimum(full, rows, block, work)
+        if not np.isfinite(val).all():
+            # the distance oracles accept only finite input, so only an
+            # overflow of the cost sums leaves a subset with no finite cost
+            raise CostOverflowError(
+                "the weighted cost sums overflow float64, so some evicted subset has "
+                "no finite cost; rescale the coordinates or distances"
+            )
+        first.add(block, arg)
+    return first.answers(lambda j: space.centers_at(int(live[j])))
 
 
 def _first_minimum(
-    full: np.ndarray, rows: np.ndarray, T: np.ndarray
+    full: np.ndarray,
+    rows: np.ndarray,
+    T: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each subset's least cost over the columns and the first column with
     it, as ``argmin`` picks them.
 
-    Column ``c`` costs subset ``q`` ``full[c] - (rows[c, T[0, q]] + rows[c,
-    T[1, q]] + ...)``, the terms added in T's own order as in
-    `_evicted_sums`, so each cost is the row-major gather-sum's, bit for bit.
+    Column ``c`` costs subset ``q`` (column ``q`` of ``T``, a block of the
+    subset stream) ``full[c] - (rows[c, T[0, q]] + rows[c, T[1, q]] +
+    ...)``, the terms added in T's own order as in `_evicted_sums`, so each
+    cost is the row-major gather-sum's, bit for bit.
     The columns are taken in ascending order and a later one wins only if it
     is strictly less.  That difference is NaN only where ``full[c]`` and an
     evicted term are both ``inf`` (with a finite ``full`` every term is
     finite, and a sum of finite terms overflows to ``inf`` at worst, never
     to NaN); such a subset is costed on that column by the sum of the rows
     it keeps (`_kept_sums`), which trims before it sums.
+
+    Every temporary is a view of ``work``: three float rows, an intp row and
+    a bool row, each at least one entry per subset, which a caller walking
+    many blocks allocates once.  The returned arrays are views of it too.
     """
-    val = arg = None
+    n = T.shape[1]
+    val, cost, term = work[0][:, :n]
+    arg, better = work[1][:n], work[2][:n]
+    arg[...] = 0
     for c, (f, row) in enumerate(zip(full.tolist(), rows)):
-        cost = row.take(T[0])
+        out = cost if c else val
+        np.take(row, T[0], out=out, mode="clip")  # "raise" would buffer
         for t in T[1:]:
-            cost += row.take(t)
+            out += np.take(row, t, out=term, mode="clip")
         if math.isfinite(f):
-            np.subtract(f, cost, out=cost)
+            np.subtract(f, out, out=out)
         else:
             with np.errstate(invalid="ignore"):  # inf - inf, costed again below
-                np.subtract(f, cost, out=cost)
-            redo = np.flatnonzero(np.isnan(cost))
-            cost[redo] = _kept_sums(row, T[:, redo])
-        if val is None:
-            val, arg = cost, np.zeros(len(cost), dtype=np.intp)
-        else:
-            better = cost < val
+                np.subtract(f, out, out=out)
+            redo = np.flatnonzero(np.isnan(out))
+            out[redo] = _kept_sums(row, T[:, redo])
+        if c:
+            np.less(cost, val, out=better)
             np.copyto(val, cost, where=better)
             np.copyto(arg, c, where=better)
     return val, arg
@@ -374,16 +505,6 @@ def _kept_sums(row: np.ndarray, T: np.ndarray) -> np.ndarray:
     kept = np.repeat(row[None, :], T.shape[1], axis=0)
     kept[np.arange(T.shape[1]), T] = 0.0
     return np.cumsum(kept, axis=1)[:, -1]
-
-
-def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_inverse=True)`` for entries in
-    ``range(size)``, by counting in ``O(len(values) + size)``: mark the
-    entries present, then number them with a cumulative sum."""
-    present = np.zeros(size, dtype=bool)
-    present[values] = True
-    rank = np.cumsum(present, dtype=np.intp) - 1
-    return np.flatnonzero(present), rank[values]
 
 
 def _swap_terms(D: np.ndarray, current: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -418,18 +539,20 @@ def per_subset_local_search(
     """Single-swap local search answers for every evicted subset, in lockstep.
 
     ``D`` is the weighted, powered cost block of all coreset entries (rows)
-    to the sorted facilities (columns).  For each subset T (a row of the
-    padded subset array) the answer is the column tuple that
+    to the sorted facilities (columns).  For each subset T of the stream the
+    answer is the column tuple that
     ``_local_search(D[keep], k, handle, independent=independent)`` returns
     from its cold start, where ``keep`` drops T's rows; ``independent`` tests
     a column set (``None``: no test).
 
-    Every subset starts from the same greedy basis, so the subsets still
-    searching share the iteration count and fall into a few states (center
-    tuples).  Per state the per-row swap terms of `_swap_terms` and their
-    column sums ``full`` over the ``len(D)`` real rows are computed once; T's
-    swap costs and its current cost are then ``full`` minus T's rows, one
-    row-major gather-sum over the state's rows of the subset array (padding
+    Every subset starts from the same greedy basis, so the subsets of one
+    block of the stream still searching share the iteration count and fall
+    into a few states (center tuples); the blocks run one after another.  Per
+    state the per-row swap terms of `_swap_terms` and their column sums
+    ``full`` over the ``len(D)`` real rows are computed once in the round,
+    and the pruned ones kept for any later iteration or block that meets the
+    state; T's swap costs and its current cost are then ``full`` minus T's
+    rows, one gather-sum over the state's subsets of the block (padding
     picks the zero row of the terms, `_evicted_sums`).
     Whether a swap is allowed depends only on the state, so each swap is
     tested once per state, and a dependent swap's sum is ``+inf``: best and
@@ -459,13 +582,17 @@ def per_subset_local_search(
     test, and every decision above is the same as over all swaps.
     """
     n_cols = D.shape[1]
+    first = _FirstAnswers()
     if k == n_cols:
-        return Answers([tuple(range(n_cols))], np.zeros(len(subsets), dtype=np.intp))
+        for block in subsets.blocks():
+            first.add(block, np.zeros(block.shape[1], dtype=np.intp))
+        return first.answers(lambda _: tuple(range(n_cols)))
     bound = _rounding_bound(D)
     tol = 256 * bound
     keep_frac = 1.0 - handle.improvement_threshold
     states: list[tuple[int, ...]] = []
     index: dict[tuple[int, ...], int] = {}
+    priced: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def state_id(cols) -> int:
         key = tuple(sorted(cols))
@@ -474,9 +601,8 @@ def per_subset_local_search(
             states.append(key)
         return index[key]
 
-    def kernel(q: int) -> int:
+    def kernel(T: np.ndarray) -> int:
         keep = np.ones(len(D), dtype=bool)
-        T = subsets[q]
         keep[T[T < len(D)]] = False  # the padding is not a row of D
         return state_id(_local_search(D[keep], k, handle, independent=independent).centers)
 
@@ -484,12 +610,11 @@ def per_subset_local_search(
         at, col = divmod(jj, len(outside))
         return [*current[:at], *current[at + 1 :], int(outside[col])]
 
-    start = state_id(_greedy_basis(n_cols, k, independent))
-    state = np.full(len(subsets), start, dtype=np.intp)  # -1 once answered
-    answer = np.full(len(subsets), -1, dtype=np.intp)
-    for _ in range(handle.iteration_cap):
-        moved = np.full(len(subsets), -1, dtype=np.intp)
-        for s in _distinct(state[state >= 0], len(states))[0].tolist():
+    def pruned(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """State ``s``'s live swaps, the columns outside it, and ``full`` and
+        the terms of those swaps and then of the current column, priced the
+        first time the state is met and kept for the rest of the round."""
+        if s not in priced:
             current = states[s]
             terms, outside = _swap_terms(D, current)
             full = terms[:-1].sum(axis=0)
@@ -499,36 +624,45 @@ def per_subset_local_search(
                 ]
                 full[:-1][np.logical_not(allowed)] = np.inf
             # the swaps that can still be a best, then the current column
-            live = _live_columns(full[:-1], terms[:, :-1], subsets.shape[1], bound)
+            live = _live_columns(full[:-1], terms[:, :-1], subsets.width, bound)
             cols = np.append(live, len(full) - 1)
-            mine = np.flatnonzero(state == s)
-            for p, costs in _evicted_sums(
-                full[cols], np.ascontiguousarray(terms[:, cols]), mine, subsets[mine]
-            ):
-                swaps, bar = costs[:, :-1], keep_frac * costs[:, -1]
-                jk = swaps.argmin(axis=1)
-                rows = np.arange(len(jk))
-                best = swaps[rows, jk]
-                # the second least swap, ties included: +inf over the least, then the least
-                swaps[rows, jk] = np.inf
-                runner_up = swaps.min(axis=1)
-                j = live[jk]
-                done = best > bar + tol
-                move = (best < bar - tol) & (runner_up > best + tol)
-                answer[p[done]] = s
-                for jj in np.unique(j[move]).tolist():
-                    moved[p[move & (j == jj)]] = state_id(swapped(current, jj, outside))
-                for q in p[~(done | move)].tolist():
-                    answer[q] = kernel(q)
-        state = moved
-        if (state < 0).all():
-            break
-    capped = np.flatnonzero(state >= 0)
-    answer[capped] = state[capped]
-    for _ in capped:
-        _warn_iteration_cap(handle, stacklevel=2)
-    used, which = _distinct(answer, len(states))
-    return Answers([states[i] for i in used.tolist()], which)
+            priced[s] = live, outside, full[cols], np.ascontiguousarray(terms[:, cols])
+        return priced[s]
+
+    start = state_id(_greedy_basis(n_cols, k, independent))
+    for block in subsets.blocks():
+        state = np.full(block.shape[1], start, dtype=np.intp)  # -1 once answered
+        answer = np.full(block.shape[1], -1, dtype=np.intp)
+        for _ in range(handle.iteration_cap):
+            moved = np.full(block.shape[1], -1, dtype=np.intp)
+            for s in np.flatnonzero(np.bincount(state[state >= 0])).tolist():
+                live, outside, full, per_row = pruned(s)
+                mine = np.flatnonzero(state == s)
+                for p, costs in _evicted_sums(full, per_row, mine, block[:, mine]):
+                    swaps, bar = costs[:, :-1], keep_frac * costs[:, -1]
+                    jk = swaps.argmin(axis=1)
+                    rows = np.arange(len(jk))
+                    best = swaps[rows, jk]
+                    # the second least swap, ties included: +inf over the least, then the least
+                    swaps[rows, jk] = np.inf
+                    runner_up = swaps.min(axis=1)
+                    j = live[jk]
+                    done = best > bar + tol
+                    move = (best < bar - tol) & (runner_up > best + tol)
+                    answer[p[done]] = s
+                    for jj in np.unique(j[move]).tolist():
+                        moved[p[move & (j == jj)]] = state_id(swapped(states[s], jj, outside))
+                    for q in p[~(done | move)].tolist():
+                        answer[q] = kernel(block[:, q])
+            state = moved
+            if (state < 0).all():
+                break
+        capped = np.flatnonzero(state >= 0)
+        answer[capped] = state[capped]
+        for _ in capped:
+            _warn_iteration_cap(handle, stacklevel=2)
+        first.add(block, answer)
+    return first.answers(states.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -564,7 +698,7 @@ def _run_rounds(
     space: Callable[[], CandidateSpace],
     baseline: Callable[[], BaselineResult],
     build_cs: Callable[[RingPartition, np.random.Generator], object],
-    enum_subsets: Callable[[object], np.ndarray] | None = None,
+    enum_subsets: Callable[[object], SubsetStream] | None = None,
     independent: Callable[[Sequence[PointId]], bool] | None = None,
     groups: Sequence[tuple[np.ndarray, int]] | None = None,
 ) -> ReductionReport:
@@ -573,15 +707,17 @@ def _run_rounds(
     Checks the arguments, builds the candidate space when the exact black box
     will read it (so an over-budget space is refused before the baseline
     runs; local search never reads it), then runs the baseline, the ring
-    partition and the rounds.  Every subset of every round gets an answer,
-    and each distinct answer is rescored once per round by `evaluate_candidate`
-    under ``groups``, in the order of the first subset that gets it; that
-    subset, its padding stripped, tags the candidate.
+    partition and the rounds.  A round whose subsets outnumber
+    ``solver.enumeration_budget`` is refused before any is built.  Every
+    subset of every round gets an answer, and each distinct answer is
+    rescored once per round by `evaluate_candidate` under ``groups``, in the
+    order of the first subset that gets it; that subset, its padding
+    stripped, tags the candidate.
     ``build_cs`` may return any coreset flavor exposing ``union`` (a
     WeightedPointSet) and ``lossless``; ``enum_subsets`` receives it whole so
     variant-specific enumeration (per-color budgets) can see the provenance,
-    and returns the round's padded subset array; it defaults to every subset
-    of at most m entries.
+    and returns the round's `SubsetStream`; it defaults to every subset of
+    at most m entries.
     The configured outlier-free solver answers a round in one batched call:
     `per_subset_best_exact` over the candidate space for the exact solver,
     and `per_subset_local_search` over one cost block of the facilities for
@@ -613,8 +749,12 @@ def _run_rounds(
         union = cs.union
         pts, w = union.as_arrays()
         subsets = enum_subsets(cs)
-        if not isinstance(subsets, np.ndarray):  # the benchmark's tracer hands back row by row
-            subsets = np.stack(list(subsets))
+        if not isinstance(subsets, SubsetStream):  # the benchmark's tracer hands back row by row
+            subsets = SubsetStream.from_rows(subsets)
+        if len(subsets) > solver.enumeration_budget:
+            raise SolverBudgetExceeded(
+                f"{len(subsets)} outlier subsets exceed budget {solver.enumeration_budget}"
+            )
         round_best: float | None = None
 
         if solver.kind == "exact":
@@ -625,21 +765,17 @@ def _run_rounds(
             answers = per_subset_local_search(D, subsets, min(inst.k, len(fac)), solver, test)
             found = [tuple(fac[i] for i in c) for c in answers.centers]
 
-        # the first subset of each answer (every answer has one), in subset order
-        first = np.full(len(found), len(subsets))
-        np.minimum.at(first, answers.which, np.arange(len(subsets)))
-        for q in np.sort(first).tolist():
-            centers = found[answers.which[q]]
+        # in the order of each answer's first subset
+        for centers, T in zip(found, answers.firsts):
             if independent is not None and not independent(centers):
                 raise RuntimeError(f"candidate {centers} is not independent in the matroid")
             cost, outliers = evaluate_candidate(centers, inst, groups)
             if round_best is None or cost < round_best:
                 round_best = cost
             if best is None or cost < best.cost:
-                T = subsets[q]
                 tag = f"r{r}:T{','.join(map(str, T[T < len(union)].tolist()))}"
                 best = Solution(centers=centers, outliers=outliers, cost=cost, candidate_tag=tag)
-        total_eval += len(first)
+        total_eval += len(found)
         records.append(
             RoundRecord(
                 round=r,
@@ -647,7 +783,7 @@ def _run_rounds(
                 coreset_size=len(union),
                 coreset_lossless=cs.lossless,
                 best_cost=round_best,
-                evaluated=len(first),
+                evaluated=len(found),
             )
         )
     eps = params.epsilon

@@ -30,11 +30,13 @@ rest are partitioned: the answer, ties included, is the whole search's.
 A `CandidateSpace` is an index array, one center set per row.  Subsets of
 ``range(n)`` have one builder, `_extend`, which writes the subsets of one
 size from those one smaller by suffix copies.  `_up_to` runs it size after
-size straight into one padded array, the reduction's outlier subsets of
-size 0..m; `_combinations`, the k-subsets of the facilities, is the last
-block of that build, keeping of each smaller size only the rows the next
-reads.  `CandidateSpace.subsets` refuses a space over the enumeration budget
-before it builds any row.
+size straight into one padded array: the outlier subsets of size below m,
+which the reduction's subset stream copies into its blocks and writes the
+size-m ones from by the same suffix rule, and each color's choices of the
+colorful stream.  `_combinations`, the k-subsets of the facilities, is the
+last block of that build, keeping of each smaller size only the rows the
+next reads.  `CandidateSpace.subsets` refuses a space over the enumeration
+budget before it builds any row.
 """
 
 from __future__ import annotations
@@ -75,7 +77,10 @@ class SolverHandle:
 
     The handle carries no exponent and no approximation factor: every solve
     reads z from its instance, and the one stated guarantee is the
-    baseline's ``BaselineResult.tau_guarantee``.
+    baseline's ``BaselineResult.tau_guarantee``.  ``enumeration_budget``
+    caps the exact solver's candidate center sets and, for either kind, the
+    outlier subsets of one round of the reduction; both are counted and
+    refused before any is built.
     """
 
     kind: str  # "exact" | "local_search"

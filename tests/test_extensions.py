@@ -342,11 +342,16 @@ def test_matroid_local_search_solve_builds_no_bases(rng):
 
 def test_dependent_candidate_is_a_named_error(rng, monkeypatch):
     inst, matroid = _matroid_instance(rng, 8, [[0, 1], [2, 3]], k=2, m=1)
-    # columns 0 and 1 are the facilities of the first part, of capacity 1
-    monkeypatch.setattr(
-        reduction, "per_subset_local_search",
-        lambda D, subsets, *a: reduction.Answers([(0, 1)], np.zeros(len(subsets), dtype=int)),
-    )
+    # columns 0 and 1 are the facilities of the first part, of capacity 1;
+    # every subset gets them, merged block by block as the engines merge
+
+    def dependent(D, subsets, *a):
+        first = reduction._FirstAnswers()
+        for block in subsets.blocks():
+            first.add(block, np.zeros(block.shape[1], dtype=np.intp))
+        return first.answers(lambda _: (0, 1))
+
+    monkeypatch.setattr(reduction, "per_subset_local_search", dependent)
     with pytest.raises(RuntimeError, match=r"candidate .* is not independent"):
         matroid_median_solve(
             inst, matroid, lossless(inst), SolverHandle.local_search(), seed=1, rounds=1

@@ -6,10 +6,13 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from itertools import chain, combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +51,7 @@ from trimclust.metric import WeightedPointSet
 from trimclust.reduction import (
     CandidateSpace,
     ReductionReport,
+    SubsetStream,
     per_subset_best_exact,
     per_subset_local_search,
 )
@@ -78,20 +82,39 @@ def _coreset_for(inst, s, seed=1):
 
 
 def _tuples(rows, n):
-    """The subsets of a padded subset array as tuples, padding ``n`` stripped."""
+    """The subsets of padded subset rows (an array or a stream) as tuples,
+    padding ``n`` stripped."""
     return [tuple(row[row < n].tolist()) for row in rows]
 
 
 def _padded(subsets, n):
-    """Tuples as one padded subset array, the layout the enumerators return."""
+    """Tuples as one padded subset array, one subset per row."""
     rows = np.full((len(subsets), max(1, max(map(len, subsets)))), n, dtype=np.intp)
     for i, T in enumerate(subsets):
         rows[i, : len(T)] = T
     return rows
 
 
-def _assert_stream_layout(rows, n, width):
-    """intp, ``width`` columns, each row increasing entries then padding ``n``."""
+def _stream(subsets, n):
+    """Tuples as a subset stream, the layout the enumerators return."""
+    return SubsetStream.from_rows(_padded(subsets, n))
+
+
+def _rows(stream):
+    """A stream's subsets as one padded array, one subset per row, built from
+    its blocks; checks each block's shape and the stream's ``len``."""
+    blocks = [block.T.copy() for block in stream.blocks()]  # each overwrites the last
+    assert all(b.shape[1] == stream.width for b in blocks)
+    assert all(0 < len(b) <= reduction._BLOCK_ELEMENTS for b in blocks)
+    rows = np.vstack(blocks)
+    assert len(rows) == len(stream)
+    np.testing.assert_array_equal(np.stack(list(stream)), rows)  # the rows it iterates
+    return rows
+
+
+def _assert_stream_layout(stream, n, width):
+    """intp, ``width`` entries a subset, each increasing entries then padding ``n``."""
+    rows = _rows(stream)
     assert rows.dtype == np.intp and rows.shape[1] == width >= 1
     assert ((rows >= 0) & (rows <= n)).all()
     real = rows < n
@@ -119,7 +142,9 @@ def test_enumeration_zero_outliers(rng):
 def test_enumeration_stable(rng):
     inst = random_instance(rng, 6, 2, k=1, m=2)
     cs = _coreset_for(inst, s=10)
-    assert np.array_equal(enumerate_outlier_subsets(cs, 2), enumerate_outlier_subsets(cs, 2))
+    assert np.array_equal(
+        _rows(enumerate_outlier_subsets(cs, 2)), _rows(enumerate_outlier_subsets(cs, 2))
+    )
 
 
 def test_enumeration_rejects_m_over_entries(rng):
@@ -152,6 +177,20 @@ def test_enumeration_matches_tuple_reference(rng, n_clients):
         assert _tuples(rows, n) == _all_subsets(n, m), m
 
 
+@pytest.mark.parametrize("block", [1, 7, reduction._BLOCK_ELEMENTS])
+def test_plain_stream_matches_the_array_builders(monkeypatch, block):
+    # blocks of 1 and 7 split the groups of one size and one first entry
+    monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", block)
+    for n in range(10):
+        cs = SimpleNamespace(union=WeightedPointSet.unit(range(n)))
+        for m in range(n + 1):
+            stream = enumerate_outlier_subsets(cs, m)
+            assert len(stream) == sum(math.comb(n, size) for size in range(m + 1))
+            rows = _rows(stream)
+            np.testing.assert_array_equal(rows, solvers._up_to(n, m, max(1, m), n))
+            assert _tuples(rows, n) == _all_subsets(n, m), (n, m)
+
+
 @pytest.mark.parametrize("budgets", [
     (2, 3, 1, 5),  # color 3 has no entry; color 4's budget exceeds its one entry
     (0, 2, 0, 1),  # zero budgets
@@ -167,6 +206,42 @@ def test_colorful_enumeration_matches_tuple_reference(budgets):
     want = list(_reference_colorful_subsets(ccs, budgets))
     _assert_stream_layout(rows, len(colors), max(1, max(map(len, want))))
     assert _tuples(rows, len(colors)) == want
+
+
+def _product_then_sort_subsets(ccs, budgets):
+    """The array builder the colorful stream replaced, kept as its reference:
+    the per-color option arrays multiplied out with `np.repeat` and
+    `np.tile`, then each row sorted."""
+    n = len(ccs.union)
+    colors = np.asarray(ccs.entry_colors, dtype=np.intp)
+    rows = np.empty((1, 0), dtype=np.intp)
+    for t in range(1, len(budgets) + 1):
+        idx = np.flatnonzero(colors == t)
+        cap = min(budgets[t - 1], len(idx))
+        # positions in the class, padded with len(idx), which maps to n
+        options = np.append(idx, n)[solvers._up_to(len(idx), cap, cap, len(idx))]
+        rows = np.hstack([
+            np.repeat(rows, len(options), axis=0), np.tile(options, (len(rows), 1))
+        ])
+    if rows.shape[1] == 0:
+        rows = np.full((len(rows), 1), n, dtype=np.intp)
+    return np.sort(rows, axis=1)
+
+
+@pytest.mark.parametrize("block", [1, 7, reduction._BLOCK_ELEMENTS])
+def test_colorful_stream_matches_the_array_builder(monkeypatch, block):
+    monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(2501)
+    for _ in range(30):
+        colors = tuple(rng.integers(1, 4, size=int(rng.integers(0, 10))).tolist())
+        budgets = tuple(rng.integers(0, 4, size=int(rng.integers(1, 4))).tolist())
+        ccs = ColoredCoreset(
+            per_color={}, union=WeightedPointSet.unit(range(len(colors))), entry_colors=colors
+        )
+        want = _product_then_sort_subsets(ccs, budgets)
+        stream = enumerate_colorful_subsets(ccs, budgets)
+        assert len(stream) == len(want)
+        np.testing.assert_array_equal(_rows(stream), want)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +373,34 @@ def test_exact_budget_decided_before_baseline(rng, monkeypatch):
         colorful_matroid_solve(cinst, matroid, lossless_params(inst), solver, seed=1, rounds=1)
 
 
+@pytest.mark.parametrize(
+    "solver", [SolverHandle.exact(), SolverHandle.local_search()], ids=["exact", "local"]
+)
+def test_round_over_budget_refused_before_any_block(rng, monkeypatch, solver):
+    # every block a stream builds is recorded with the stream's length
+    built, blocks = [], SubsetStream.blocks
+    monkeypatch.setattr(SubsetStream, "blocks", lambda self: built.append(len(self)) or blocks(self))
+    inst = random_instance(rng, 12, 4, k=2, m=2)  # C(4, 2) = 6 candidate sets
+    cinst = ColorfulInstance(
+        base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(1, 1)
+    )
+    params, kw = lossless_params(inst), dict(seed=1, rounds=1)
+    for solve, count in (
+        # lossless: one entry per client, so C(12, <= 2) subsets, and 7 * 7
+        # for one eviction of each color's six entries
+        (lambda solver: solve_with_outliers(inst, params, solver, **kw), 1 + 12 + 66),
+        (lambda solver: colorful_solve(cinst, params, solver, **kw), 7 * 7),
+    ):
+        built.clear()
+        with pytest.raises(
+            SolverBudgetExceeded, match=rf"^{count} outlier subsets exceed budget {count - 1}$"
+        ):
+            solve(replace(solver, enumeration_budget=count - 1))
+        assert built == []
+        solve(replace(solver, enumeration_budget=count))
+        assert built and set(built) == {count}
+
+
 @pytest.mark.parametrize("rounds", [0, -1])
 @pytest.mark.parametrize(
     "solver", [SolverHandle.exact(), SolverHandle.local_search()], ids=["exact", "local"]
@@ -370,10 +473,40 @@ def _per_subset_generic(inst, pts, w, subsets, black_box, solver):
         yield bb(pts[mask], w[mask])
 
 
-def _expand(answers):
-    """Every subset's answer in subset order (an engine keeps each distinct one once)."""
-    assert len(set(answers.centers)) == len(answers.centers) == len(np.unique(answers.which))
-    return [answers.centers[i] for i in answers.which.tolist()]
+class _PerSubset:
+    """Every subset's answer, read through the engines' per-block merge: each
+    call of `reduction._FirstAnswers.add` is recorded with its block and its
+    per-subset keys."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        add = reduction._FirstAnswers.add
+
+        def spy(log, block, keys):
+            self.calls.append((log, block.T.copy(), keys.copy()))
+            return add(log, block, keys)
+
+        monkeypatch.setattr(reduction._FirstAnswers, "add", spy)
+
+    def expand(self, answers):
+        """Every subset's answer in subset order, from the blocks of the one
+        engine call that returned ``answers``.  The merged ``answers`` must
+        be the first occurrences: each distinct answer once, in the order of
+        its first subset, with that subset's row, and the subsets counted."""
+        assert len({id(log) for log, _, _ in self.calls}) == 1
+        log = self.calls[0][0]
+        rows = np.vstack([block for _, block, _ in self.calls])
+        keys = np.concatenate([k for _, _, k in self.calls]).tolist()
+        self.calls.clear()
+        answer_of = dict(zip(log.keys, answers.centers))
+        got = [answer_of[key] for key in keys]
+        first = {}
+        for q, centers in enumerate(got):
+            first.setdefault(centers, q)
+        assert answers.centers == list(first)
+        assert [T.tolist() for T in answers.firsts] == [rows[q].tolist() for q in first.values()]
+        assert len(answers) == answers.count == len(got)
+        return got
 
 
 def _count_live_columns(monkeypatch):
@@ -392,6 +525,7 @@ def _count_live_columns(monkeypatch):
 def test_batched_engine_matches_per_subset_calls(rng, monkeypatch):
     # 1-D integer coordinates make both paths exact, hence identical
     pruned = _count_live_columns(monkeypatch)
+    per_subset = _PerSubset(monkeypatch)
     for _ in range(5):
         inst = random_instance(rng, 12, 5, k=2, m=2, integer=True, dim=1)
         cs = _coreset_for(inst, s=4, seed=int(rng.integers(1 << 16)))
@@ -402,7 +536,7 @@ def test_batched_engine_matches_per_subset_calls(rng, monkeypatch):
         generic = list(_per_subset_generic(
             inst, pts, w, _tuples(rows, len(pts)), None, SolverHandle.exact()
         ))
-        assert _expand(batched) == generic
+        assert per_subset.expand(batched) == generic
     assert sum(offered - kept for kept, offered in pruned) > 0  # the prune dropped columns
 
 
@@ -473,9 +607,9 @@ def _matroid_case(rng):
 
 
 def _empty_case(rng):
-    """Only the empty subset (m = 0): every row of the subset array is padding."""
+    """Only the empty subset (m = 0): every entry of the stream is padding."""
     inst, cs, _, space = _plain_case(rng)
-    return inst, cs, _padded([()], len(cs.union)), space
+    return inst, cs, enumerate_outlier_subsets(cs, 0), space
 
 
 @pytest.mark.parametrize("case", [_plain_case, _colorful_case, _matroid_case, _empty_case])
@@ -483,6 +617,7 @@ def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
     # small chunks and blocks, so candidate chunks and row blocks are crossed
     monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 150)
     monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 20)
+    per_subset = _PerSubset(monkeypatch)
     for _ in range(4):
         inst, cs, rows, space = case(rng)
         pts, _ = cs.union.as_arrays()
@@ -492,13 +627,13 @@ def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
         subsets = _tuples(rows, len(pts))
         want = _reference_best_exact(inst.dist, pts, w, space, inst.z, subsets)
         got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)
-        assert _expand(got) == want
+        assert per_subset.expand(got) == want
 
 
 def _row_major_best_exact(dist, points, weights, space, z, rows):
     """The exact engine's earlier layout, kept as its reference: per chunk of
     candidates, one row-major gather-sum of the live columns over the padded
-    subset array, each subset's rows added in T's own order, then
+    subset array ``rows``, each subset's rows added in T's own order, then
     ``argmin(axis=1)``.  A cost that is ``inf - inf`` is instead the sum of
     the rows the subset keeps, added in row order.  Returns each subset's
     candidate index (-1: none) and how many costs were such kept sums."""
@@ -538,11 +673,11 @@ def _far_facility_case(rng):
     costs ``inf - inf`` = NaN to a subset that evicts the far client.  The
     far facility comes first, so in chunks of 4 candidate sets the first
     chunk is all finite and the second mixes both.  Returns the instance,
-    the entries, the subset array and the candidate space."""
+    the entries, the subset stream and the candidate space."""
     xs = rng.uniform(0.0, 10.0, size=21)
     clients, facs = np.append(xs[:15], 1e300), np.append(1e300, xs[15:])
     inst = line_instance(clients, facs, k=2, m=2, z=2.0)
-    rows = _padded(_all_subsets(len(clients), 2), len(clients))
+    rows = _stream(_all_subsets(len(clients), 2), len(clients))
     return inst, np.arange(len(clients)), rows, CandidateSpace.subsets(inst.facilities, inst.k)
 
 
@@ -553,6 +688,7 @@ def test_exact_engine_matches_the_row_major_reference(rng, monkeypatch):
     # beside finite columns; chunks and subset blocks are crossed
     monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 150)
     monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 7)
+    per_subset = _PerSubset(monkeypatch)
     cases = [
         lambda rng, case=case: (lambda inst, cs, rows, space: (
             inst, cs.union.as_arrays()[0], rows, space
@@ -561,20 +697,21 @@ def test_exact_engine_matches_the_row_major_reference(rng, monkeypatch):
     ] + [_far_facility_case]
     kept_rule = overflowed = 0
     for i in range(40):
-        inst, pts, rows, space = cases[i % len(cases)](rng)
+        inst, pts, stream, space = cases[i % len(cases)](rng)
         w = rng.uniform(0.5, 3.0, size=len(pts))
+        rows = _rows(stream)
         assert len(list(space.chunks(len(pts)))) > 2 and (len(rows) > 7 or len(rows) == 1)
         want, kept_sums = _row_major_best_exact(inst.dist, pts, w, space, inst.z, rows)
         kept_rule += kept_sums
         if (want < 0).any():
             overflowed += 1
             with pytest.raises(CostOverflowError):
-                per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)
+                per_subset_best_exact(inst.dist, pts, w, space, inst.z, stream)
+            per_subset.calls.clear()
             continue
-        winners, which = np.unique(want, return_inverse=True)
-        got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)
-        assert got.centers == [space.centers_at(int(c)) for c in winners]
-        np.testing.assert_array_equal(got.which, which)
+        got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, stream)
+        # subset by subset, each block's answers are the reference's
+        assert per_subset.expand(got) == [space.centers_at(int(c)) for c in want]
     # a subset that evicts the far client from a candidate without the far
     # facility is costed by its kept rows, so every case answers every subset
     assert kept_rule > 0 and overflowed == 0
@@ -654,15 +791,27 @@ def _grid_partition(rng):
 
 
 def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
-    # small blocks, so row blocks are crossed; every kernel run is counted,
-    # with the number of rows it keeps
-    monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 20)
+    # blocks of 7 subsets, so the lockstep runs block by block and its row
+    # blocks are crossed; every kernel run is counted, with the number of
+    # rows it keeps, and every state priced, with the blocks it is used in
+    monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 7)
     kernel, kernel_runs = reduction._local_search, []
     monkeypatch.setattr(
         reduction, "_local_search",
         lambda D, *a, **kw: kernel_runs.append(len(D)) or kernel(D, *a, **kw),
     )
     pruned = _count_live_columns(monkeypatch)
+    per_subset = _PerSubset(monkeypatch)
+    swap_terms, evicted, priced, used_in = reduction._swap_terms, reduction._evicted_sums, [], {}
+    monkeypatch.setattr(
+        reduction, "_swap_terms", lambda D, current: priced.append(current) or swap_terms(D, current)
+    )
+    monkeypatch.setattr(
+        reduction, "_evicted_sums",
+        lambda full, *a: used_in.setdefault(id(full), set()).add(len(per_subset.calls))
+        or evicted(full, *a),
+    )
+    reused = 0
     builders = [
         lambda rng: _grid_line(rng, 1.0), lambda rng: _grid_line(rng, 0.1),
         _plane, _colorful_stream, _one_spot, _plane_partition, _grid_partition,
@@ -690,13 +839,20 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
             warnings.simplefilter("always")
             want = list(_per_subset_generic(inst, pts, w, subsets, black_box, solver))
         kernel_runs.clear()
+        priced.clear()
+        used_in.clear()
         with warnings.catch_warnings(record=True) as new:
             warnings.simplefilter("always")
             D = solvers._cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
             rows = _padded(subsets, len(pts))
-            got = _expand(per_subset_local_search(D, rows, k, solver, test))
+            got = per_subset.expand(
+                per_subset_local_search(D, SubsetStream.from_rows(rows), k, solver, test)
+            )
         assert [tuple(facs.col_ids[c] for c in cols) for cols in got] == want, i
         assert [str(x.message) for x in new] == [str(x.message) for x in old], i
+        # each state is priced once, however many blocks meet it
+        assert len(priced) == len(set(priced)), i
+        reused += any(len(blocks) > 1 for blocks in used_in.values())
         answered += len(subsets) - len(kernel_runs)
         fallbacks += len(kernel_runs)
         # a kernel run keeping more rows than the widest subset leaves was
@@ -715,12 +871,15 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
                 # decided a move
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    free = _expand(per_subset_local_search(D, rows, k, solver))
+                    free = per_subset.expand(
+                        per_subset_local_search(D, SubsetStream.from_rows(rows), k, solver)
+                    )
                 masked += got != free
     assert fallbacks and answered  # both paths were taken ...
     assert all_columns and all_evicted and capped and short_fallbacks  # ... on every kind of input
     assert masked and matroid_fallbacks and matroid_capped  # ... under a matroid too
     assert sum(offered - kept for kept, offered in pruned) > 0  # the prune dropped swaps
+    assert reused  # a state priced in one block was used again in a later one
 
 
 def test_live_columns_boundaries():
@@ -775,7 +934,7 @@ def test_local_search_prune_keeps_the_current_column(monkeypatch):
     inst = line_instance([0, 1, 2, 100, 101, 102, 480], [500, 700, 0, 100], k=2, m=1)
     facs = CandidateSpace.subsets(inst.facilities, inst.k)
     D = solvers._cost_block(inst.dist, np.arange(7), np.ones(7), facs.col_ids, inst.z)
-    rows = _padded(_all_subsets(7, 1), 7)
+    rows = _stream(_all_subsets(7, 1), 7)
     seen, offered = [], []
     swap_terms, evicted = reduction._swap_terms, reduction._evicted_sums
     monkeypatch.setattr(
@@ -793,7 +952,7 @@ def test_local_search_prune_keeps_the_current_column(monkeypatch):
     terms = seen[0][0]
     current = terms.shape[1] - 1
     assert current not in reduction._live_columns(
-        terms[:-1].sum(axis=0), terms, rows.shape[1], reduction._rounding_bound(D)
+        terms[:-1].sum(axis=0), terms, rows.width, reduction._rounding_bound(D)
     )
 
 
@@ -882,10 +1041,12 @@ def _unpruned(monkeypatch, run):
 
 
 def _assert_same_answers(got, want):
+    """Engine calls' ``(Answers, every subset's answer)`` pairs are equal."""
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.centers == b.centers
-        np.testing.assert_array_equal(a.which, b.which)
+    for (a, a_each), (b, b_each) in zip(got, want):
+        assert a.centers == b.centers and a.count == b.count
+        assert [T.tolist() for T in a.firsts] == [T.tolist() for T in b.firsts]
+        assert a_each == b_each
 
 
 def _planted_far(seed, k, m):
@@ -907,15 +1068,19 @@ def _all_evicted(rng):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_prune_changes_no_answer(rng, monkeypatch):
     # float data, where costs differ by rounding: both engines give the same
-    # Answers, centers and which, with the prune as with every column offered
+    # Answers and the same answer to every subset, with the prune as with
+    # every column offered
     pruned = _count_live_columns(monkeypatch)
+    per_subset = _PerSubset(monkeypatch)
     answers = []
+
+    def recorded(engine, *a, **kw):
+        got = engine(*a, **kw)
+        answers.append((got, per_subset.expand(got)))
+        return got
+
     for name in ("per_subset_best_exact", "per_subset_local_search"):
-        engine = getattr(reduction, name)
-        monkeypatch.setattr(
-            reduction, name,
-            lambda *a, _engine=engine, **kw: answers.append(_engine(*a, **kw)) or answers[-1],
-        )
+        monkeypatch.setattr(reduction, name, partial(recorded, getattr(reduction, name)))
 
     def engine_answers(solve):
         answers.clear()
@@ -945,7 +1110,9 @@ def test_prune_changes_no_answer(rng, monkeypatch):
     for case in (_plain_case, _colorful_case, _matroid_case, _empty_case):
         inst, cs, rows, space = case(rng)
         pts, w = cs.union.as_arrays()
-        run = lambda: [per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)]
+        run = lambda: engine_answers(
+            lambda: reduction.per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)
+        )
         _assert_same_answers(run(), _unpruned(monkeypatch, run))
     builders = [
         _all_evicted, _plane, _colorful_stream, _one_spot,
@@ -959,9 +1126,11 @@ def test_prune_changes_no_answer(rng, monkeypatch):
             lambda cols: matroid.is_independent([facs.col_ids[c] for c in cols])
         )
         D = solvers._cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
-        rows = _padded(subsets, len(pts))
+        rows = _stream(subsets, len(pts))
         solver = SolverHandle.local_search(iteration_cap=200)
-        run = lambda: [per_subset_local_search(D, rows, facs.combos.shape[1], solver, test)]
+        run = lambda: engine_answers(
+            lambda: reduction.per_subset_local_search(D, rows, facs.combos.shape[1], solver, test)
+        )
         _assert_same_answers(run(), _unpruned(monkeypatch, run))
     assert sum(offered - kept for kept, offered in pruned) > 0  # the prune dropped columns
 
@@ -989,13 +1158,32 @@ def test_live_columns_keep_every_subsets_best():
         dropped += n_cols - len(live)
         rows = reduction._up_to(n, min(width, n), width, n)
         with np.errstate(invalid="ignore"):  # inf - inf
-            for _, costs in reduction._evicted_sums(full, terms, np.arange(len(rows)), rows):
+            for _, costs in reduction._evicted_sums(full, terms, np.arange(len(rows)), rows.T):
                 first = costs.argmin(axis=1)
                 least = costs[np.arange(len(first)), first]
                 near = np.isnan(costs) | (costs <= least[:, None] + 256 * bound)
                 assert set(first.tolist()) <= live
                 assert set(np.flatnonzero(near.any(axis=0)).tolist()) <= live
     assert dropped > 0
+
+
+def test_round_memory_is_bounded_by_the_block():
+    # 40 entries and m = 4: 102,091 subsets in seven blocks; the round as one
+    # padded (102,091, 4) index array would take 3.3 MB by itself
+    inst = random_instance(np.random.default_rng(2502), 40, 6, k=2, m=4)
+    params = lossless_params(inst)
+    for solver in (SolverHandle.exact(), SolverHandle.local_search()):
+        solve = lambda: solve_with_outliers(inst, params, solver, seed=1, rounds=1)
+        want = report_to_dict(solve())
+        tracemalloc.start()
+        try:
+            rep = solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.per_round[0].coreset_lossless and rep.per_round[0].coreset_size == 40
+        assert report_to_dict(rep) == want
+        assert peak < 4_000_000, (solver.kind, peak)
 
 
 def test_theory_mode_pipeline(rng):
