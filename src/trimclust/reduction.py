@@ -33,27 +33,26 @@ distinct answer once, in the order of its first subset, with that subset's
 row (`Answers`); `_run_rounds` rescores them in that order.
 
 Before costing any subset both engines drop the columns that cannot be any
-subset's best (`_live_columns`).  Against a reference column ``r``, the
-first with the least finite ``full``, a column ``c`` costs every subset at
-least ``gap = (full[c] - full[r]) - top`` more than ``r`` does, ``top`` the
-sum of the ``width`` largest positive differences ``terms[i, c] -
-terms[i, r]``.  A column whose gap exceeds the margin goes; the margin is
-``_PRUNE_SLACK`` times the rounding bound of `_rounding_bound`, so rounding
-never turns a dropped column into a best.  Two cheaper bounds screen the
-block first, so the differences are taken only on the few columns left.  A
-NaN gap keeps its column and a non-finite margin keeps them all, so
-overflowing input is answered as without the prune.  The answers are the
-same, bit for bit.
+subset's best (`_live_columns`).  Against a reference column ``r`` with a
+finite ``full``, a column ``c`` costs every subset at least ``gap = (full[c]
+- full[r]) - top`` more than ``r`` does, ``top`` the sum of the ``width``
+largest positive differences ``terms[i, c] - terms[i, r]``.  A column whose
+gap exceeds the margin goes; the margin is ``_PRUNE_SLACK`` times the
+rounding bound of `_rounding_bound`, so rounding never turns a dropped
+column into a best (the count is in the `solvers` module docstring).  Two
+cheaper bounds screen the block first, so the differences are taken only on
+the few columns left.  A NaN gap keeps its column and a non-finite margin
+keeps them all, so overflowing input is answered as without the prune.  The
+answers are the same, bit for bit.
 
-* Exact (`per_subset_best_exact`): per chunk of candidate sets the terms are
-  the weighted minima ``w * min_d``, and only the distinct winning candidates
-  are looked up as center tuples.  Few columns survive the prune and every
-  subset needs only its first least cost, so the layout is column-major
-  (`_first_minimum`): the live columns of every chunk are gathered first,
-  then, per block of the stream, each live column's costs are 1-D gathers
-  from one contiguous row, and a running minimum keeps the first least one.
-  Its answers are the per-subset ones except where two candidates' costs
-  differ only by rounding.
+* Exact (`per_subset_best_exact`): the terms are the weighted nearest
+  distances of `argmin_trimmed`'s candidate blocks, and only the distinct
+  winning candidates are looked up as center tuples.  Few columns survive
+  the prune and every subset needs only its first least cost, so the layout
+  is column-major (`_first_minimum`): per block of the stream, each live
+  column's costs are 1-D gathers from one contiguous row, and a running
+  minimum keeps the first least one.  Its answers are the per-subset ones
+  except where two candidates' costs differ only by rounding.
 * Single-swap local search (`per_subset_local_search`): every subset starts
   from the same state, so the subsets of a block search in lockstep, grouped
   by their current centers, and the terms are each row's cost under every
@@ -101,10 +100,10 @@ from .solvers import (
     CandidateSpace,
     SolverBudgetExceeded,
     SolverHandle,
+    _candidate_blocks,
     _cost_block,
     _greedy_basis,
     _local_search,
-    _nearest,
     _rounding_bound,
     _swap_basis,
     _up_to,
@@ -302,65 +301,53 @@ def _evicted_sums(
         yield pos[lo : lo + per], np.subtract(full, removed, out=removed)
 
 
-def _live_columns(full: np.ndarray, terms: np.ndarray, width: int, bound: float) -> np.ndarray:
+def _live_columns(
+    full: np.ndarray, real: np.ndarray, width: int, bound: float, ref: tuple | None = None
+) -> np.ndarray:
     """Indices of the columns that can still be some subset's best.
 
-    Column ``c`` costs subset T ``full[c] - (terms[T0, c] + terms[T1, c] +
+    Column ``c`` costs subset T ``full[c] - (real[T0, c] + real[T1, c] +
     ...)`` (see `_evicted_sums`), with nonnegative terms and at most
-    ``width`` real rows in T (every row of ``terms`` but the last, zero
-    one).  The reference ``r`` is the first column with the least finite
-    ``full``; its terms are finite, since their sum is.  With ``d_i =
-    terms[i, c] - terms[i, r]``, in exact arithmetic
+    ``width`` rows of ``real`` in T.  The reference ``r``, given as ``ref``
+    (its ``full`` and its terms), is by default the first column with the
+    least finite ``full``; its terms are finite, since their sum is.  With
+    ``d_i = real[i, c] - real[i, r]``, in exact arithmetic
 
         cost_T(c) - cost_T(r) = (F_c - F_r) - sum_{i in T} d_i >= gap[c],
 
     ``gap[c] = (F_c - F_r) - top[c]``, where ``top[c]`` sums the ``width``
     largest of ``max(d_i, 0)``, which no ``|T| <= width`` of the ``d_i`` can
-    exceed.  A column with ``gap > _PRUNE_SLACK * bound`` is dropped.  Three
-    passes, each a valid lower bound on the gap, drop columns; the cheap ones
-    first, so the differences are taken only on the columns they keep:
+    exceed.  A column with ``gap > _PRUNE_SLACK * bound`` is dropped (the
+    rounding count is in the `solvers` module docstring).  Three passes,
+    each a valid lower bound on the gap, drop columns; the cheap ones first,
+    so the differences are taken only on the columns they keep:
 
-    1. ``full - width * max_i terms[i, c] > full[r] + slack``, which reads
-       the block once and allocates nothing of its size;
-    2. ``(full - full[r]) - width * max(0, max_i d_i) > slack``, on the
-       columns pass 1 keeps (the ``max(0, .)`` keeps it a lower bound when
-       every ``d_i`` is negative: the empty subset costs ``c`` still
-       ``F_c - F_r`` more than ``r``);
+    1. ``full - width * max_i real[i, c] > F_r + slack``, which reads the
+       block once and allocates nothing of its size;
+    2. ``(full - F_r) - width * max(0, max_i d_i) > slack``, on the columns
+       pass 1 keeps (the ``max(0, .)`` keeps it a lower bound when every
+       ``d_i`` is negative: the empty subset costs ``c`` still ``F_c - F_r``
+       more than ``r``);
     3. the gap itself, by `np.partition`, on the columns pass 2 keeps.
-
-    Rounding: ``bound`` bounds the error of a float sum of at most ``n``
-    finite entries of one column, each at most its row's largest finite
-    entry, and also one rounding of any value at most the sum ``S`` of those
-    row maxima.  In pass 3 the computed ``full[c]`` and ``full[r]`` are each
-    one bound off, the differences together one (each ``d_i`` is rounded
-    once, relative to itself), the top sum one, and the two subtractions one
-    each: 6 bounds.  Passes 1 and 2 take as many: ``full[c]``, ``full[r]``,
-    the subtraction and the final comparison's term, plus the product
-    ``width * x`` and, in pass 2, ``x``'s own rounding, each at most one
-    bound whenever the pass drops, since ``width * x`` is then below
-    ``full[c] <= S``.  A subset's computed cost is within 3 bounds of its
-    exact cost (``full``, the gather-sum, the subtraction).  So a dropped
-    column costs every subset more than ``(1024 - 6 - 6) * bound`` more
-    than ``r`` does, after rounding too: it is never a best, nor a runner-up
-    within the local search's ``tol = 256 * bound``.
 
     A NaN value keeps its column (``inf - inf``, where a column holds an
     ``inf`` term and an ``inf`` ``full``), a ``+inf`` ``full`` with finite
     terms (a masked swap) is dropped, an ``inf`` or NaN ``bound`` keeps
-    every column, and so does a ``full`` with no finite entry.
+    every column, and so does a reference with no finite ``full``.
     """
-    finite = np.isfinite(full)
-    if not finite.any():
+    if ref is None:
+        r = int(np.argmin(np.where(np.isfinite(full), full, np.inf)))
+        ref = full[r], real[:, r]
+    f_r, t_r = ref
+    if not math.isfinite(f_r):
         return np.arange(len(full))
-    r = int(np.argmin(np.where(finite, full, np.inf)))
     slack = _PRUNE_SLACK * bound
-    real = terms[:-1]
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN value, which keeps its column
         # pass 1
-        live = np.flatnonzero(~(full - width * real.max(axis=0, initial=0.0) > full[r] + slack))
+        live = np.flatnonzero(~(full - width * real.max(axis=0, initial=0.0) > f_r + slack))
         # pass 2
-        d = real[:, live] - real[:, r, None]
-        over = full[live] - full[r]
+        d = real[:, live] - t_r[:, None]
+        over = full[live] - f_r
         keep = ~(over - width * d.max(axis=0, initial=0.0) > slack)
         # pass 3
         live, d, over = live[keep], d[:, keep], over[keep]
@@ -389,25 +376,26 @@ def per_subset_best_exact(
     enumeration order (the lexicographically smallest center tuple).  The
     candidate space was refused over budget when it was built.
 
-    Per candidate chunk, ``wm = w * min_d`` holds every entry's weighted
-    distance to every candidate set (``min_d`` from `solvers._nearest`, as
-    in `argmin_trimmed`), plus one zero row at index ``n`` =
-    ``len(points)``, and the cost of T is ``full - (wm[T0] + wm[T1] +
-    ...)``, ``full`` the numpy column sum of the ``n`` real rows (no BLAS
-    product, whose kernel and summation order may vary with the CPU), the
-    evicted rows added in T's own order; the padding ``n`` of the subset
-    stream picks the zero row.  Only the distinct winning candidates are
-    looked up as center tuples.
+    The terms are the `_nearest` rows of the weighted cost block, each
+    entry's ``min_{c in C} w_i d(i, c)**z``, which is ``w_i * min_d`` bit
+    for bit (rounding ``w * x`` is monotone in ``x`` for ``w >= 0``).  A
+    candidate's ``full`` is the sum of its row: the float `argmin_trimmed`
+    gives it with nothing trimmed, whatever the block, and no BLAS product,
+    whose kernel and summation order may vary with the CPU.  The cost of T
+    is ``full`` minus T's terms, added in T's own order; the padding ``n`` =
+    ``len(points)`` of the subset stream picks a zero term.
 
-    The engine runs in two phases.  First, per chunk, only the columns of
-    `_live_columns` are kept; the margin is ``_PRUNE_SLACK`` rounding bounds
-    of ``wm`` (`_rounding_bound`), which covers the rounding of ``full``,
-    the gather-sums and each column's gap to the chunk's reference column.
-    A dropped column costs every subset more than the reference does, so
-    the first least cost of every subset, ties included, is the one over all
-    columns.  The live columns of every chunk are gathered, in ascending
-    order, into contiguous rows with their ``full``.  Then one pass over the
-    stream's blocks costs them with `_first_minimum`, one column at a time
+    The engine runs in two phases.  First, of each block of
+    `solvers._candidate_blocks`, only the columns that `_live_columns` keeps
+    against the best column so far (the first with the least finite
+    ``full``) are copied out, and over several blocks the kept columns are
+    pruned once more against the best of all; the margin is ``_PRUNE_SLACK``
+    rounding bounds of the weighted cost block.  A dropped column costs
+    every subset more than its reference, after rounding too, and a
+    reference is kept or dropped against a later one, so the first least
+    cost of every subset, ties included, is the one over all columns.  Then
+    one pass over the stream's blocks costs the live columns, contiguous
+    rows in ascending order, with `_first_minimum`, one column at a time
     with 1-D gathers, a later column winning only if it is strictly less;
     the temporaries hold a few values per subset of the block, whatever the
     number of subsets or columns.  Where ``full`` is ``inf`` and T evicts an
@@ -418,22 +406,23 @@ def per_subset_best_exact(
     """
     if space.count == 0:
         raise ValueError("empty candidate space")
-    dT = np.ascontiguousarray(_cost_block(dist, points, None, space.col_ids, z).T)
-    w = np.asarray(weights, dtype=float)
-    live_idx, live_full, live_rows = [], [], []
-    offset = 0
-    for chunk in space.chunks(len(points)):
-        wm = np.zeros((len(w) + 1, len(chunk)))
-        np.multiply(w[:, None], _nearest(dT, chunk).T, out=wm[:-1])
-        full = wm[:-1].sum(axis=0)
-        live = _live_columns(full, wm, subsets.width, _rounding_bound(wm[:-1]))
-        live_idx.append(offset + live)
-        live_full.append(full[live])
-        live_rows.append(wm[:, live].T)
-        offset += chunk.shape[0]
-    live = np.concatenate(live_idx)
-    # one contiguous row per live column, which the 1-D gathers read
-    full, rows = np.concatenate(live_full), np.concatenate(live_rows)
+    d = _cost_block(dist, points, weights, space.col_ids, z)
+    bound = _rounding_bound(d)
+    best, kept = (math.inf, None), []  # the best column so far: its full and its terms
+    for lo, _, near in _candidate_blocks(d, space.combos):
+        full = near.sum(axis=1)
+        j = int(np.argmin(full))
+        if full[j] < best[0]:
+            best = float(full[j]), near[j].copy()
+        live = _live_columns(full, near.T, subsets.width, bound, best)
+        kept.append((lo + live, full[live], near[live]))
+    del near  # a view that would keep the walk's buffer through the stream pass
+    live, full, rows = map(np.concatenate, zip(*kept))
+    if len(kept) > 1:  # a lone block was pruned against its own best already
+        keep = _live_columns(full, rows.T, subsets.width, bound)
+        live, full, rows = live[keep], full[keep], rows[keep]
+    # one contiguous row per live column, and the zero term the padding picks
+    rows = np.hstack([rows, np.zeros((len(rows), 1))])
     first = _FirstAnswers()
     per = min(_BLOCK_ELEMENTS, len(subsets))
     work = np.empty((3, per)), np.empty(per, dtype=np.intp), np.empty(per, dtype=bool)
@@ -624,7 +613,7 @@ def per_subset_local_search(
                 ]
                 full[:-1][np.logical_not(allowed)] = np.inf
             # the swaps that can still be a best, then the current column
-            live = _live_columns(full[:-1], terms[:, :-1], subsets.width, bound)
+            live = _live_columns(full[:-1], terms[:-1, :-1], subsets.width, bound)
             cols = np.append(live, len(full) - 1)
             priced[s] = live, outside, full[cols], np.ascontiguousarray(terms[:, cols])
         return priced[s]

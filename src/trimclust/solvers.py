@@ -12,20 +12,35 @@ gives its answers for many subsets at once: with every swap allowed, or
 with only the swaps an independence test accepts (a heuristic under a
 matroid; no factor is claimed).
 
-Every exhaustive search over center sets, here and in the variants, is one
-call of `argmin_trimmed` over a `CandidateSpace`: take each point's distance
-to its nearest candidate center, trim each group of points by its outlier
-budget, sum, and keep the first minimum.  Both exhaustive searches, this one
-and the batched exact black box `reduction.per_subset_best_exact`, take a
-candidate's nearest distances from one helper, `_nearest`: per position of
-the candidate sets, one 2-D gather of columns of the cost block, folded by
-`np.minimum`, which is exact.  `argmin_trimmed` walks the space in blocks of
-about ``_TRIM_BLOCK_ELEMENTS`` (points x candidates) distances.  A space
-that fits one block is trimmed whole.  Otherwise a lower bound on every
-candidate's trimmed cost, which reads the block's column sums and per-column
-maxima taken once, drops the candidates that cannot be the first minimum,
-beyond ``_PRUNE_SLACK`` rounding bounds (`_rounding_bound`), and only the
-rest are partitioned: the answer, ties included, is the whole search's.
+Every exhaustive search over center sets walks its `CandidateSpace` with
+one generator, `_candidate_blocks`: blocks of about ``_TRIM_BLOCK_ELEMENTS``
+(points x candidates) distances, whose `_nearest` (per position of the sets,
+one 2-D gather of columns of the cost block, folded by `np.minimum`, which
+is exact) fills one reused buffer.  `argmin_trimmed`, behind every oracle,
+keeps the first minimum of the trimmed costs; the batched exact black box
+`reduction.per_subset_best_exact` keeps each candidate's sum and the few
+candidates that can be some subset's best.  Both drop candidates by a lower
+bound first (`_contenders` over several blocks, `reduction._live_columns`),
+so the answer, ties included, is the whole search's.
+
+Both prunes drop a candidate only when its computed lower bound exceeds a
+computed cost by more than ``_PRUNE_SLACK`` = 1024 bounds of
+`_rounding_bound`.  In `_contenders` each computed trimmed cost is within
+one bound of the exact one, and the computed lower bound within three (the
+column sum, the products and their sum, the subtraction; they are below the
+column sum whenever a candidate is dropped), so a dropped candidate's
+computed cost exceeds another's.  In `reduction._live_columns` pass 3 takes
+6 bounds: ``full[c]`` and ``full[r]`` one each, the differences together one
+(each rounded once, relative to itself), the top sum one and the two
+subtractions one each.  Passes 1 and 2 take as many: ``full[c]``,
+``full[r]``, the subtraction and the final comparison's term, plus the
+product ``width * x`` and, in pass 2, ``x``'s own rounding, each at most one
+bound whenever the pass drops, since ``width * x`` is then below
+``full[c]``.  A subset's computed cost is within 3 bounds of its exact cost
+(``full``, the gather-sum, the subtraction).  So a dropped column costs
+every subset more than ``1024 - 6 - 6`` bounds more than its reference,
+after rounding too: never a best, nor a runner-up within the local search's
+``tol`` of 256 bounds.
 
 A `CandidateSpace` is an index array, one center set per row.  Subsets of
 ``range(n)`` have one builder, `_extend`, which writes the subsets of one
@@ -52,18 +67,15 @@ from .metric import DistanceOracle, PointId
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
-# cap on the distances one candidate chunk of the exact black box gathers
-# (points x candidate-sets x k: k gathers of a (points x candidate-sets)
-# block), to bound memory
-_CHUNK_ELEMENTS = 8_000_000
-
-# (points x candidates) distances per block of `argmin_trimmed`; its
-# temporaries hold one block each, and larger blocks fall out of the cache
+# (points x candidates) distances per block of `_candidate_blocks`; the
+# temporaries of both exhaustive searches hold one block each, and larger
+# blocks fall out of the cache
 _TRIM_BLOCK_ELEMENTS = 65_536
 
 # a candidate or column is dropped only if its lower bound exceeds a computed
-# cost by this many rounding bounds (`_rounding_bound`); in the local-search
-# engine that is 4 * tol, so every dropped swap is more than tol above every best
+# cost by this many rounding bounds (`_rounding_bound`; the count is in the
+# module docstring); in the local-search engine that is 4 * tol, so every
+# dropped swap is more than tol above every best
 _PRUNE_SLACK = 1024
 
 
@@ -149,12 +161,6 @@ class CandidateSpace:
     @property
     def count(self) -> int:
         return len(self.combos)
-
-    def chunks(self, n_rows: int) -> Iterator[np.ndarray]:
-        """Row slices of ``combos``, each about ``_CHUNK_ELEMENTS`` distances wide."""
-        per = max(1, _CHUNK_ELEMENTS // max(1, n_rows * max(1, self.combos.shape[1])))
-        for lo in range(0, len(self.combos), per):
-            yield self.combos[lo : lo + per]
 
     def centers_at(self, idx: int) -> tuple[PointId, ...]:
         return tuple(self.col_ids[i] for i in self.combos[idx].tolist())
@@ -262,6 +268,22 @@ def _nearest(dT: np.ndarray, combos: np.ndarray, out: np.ndarray | None = None) 
     return vals
 
 
+def _candidate_blocks(
+    d: np.ndarray, combos: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``(lo, block, near)`` for each block of about ``_TRIM_BLOCK_ELEMENTS``
+    (points x candidates) distances, in order: ``block`` the rows of
+    ``combos`` from ``lo`` on, and ``near`` its `_nearest` over the cost
+    block ``d``, a view of one buffer that the next block overwrites, so a
+    consumer copies what it keeps."""
+    per = max(1, _TRIM_BLOCK_ELEMENTS // max(1, d.shape[0]))
+    dT = np.ascontiguousarray(d.T)
+    buf = np.empty((min(2, combos.shape[1]), min(per, len(combos)), d.shape[0]))
+    for lo in range(0, len(combos), per):
+        block = combos[lo : lo + per]
+        yield lo, block, _nearest(dT, block, buf[:, : len(block)])
+
+
 def _trimmed_costs(vals: np.ndarray, groups) -> np.ndarray:
     """Each column's trimmed cost, ``vals`` one row per point and one
     contiguous column per candidate (a transposed `_nearest`), and the groups
@@ -293,9 +315,19 @@ def _contenders(
     groups,
 ) -> np.ndarray:
     """Indices of the candidates of one block that may still be the first
-    minimum (see `argmin_trimmed`), ascending; ``near`` is the block's
-    `_nearest`, ``group_max[c, g]`` column ``c``'s largest distance in the
-    ``g``-th group that drops rows, and ``drops[g]`` that group's drop."""
+    minimum, ascending; ``near`` is the block's `_nearest`, ``group_max[c,
+    g]`` column ``c``'s largest distance in the ``g``-th group that drops
+    rows, and ``drops[g]`` that group's drop.  A group's ``drop`` largest
+    distances are each at most ``max_{i in g} d[i, c]`` for every center c
+    of a candidate C, so
+
+        cost(C) >= colsum(C) - sum_g drop_g * min_{c in C} max_{i in g} d[i, c],
+
+    ``colsum`` the sum of C's nearest distances over every row.  A candidate
+    whose bound exceeds ``U`` by more than ``slack`` is dropped, ``U`` the
+    computed cost of the block's least-bound candidate or ``best_cost``,
+    whichever is less (the rounding count is in the module docstring).
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its candidate
         bound = near.sum(axis=1) - (drops * _nearest(group_max, block)).sum(axis=1)
     j = int(np.argmin(bound))
@@ -318,34 +350,15 @@ def argmin_trimmed(
     the earliest candidate in enumeration order.  A group of every row is
     passed as ``slice(None)``, so its rows are a view, not a copy.
 
-    The space is walked in blocks of about ``_TRIM_BLOCK_ELEMENTS`` (points x
-    candidates) distances, taken by `_nearest`.  A space that fits in one
-    block is trimmed whole (`_trimmed_costs`).  Otherwise every candidate C
-    of a block is bounded first: a group's ``drop`` largest distances are
-    each at most ``max_{i in g} d[i, c]`` for every center c of C, so
-
-        cost(C) >= colsum(C) - sum_g drop_g * min_{c in C} max_{i in g} d[i, c],
-
-    ``colsum`` the sum of C's nearest distances over every row.  ``U`` is
-    the computed cost of the block's least-bound candidate or the best so
-    far, whichever is less, and a candidate whose bound exceeds ``U`` by
-    more than ``_PRUNE_SLACK * _rounding_bound(d)`` is dropped (an inf or
-    NaN bound keeps its candidate).  Every sum here has at most ``len(d)``
-    terms, each at most its row's largest entry, so each computed cost is
-    within one rounding bound of the exact one, and the computed bound within
-    three (the column sum, the products and their sum, the subtraction; they
-    are below the column sum whenever a candidate is dropped): a dropped
-    candidate's computed cost exceeds ``U``, another candidate's computed
-    cost, and is not the first minimum.  The rest are trimmed together, at
-    least two columns at a time, so each one's float is the one it gets in a
-    whole search of two or more candidates, and the first minimum, ties
-    included, is that search's.
+    The space is walked by `_candidate_blocks`.  A space that fits in one
+    block is trimmed whole (`_trimmed_costs`).  Otherwise only the
+    candidates of a block that `_contenders` keeps, against the best so far,
+    are trimmed, together and at least two columns at a time, so each one's
+    float is the one it gets in a whole search of two or more candidates,
+    and the first minimum, ties included, is that search's.
     """
-    per = max(1, _TRIM_BLOCK_ELEMENTS // max(1, d.shape[0]))
-    dT = np.ascontiguousarray(d.T)
-    bounded = space.count > per
+    bounded = space.count * d.shape[0] > _TRIM_BLOCK_ELEMENTS
     if bounded:
-        buf = np.empty((2, per, d.shape[0]))
         # a group that drops nothing adds no term to the bound (and 0 * inf is NaN)
         pruned = [(rows, drop) for rows, drop in groups if drop > 0]
         group_max = np.zeros((d.shape[1], len(pruned)))
@@ -355,18 +368,15 @@ def argmin_trimmed(
         slack = _PRUNE_SLACK * _rounding_bound(d)
     best_cost = math.inf
     best_idx = -1
-    for lo in range(0, space.count, per):
-        block = space.combos[lo : lo + per]
+    for lo, block, near in _candidate_blocks(d, space.combos):
+        live = range(len(block))
         if bounded:
-            near = _nearest(dT, block, buf[:, : len(block)])
             live = _contenders(near, block, group_max, drops, best_cost, slack, groups)
             if len(live) == 0:
                 continue
             # a lone survivor is trimmed twice: a gathered group of one
             # column would be summed pairwise, not row by row
             near = near[live if len(live) > 1 else np.repeat(live, 2)]
-        else:
-            near, live = _nearest(dT, block), range(len(block))
         costs = _trimmed_costs(near.T, groups)
         j = int(np.argmin(costs))
         if costs[j] < best_cost:

@@ -55,7 +55,7 @@ from trimclust.reduction import (
     per_subset_best_exact,
     per_subset_local_search,
 )
-from trimclust.solvers import SolverBudgetExceeded, solve_outlier_free
+from trimclust.solvers import SolverBudgetExceeded, argmin_trimmed, solve_outlier_free
 from trimclust.bench import report_to_dict, solution_to_dict
 from trimclust.rng import generator_for
 from conftest import line_instance, random_instance, shared_point_instance
@@ -541,29 +541,20 @@ def test_batched_engine_matches_per_subset_calls(rng, monkeypatch):
 
 
 def _reference_best_exact(dist, points, weights, space, z, subsets):
-    """The per-subset loop the batched engine replaced, kept as its reference."""
+    """The per-subset loop the batched engine replaced, kept as its
+    reference.  Its sums run down the columns of the whole space, so twin
+    candidates get one float wherever they stand (a BLAS product over the
+    whole space may round them apart)."""
     d = dist.pairwise(points, space.col_ids)
     if z != 1.0:
         d = d**z
-    w = np.asarray(weights, dtype=float)
-    best_cost = np.full(len(subsets), np.inf)
-    best_idx = np.full(len(subsets), -1, dtype=np.int64)
-    offset = 0
-    for chunk in space.chunks(len(points)):
-        min_d = d[:, chunk].min(axis=2)
-        full = w @ min_d
-        for ti, T in enumerate(subsets):
-            if T:
-                rows = list(T)
-                costs = full - w[rows] @ min_d[rows, :]
-            else:
-                costs = full
-            j = int(np.argmin(costs))
-            if costs[j] < best_cost[ti]:
-                best_cost[ti] = costs[j]
-                best_idx[ti] = offset + j
-        offset += chunk.shape[0]
-    return [space.centers_at(int(i)) for i in best_idx]
+    wm = np.asarray(weights, dtype=float)[:, None] * d[:, space.combos].min(axis=2)
+    full = wm.sum(axis=0)
+    best_idx = []
+    for T in subsets:
+        costs = full - wm[list(T)].sum(axis=0) if T else full
+        best_idx.append(int(np.argmin(costs)))
+    return [space.centers_at(i) for i in best_idx]
 
 
 def _with_twin_facilities(inst):
@@ -614,8 +605,8 @@ def _empty_case(rng):
 
 @pytest.mark.parametrize("case", [_plain_case, _colorful_case, _matroid_case, _empty_case])
 def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
-    # small chunks and blocks, so candidate chunks and row blocks are crossed
-    monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 150)
+    # small blocks of candidate sets and of subsets, so both are crossed
+    monkeypatch.setattr(solvers, "_TRIM_BLOCK_ELEMENTS", 150)
     monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 20)
     per_subset = _PerSubset(monkeypatch)
     for _ in range(4):
@@ -623,7 +614,7 @@ def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
         pts, _ = cs.union.as_arrays()
         # integer weights as a sampled coreset has, so evicted rows are scaled
         w = rng.integers(1, 6, size=len(pts)).astype(float)
-        assert len(list(space.chunks(len(pts)))) > 2
+        assert _candidate_block_count(space, len(pts)) > 2
         subsets = _tuples(rows, len(pts))
         want = _reference_best_exact(inst.dist, pts, w, space, inst.z, subsets)
         got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, rows)
@@ -631,48 +622,49 @@ def test_grouped_engine_matches_per_subset_loop(rng, monkeypatch, case):
 
 
 def _row_major_best_exact(dist, points, weights, space, z, rows):
-    """The exact engine's earlier layout, kept as its reference: per chunk of
-    candidates, one row-major gather-sum of the live columns over the padded
-    subset array ``rows``, each subset's rows added in T's own order, then
-    ``argmin(axis=1)``.  A cost that is ``inf - inf`` is instead the sum of
-    the rows the subset keeps, added in row order.  Returns each subset's
-    candidate index (-1: none) and how many costs were such kept sums."""
+    """The exact engine's earlier layout, kept as its reference: over the
+    whole candidate space, one row-major gather-sum of the live columns over
+    the padded subset array ``rows``, each subset's rows added in T's own
+    order, then ``argmin(axis=1)``; ``full`` is each candidate's sum over its
+    contiguous row of terms, as the engine takes it.  A cost that is ``inf -
+    inf`` is instead the sum of the rows the subset keeps, added in row
+    order.  Returns each subset's candidate index (-1: none) and how many
+    costs were such kept sums."""
     d = solvers._cost_block(dist, points, None, space.col_ids, z)
     w = np.asarray(weights, dtype=float)
-    best_cost = np.full(len(rows), np.inf)
-    best_idx = np.full(len(rows), -1)
-    kept_sums = offset = 0
-    for chunk in space.chunks(len(points)):
-        wm = np.zeros((len(w) + 1, chunk.shape[0]))
-        wm[:-1] = w[:, None] * d[:, chunk].min(axis=2)
-        full = wm[:-1].sum(axis=0)
-        live = reduction._live_columns(
-            full, wm, rows.shape[1], reduction._rounding_bound(wm[:-1])
-        )
-        removed = wm[rows[:, 0]][:, live]
-        for col in range(1, rows.shape[1]):
-            removed += wm[rows[:, col]][:, live]
-        with np.errstate(invalid="ignore"):  # inf - inf
-            costs = full[live] - removed
-        for q, c in zip(*np.nonzero(np.isnan(costs))):
-            evicted = set(rows[q].tolist())
-            costs[q, c] = sum(float(wm[i, live[c]]) for i in range(len(w)) if i not in evicted)
-            kept_sums += 1
-        j = costs.argmin(axis=1)
-        vals = costs[np.arange(len(j)), j]
-        better = vals < best_cost
-        best_cost[better] = vals[better]
-        best_idx[better] = offset + live[j[better]]
-        offset += chunk.shape[0]
+    wm = np.zeros((len(w) + 1, space.count))
+    wm[:-1] = w[:, None] * d[:, space.combos].min(axis=2)
+    full = np.ascontiguousarray(wm[:-1].T).sum(axis=1)
+    live = reduction._live_columns(
+        full, wm[:-1], rows.shape[1], reduction._rounding_bound(wm[:-1])
+    )
+    removed = wm[rows[:, 0]][:, live]
+    for col in range(1, rows.shape[1]):
+        removed += wm[rows[:, col]][:, live]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        costs = full[live] - removed
+    kept_sums = 0
+    for q, c in zip(*np.nonzero(np.isnan(costs))):
+        evicted = set(rows[q].tolist())
+        costs[q, c] = sum(float(wm[i, live[c]]) for i in range(len(w)) if i not in evicted)
+        kept_sums += 1
+    j = costs.argmin(axis=1)
+    best_idx = np.where(np.isfinite(costs[np.arange(len(j)), j]), live[j], -1)
     return best_idx, kept_sums
+
+
+def _candidate_block_count(space, n_points):
+    """How many blocks `solvers._candidate_blocks` walks ``space`` in."""
+    d = np.zeros((n_points, len(space.col_ids)))
+    return sum(1 for _ in solvers._candidate_blocks(d, space.combos))
 
 
 def _far_facility_case(rng):
     """1-D float points, one client and one facility at 1e300, z = 2: a
     candidate set without the far facility has an ``inf`` ``full``, and
     costs ``inf - inf`` = NaN to a subset that evicts the far client.  The
-    far facility comes first, so in chunks of 4 candidate sets the first
-    chunk is all finite and the second mixes both.  Returns the instance,
+    far facility comes first, so in blocks of 4 candidate sets the first
+    block is all finite and the second mixes both.  Returns the instance,
     the entries, the subset stream and the candidate space."""
     xs = rng.uniform(0.0, 10.0, size=21)
     clients, facs = np.append(xs[:15], 1e300), np.append(1e300, xs[15:])
@@ -685,8 +677,8 @@ def _far_facility_case(rng):
 def test_exact_engine_matches_the_row_major_reference(rng, monkeypatch):
     # float data with twin facilities (ties), the colorful stream (rows not in
     # size order), the all-padding stream of m = 0, and an inf ``full``
-    # beside finite columns; chunks and subset blocks are crossed
-    monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 150)
+    # beside finite columns; blocks of candidate sets and of subsets are crossed
+    monkeypatch.setattr(solvers, "_TRIM_BLOCK_ELEMENTS", 150)
     monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 7)
     per_subset = _PerSubset(monkeypatch)
     cases = [
@@ -700,7 +692,7 @@ def test_exact_engine_matches_the_row_major_reference(rng, monkeypatch):
         inst, pts, stream, space = cases[i % len(cases)](rng)
         w = rng.uniform(0.5, 3.0, size=len(pts))
         rows = _rows(stream)
-        assert len(list(space.chunks(len(pts)))) > 2 and (len(rows) > 7 or len(rows) == 1)
+        assert _candidate_block_count(space, len(pts)) > 2 and (len(rows) > 7 or len(rows) == 1)
         want, kept_sums = _row_major_best_exact(inst.dist, pts, w, space, inst.z, rows)
         kept_rule += kept_sums
         if (want < 0).any():
@@ -715,6 +707,43 @@ def test_exact_engine_matches_the_row_major_reference(rng, monkeypatch):
     # a subset that evicts the far client from a candidate without the far
     # facility is costed by its kept rows, so every case answers every subset
     assert kept_rule > 0 and overflowed == 0
+
+
+def test_exact_engine_ties_go_to_the_earliest_candidate(rng, monkeypatch):
+    # float data with twin facilities, so candidate sets tie exactly, and
+    # float weights: in blocks of one candidate set, of four and of the whole
+    # space, every subset gets the earliest of its least candidates, and the
+    # empty subset alone gets `argmin_trimmed`'s answer on the same weighted
+    # block.  The colorful case's 21 sets in blocks of four leave the last
+    # alone, the later twin of a set in a wider block: its sum must not
+    # depend on the block's width
+    per_subset = _PerSubset(monkeypatch)
+    ties = lone = 0
+    for case in (_plain_case, _colorful_case, _matroid_case):
+        inst, cs, stream, space = case(rng)
+        pts, _ = cs.union.as_arrays()
+        w = rng.uniform(0.5, 3.0, size=len(pts))
+        lone += space.count % 4 == 1
+        d = solvers._cost_block(inst.dist, pts, w, space.col_ids, inst.z)
+        terms = np.zeros((len(pts) + 1, space.count))
+        terms[:-1] = d[:, space.combos].min(axis=2)
+        full = np.ascontiguousarray(terms[:-1].T).sum(axis=1)
+        rows = _rows(stream)
+        want = []
+        for _, costs in reduction._evicted_sums(full, terms, np.arange(len(rows)), rows.T):
+            ties += ((costs == costs.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum()
+            want += [space.centers_at(int(j)) for j in costs.argmin(axis=1)]
+        empty = enumerate_outlier_subsets(cs, 0)
+        for per, blocks in ((1, space.count), (4, -(-space.count // 4)), (space.count, 1)):
+            monkeypatch.setattr(solvers, "_TRIM_BLOCK_ELEMENTS", per * len(pts))
+            assert _candidate_block_count(space, len(pts)) == blocks
+            got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, stream)
+            assert per_subset.expand(got) == want, per
+            alone = per_subset_best_exact(inst.dist, pts, w, space, inst.z, empty)
+            assert per_subset.expand(alone) == [
+                space.centers_at(argmin_trimmed(d, space, [(slice(None), 0)]))
+            ], per
+    assert ties > 0 and lone
 
 
 def _grid_line(rng, step):
@@ -883,10 +912,10 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
 
 
 def test_live_columns_boundaries():
-    # three real rows and the zero row, width 2; each column's full is its
-    # sum.  The reference r is the first column with the least finite full,
-    # and a column's gap is (full - full[r]) minus the sum of its two largest
-    # positive differences d = terms - terms[:, r]; the slack is 1.0
+    # three rows, width 2; each column's full is its sum.  The reference r
+    # is the first column with the least finite full, and a column's gap is
+    # (full - full[r]) minus the sum of its two largest positive differences
+    # d = terms - terms[:, r]; the slack is 1.0
     e = 2.0**-8
     cols = {
         "r": [0, 4, 6],  # full 10
@@ -900,25 +929,30 @@ def test_live_columns_boundaries():
         "masked": [1, 2, 3],  # full set to +inf below
     }
     names = list(cols)
-    terms = np.vstack([np.array(list(cols.values())).T, np.zeros(len(cols))])
-    full = terms[:-1].sum(axis=0)
+    terms = np.array(list(cols.values()), dtype=float).T
+    full = terms.sum(axis=0)
     full[names.index("masked")] = np.inf
     bound = 2.0**-10  # a slack of 1.0: the slack is 1024 rounding bounds
     live = reduction._live_columns(full, terms, 2, bound)
     assert [names[c] for c in live] == ["r", "r's twin", "gap == slack", "NaN gap"]
+    # r given as the reference of the other columns: the same columns stay;
+    # a reference with no finite full keeps them all
+    others = reduction._live_columns(full[1:], terms[:, 1:], 2, bound, (full[0], terms[:, 0]))
+    assert [names[c + 1] for c in others] == ["r's twin", "gap == slack", "NaN gap"]
+    assert len(reduction._live_columns(full, terms, 2, bound, (np.inf, None))) == len(names)
     # a bound against the least full alone, full - (its two largest terms),
     # keeps "lb <= U"; the gap drops it
-    row_top = np.sort(terms[:-1], axis=0)[1:].sum(axis=0)
+    row_top = np.sort(terms, axis=0)[1:].sum(axis=0)
     assert full[names.index("lb <= U")] - row_top[names.index("lb <= U")] <= full[0]
-    # width above the three real rows: every subset may evict every row, so
+    # width above the three rows: every subset may evict every row, so
     # every column with a finite full costs 0 then and is kept
     assert [names[c] for c in reduction._live_columns(full, terms, 4, bound)] == [
         n for n in names if n != "masked"
     ]
-    # fewer real rows than the width and every difference negative (``full``
-    # is not the sum of the terms here): without the max(0, .) the second
-    # pass would drop column 1, whose gap to r is exactly the slack
-    few = np.array([[5.0, 1.0], [5.0, 1.0], [0.0, 0.0]])
+    # fewer rows than the width and every difference negative (``full`` is
+    # not the sum of the terms here): without the max(0, .) the second pass
+    # would drop column 1, whose gap to r is exactly the slack
+    few = np.array([[5.0, 1.0], [5.0, 1.0]])
     assert reduction._live_columns(np.array([1.0, 2.0]), few, 3, bound).tolist() == [0, 1]
     # no finite full: every column is kept
     assert reduction._live_columns(np.full(len(names), np.inf), terms, 2, bound).tolist() == list(
@@ -952,7 +986,7 @@ def test_local_search_prune_keeps_the_current_column(monkeypatch):
     terms = seen[0][0]
     current = terms.shape[1] - 1
     assert current not in reduction._live_columns(
-        terms[:-1].sum(axis=0), terms, rows.width, reduction._rounding_bound(D)
+        terms[:-1].sum(axis=0), terms[:-1], rows.width, reduction._rounding_bound(D)
     )
 
 
@@ -971,16 +1005,22 @@ def test_local_search_prune_drops_most_swaps(monkeypatch):
 
 def test_exact_prune_drops_most_candidates(monkeypatch):
     # the benchmark's exact-enum shape (k = 1, m = 3, every point a
-    # facility): a handful of the 80 candidates per instance are kept
+    # facility): a handful of the 80 candidates per instance are kept.  With
+    # two clusters and k = 2 the 3,081 candidate sets span four blocks, and
+    # the last pass, against the best of all blocks, drops columns their own
+    # block kept
     pruned = _count_live_columns(monkeypatch)
-    for seed in (6100, 6101):
+    for seed, k in ((6100, 1), (6101, 1), (6100, 2)):
         inst, _ = generate_planted(PlantedConfig(
-            clusters=1, points_per_cluster=77, spread=1.0, outlier_count=3,
+            clusters=k, points_per_cluster=77 // k, spread=1.0, outlier_count=3,
             outlier_distance_factor=30.0, dimension=2, seed=seed,
         ))
         ids = tuple(range(inst.dist.n_points))
-        inst = replace(inst, clients=ids, facilities=ids, k=1, m=3)
+        inst = replace(inst, clients=ids, facilities=ids, k=k, m=3)
+        start = len(pruned)
         solve_with_outliers(inst, practical(60), SolverHandle.exact(), seed=1, rounds=1)
+    *blocks, (final_kept, final_offered) = pruned[start:]
+    assert len(blocks) > 2 and final_offered == sum(kept for kept, _ in blocks) > final_kept
     kept, offered = map(sum, zip(*pruned))
     assert kept < 0.1 * offered
 
@@ -1154,7 +1194,7 @@ def test_live_columns_keep_every_subsets_best():
         full = terms[:-1].sum(axis=0)
         full[rng.random(n_cols) < 0.15] = np.inf  # masked swaps
         bound = reduction._rounding_bound(terms[:-1])
-        live = set(reduction._live_columns(full, terms, width, bound).tolist())
+        live = set(reduction._live_columns(full, terms[:-1], width, bound).tolist())
         dropped += n_cols - len(live)
         rows = reduction._up_to(n, min(width, n), width, n)
         with np.errstate(invalid="ignore"):  # inf - inf
@@ -1184,6 +1224,26 @@ def test_round_memory_is_bounded_by_the_block():
         assert rep.per_round[0].coreset_lossless and rep.per_round[0].coreset_size == 40
         assert report_to_dict(rep) == want
         assert peak < 4_000_000, (solver.kind, peak)
+
+
+def test_exact_solve_memory_is_bounded_by_the_candidate_block():
+    # 40 entries and 60 facilities, k = 3: 34,220 candidate sets, walked in
+    # blocks of about 64K distances; as one (entries x sets) weighted block
+    # the terms alone would take 11 MB
+    inst = random_instance(np.random.default_rng(2601), 40, 60, k=3, m=2)
+    params = practical(40)
+    assert CandidateSpace.subsets(inst.facilities, inst.k).count == 34_220
+    solve = lambda: solve_with_outliers(inst, params, SolverHandle.exact(), seed=1, rounds=1)
+    want = report_to_dict(solve())
+    tracemalloc.start()
+    try:
+        rep = solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.per_round[0].coreset_lossless and rep.per_round[0].coreset_size == 40
+    assert report_to_dict(rep) == want
+    assert peak < 8 * 2**20, peak
 
 
 def test_theory_mode_pipeline(rng):

@@ -440,15 +440,12 @@ def test_candidate_space_refused_before_it_is_built():
         CandidateSpace.subsets(range(100_000), 5, budget=10)
 
 
-def test_candidate_space_keeps_the_given_order(monkeypatch):
-    monkeypatch.setattr(solvers, "_CHUNK_ELEMENTS", 4)  # two center sets a chunk
+def test_candidate_space_keeps_the_given_order():
     sets = [(9, 4), (2, 7), (4, 2), (7, 9), (2, 9)]
     space = CandidateSpace.from_center_sets(sets)
     assert space.col_ids == (2, 4, 7, 9) and space.count == 5
     assert [space.centers_at(i) for i in range(5)] == [tuple(sorted(c)) for c in sets]
-    chunks = list(space.chunks(1))
-    assert [len(c) for c in chunks] == [2, 2, 1]
-    rows = [tuple(space.col_ids[i] for i in row) for row in np.vstack(chunks).tolist()]
+    rows = [tuple(space.col_ids[i] for i in row) for row in space.combos.tolist()]
     assert rows == [tuple(sorted(c)) for c in sets]
 
 
@@ -482,32 +479,24 @@ def test_argmin_trimmed_matches_per_candidate_loop(rng, monkeypatch, explicit):
 
 
 def _whole_chunk_argmin(d, space, groups):
-    """The kernel before blocks and the bound, kept verbatim as the
-    reference: per chunk of candidates, the minima of the (points x
-    candidates x k) block, every candidate trimmed."""
-    best_cost = math.inf
-    best_idx = -1
-    offset = 0
-    for chunk in space.chunks(d.shape[0]):
-        vals = d[:, chunk].min(axis=2)
-        costs = np.zeros(vals.shape[1])
-        for rows, drop in groups:
-            sub = vals[rows]
-            keep = len(sub) - drop
-            if keep <= 0:
-                continue
-            if drop == 0:
-                costs += sub.sum(axis=0)
-            else:
-                costs += np.partition(sub, keep - 1, axis=0)[:keep].sum(axis=0)
-        j = int(np.argmin(costs))
-        if costs[j] < best_cost:
-            best_cost = float(costs[j])
-            best_idx = offset + j
-        offset += chunk.shape[0]
-    if best_idx < 0:
+    """The kernel before blocks and the bound, kept as the reference: the
+    minima of the whole (points x candidates x k) block, every candidate
+    trimmed."""
+    vals = d[:, space.combos].min(axis=2)
+    costs = np.zeros(vals.shape[1])
+    for rows, drop in groups:
+        sub = vals[rows]
+        keep = len(sub) - drop
+        if keep <= 0:
+            continue
+        if drop == 0:
+            costs += sub.sum(axis=0)
+        else:
+            costs += np.partition(sub, keep - 1, axis=0)[:keep].sum(axis=0)
+    j = int(np.argmin(costs))
+    if not costs[j] < math.inf:
         raise ValueError("no candidate center set has a finite cost")
-    return best_idx
+    return j
 
 
 @pytest.mark.parametrize("block", [40, 200])
