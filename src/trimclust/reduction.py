@@ -30,7 +30,8 @@ bounded by the block, the candidate space and the subsets of size below m.
 The two engines lay the gathers out differently (see the list below).  Each
 merges its per-block answers as it goes (`_FirstAnswers`) and returns each
 distinct answer once, in the order of its first subset, with that subset's
-row (`Answers`); `_run_rounds` rescores them in that order.
+row (`Answers`); `_run_rounds` rescores them in that order.  So the exact
+engine may stop after the block in which every live column has answered.
 
 Before costing any subset both engines drop the columns that cannot be any
 subset's best (`_live_columns`).  Against a reference column ``r`` with a
@@ -51,8 +52,9 @@ answers are the same, bit for bit.
   the prune and every subset needs only its first least cost, so the layout
   is column-major (`_first_minimum`): per block of the stream, each live
   column's costs are 1-D gathers from one contiguous row, and a running
-  minimum keeps the first least one.  Its answers are the per-subset ones
-  except where two candidates' costs differ only by rounding.
+  minimum keeps the first least one; the pass ends once every live column
+  has won, where no unread subset's cost can overflow.  Its answers are the
+  per-subset ones except where two candidates' costs differ only by rounding.
 * Single-swap local search (`per_subset_local_search`): every subset starts
   from the same state, so the subsets of a block search in lockstep, grouped
   by their current centers, and the terms are each row's cost under every
@@ -71,7 +73,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
@@ -236,14 +238,17 @@ class Answers:
     """A batched black box's distinct answers over a round's subsets.
 
     ``centers`` holds each distinct answer once, in the order of the first
-    subset that gets it, and ``firsts[i]`` is that subset's padded row;
-    ``count`` subsets were answered.  ``len`` counts the subsets, as for a
-    list of per-subset answers (the benchmark's tracer reads it).
+    subset that gets it, and ``firsts[i]`` is that subset's padded row.  Of
+    the round's ``count`` subsets the first ``costed`` were costed: all but
+    where the exact engine stopped early (`per_subset_best_exact`).  ``len``
+    counts the subsets, as for a list of per-subset answers (the
+    benchmark's tracer reads it).
     """
 
     centers: list[tuple[int, ...]]
     firsts: list[np.ndarray]
     count: int
+    costed: int
 
     def __len__(self) -> int:
         return self.count
@@ -277,7 +282,7 @@ class _FirstAnswers:
         self.count += len(keys)
 
     def answers(self, centers_of: Callable[[int], tuple[int, ...]]) -> Answers:
-        return Answers([centers_of(key) for key in self.keys], self.firsts, self.count)
+        return Answers([centers_of(key) for key in self.keys], self.firsts, self.count, self.count)
 
 
 def _evicted_sums(
@@ -403,6 +408,15 @@ def per_subset_best_exact(
     is the sum of the rows it keeps, in row order, so only those subsets pay
     for the overflow.  Distances are finite, so a subset left with no finite
     cost means even a kept sum overflowed: CostOverflowError.
+
+    The pass stops after the block in which every live column has answered
+    some subset, as no later subset can add an answer or move a first one,
+    if before the pass no unread subset can fail that check: (a) some live
+    ``full`` is finite, and (b) ``full + 2 * width * max(row)`` is finite
+    for every live column with a finite ``full``.  Such a column's terms are
+    finite, being at most ``full``, so the float sum of at most ``width`` of
+    them is below ``2 * width * max(row)`` and T's cost on it is finite: so
+    is T's first minimum.  ``count`` stays the stream's length.
     """
     if space.count == 0:
         raise ValueError("empty candidate space")
@@ -423,6 +437,10 @@ def per_subset_best_exact(
         live, full, rows = live[keep], full[keep], rows[keep]
     # one contiguous row per live column, and the zero term the padding picks
     rows = np.hstack([rows, np.zeros((len(rows), 1))])
+    finite = np.isfinite(full)
+    with np.errstate(over="ignore"):  # an overflow only keeps the walk going
+        reach = full[finite] + 2 * subsets.width * rows[finite].max(axis=1)
+    stop = finite.any() and np.isfinite(reach).all()  # may the walk stop early
     first = _FirstAnswers()
     per = min(_BLOCK_ELEMENTS, len(subsets))
     work = np.empty((3, per)), np.empty(per, dtype=np.intp), np.empty(per, dtype=bool)
@@ -436,7 +454,9 @@ def per_subset_best_exact(
                 "no finite cost; rescale the coordinates or distances"
             )
         first.add(block, arg)
-    return first.answers(lambda j: space.centers_at(int(live[j])))
+        if stop and len(first.keys) == len(live):
+            break
+    return replace(first.answers(lambda j: space.centers_at(int(live[j]))), count=len(subsets))
 
 
 def _first_minimum(

@@ -16,11 +16,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from trimclust import (
     CoresetParams,
     CostOverflowError,
     EuclideanOracle,
+    MatrixOracle,
+    MetricInstance,
     SolverHandle,
     baseline_solve,
     build_augmented_instance,
@@ -489,10 +492,12 @@ class _PerSubset:
         monkeypatch.setattr(reduction._FirstAnswers, "add", spy)
 
     def expand(self, answers):
-        """Every subset's answer in subset order, from the blocks of the one
-        engine call that returned ``answers``.  The merged ``answers`` must
-        be the first occurrences: each distinct answer once, in the order of
-        its first subset, with that subset's row, and the subsets counted."""
+        """Every costed subset's answer in subset order, from the blocks of
+        the one engine call that returned ``answers``.  The merged
+        ``answers`` must be their first occurrences: each distinct answer
+        once, in the order of its first subset, with that subset's row.  The
+        engine may have costed only the first ``answers.costed`` of the
+        ``answers.count`` subsets (see `first_occurrences`)."""
         assert len({id(log) for log, _, _ in self.calls}) == 1
         log = self.calls[0][0]
         rows = np.vstack([block for _, block, _ in self.calls])
@@ -505,8 +510,19 @@ class _PerSubset:
             first.setdefault(centers, q)
         assert answers.centers == list(first)
         assert [T.tolist() for T in answers.firsts] == [rows[q].tolist() for q in first.values()]
-        assert len(answers) == answers.count == len(got)
+        assert len(answers) == answers.count >= answers.costed == len(got)
         return got
+
+    def first_occurrences(self, answers, want):
+        """Check the ``answers`` of one engine call against ``want``, every
+        subset's answer over the whole stream: the costed subsets answer as
+        ``want`` does and no later subset adds an answer, so ``answers`` are
+        the first occurrences of ``want`` and count its subsets.  Returns
+        whether the engine stopped before the last subset."""
+        got = self.expand(answers)
+        assert got == want[: len(got)] and set(want[len(got) :]) <= set(got)
+        assert answers.count == len(want)
+        return len(got) < len(want)
 
 
 def _count_live_columns(monkeypatch):
@@ -566,16 +582,20 @@ def _with_twin_facilities(inst):
     return replace(inst, dist=EuclideanOracle(coords))
 
 
-def _plain_case(rng):
-    inst = _with_twin_facilities(random_instance(rng, 16, 8, k=2, m=3, z=2.0))
+def _maybe_twins(inst, twins):
+    return _with_twin_facilities(inst) if twins else inst
+
+
+def _plain_case(rng, twins=True):
+    inst = _maybe_twins(random_instance(rng, 16, 8, k=2, m=3, z=2.0), twins)
     cs = _coreset_for(inst, s=3, seed=int(rng.integers(1 << 16)))
     return inst, cs, enumerate_outlier_subsets(cs, 3), CandidateSpace.subsets(
         inst.facilities, inst.k
     )
 
 
-def _colorful_case(rng):
-    inst = _with_twin_facilities(random_instance(rng, 18, 7, k=2, m=3))
+def _colorful_case(rng, twins=True):
+    inst = _maybe_twins(random_instance(rng, 18, 7, k=2, m=3), twins)
     cinst = ColorfulInstance(
         base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(2, 1)
     )
@@ -588,8 +608,8 @@ def _colorful_case(rng):
     return inst, cs, rows, CandidateSpace.subsets(inst.facilities, inst.k)
 
 
-def _matroid_case(rng):
-    inst = _with_twin_facilities(random_instance(rng, 16, 9, k=3, m=2))
+def _matroid_case(rng, twins=True):
+    inst = _maybe_twins(random_instance(rng, 16, 9, k=3, m=2), twins)
     fac = inst.facilities
     matroid = PartitionMatroid([(fac[0:3], 1), (fac[3:6], 1), (fac[6:9], 1)])
     cs = _coreset_for(inst, s=3, seed=int(rng.integers(1 << 16)))
@@ -597,9 +617,9 @@ def _matroid_case(rng):
     return inst, cs, enumerate_outlier_subsets(cs, 2), space
 
 
-def _empty_case(rng):
+def _empty_case(rng, twins=True):
     """Only the empty subset (m = 0): every entry of the stream is padding."""
-    inst, cs, _, space = _plain_case(rng)
+    inst, cs, _, space = _plain_case(rng, twins)
     return inst, cs, enumerate_outlier_subsets(cs, 0), space
 
 
@@ -744,6 +764,117 @@ def test_exact_engine_ties_go_to_the_earliest_candidate(rng, monkeypatch):
                 space.centers_at(argmin_trimmed(d, space, [(slice(None), 0)]))
             ], per
     assert ties > 0 and lone
+
+
+def test_exact_engine_stops_once_every_live_column_has_answered(rng, monkeypatch):
+    # the engine may stop reading the stream after the block in which every
+    # live column has answered some subset; in blocks of 1, 7 and the
+    # default, its Answers are the first occurrences of every subset's
+    # answer over the whole stream.  Without twin facilities some calls
+    # stop early; with them a live later twin never wins (ties go to the
+    # earlier), so every block is read
+    per_subset = _PerSubset(monkeypatch)
+    stopped = dict.fromkeys([1, 7, reduction._BLOCK_ELEMENTS], 0)
+    for twins in (False, True):
+        for case in (_plain_case, _colorful_case, _empty_case, _matroid_case):
+            for _ in range(8):
+                inst, cs, stream, space = case(rng, twins)
+                pts, _ = cs.union.as_arrays()
+                w = rng.uniform(0.5, 3.0, size=len(pts))
+                best, _ = _row_major_best_exact(inst.dist, pts, w, space, inst.z, _rows(stream))
+                want = [space.centers_at(int(c)) for c in best]
+                for block in stopped:
+                    monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", block)
+                    got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, stream)
+                    early = per_subset.first_occurrences(got, want)
+                    assert not (early and twins)
+                    stopped[block] += early
+    assert stopped[1] and stopped[7], stopped
+
+
+def _exact_enum_instance(seed, k=1):
+    """The benchmark's exact-enum shape: 77 planted points in k clusters and
+    3 far outliers, every point a facility, m = 3."""
+    inst, _ = generate_planted(PlantedConfig(
+        clusters=k, points_per_cluster=77 // k, spread=1.0, outlier_count=3,
+        outlier_distance_factor=30.0, dimension=2, seed=seed,
+    ))
+    ids = tuple(range(inst.dist.n_points))
+    return replace(inst, clients=ids, facilities=ids, k=k, m=3)
+
+
+def test_exact_enum_shape_costs_one_block_of_six(monkeypatch):
+    # every live candidate has answered within the first of the six blocks
+    # of C(80, <= 3) subsets, so the engine costs no other block
+    engine, answers = reduction.per_subset_best_exact, []
+    monkeypatch.setattr(
+        reduction, "per_subset_best_exact", lambda *a: answers.append(engine(*a)) or answers[-1]
+    )
+    for seed in (6100, 6101):
+        solve_with_outliers(
+            _exact_enum_instance(seed), practical(60), SolverHandle.exact(), seed=1, rounds=1
+        )
+    assert [(a.count, a.costed) for a in answers] == [(85_401, reduction._BLOCK_ELEMENTS)] * 2
+    assert -(-85_401 // reduction._BLOCK_ELEMENTS) == 6
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_exact_engine_reads_every_block_where_a_cost_could_overflow(rng, monkeypatch):
+    # 12 clients in the unit square and 4 facilities on a ring of radius
+    # 0.9 * 2**24 / 12, k = 1, m = 2, as a `MatrixOracle`: every term of a
+    # candidate is about its ring radius, and its full sum about 12 of them.
+    # Scaled by 2**1000, every full sum is finite but ``full + 2 * width *
+    # max(row)`` overflows, so the engine must read every block, though it
+    # rounds alike to the unscaled instance, where it stops early.  Scaled
+    # by 2**1001, every full sum overflows and so does every subset's cost:
+    # the walk and the engine both raise
+    monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", 7)
+    per_subset = _PerSubset(monkeypatch)
+    pts, stream = np.arange(12), _stream(_all_subsets(12, 2), 12)
+    stopped = 0
+    for _ in range(6):
+        angles = rng.uniform(0.0, 2 * np.pi, size=4)
+        ring = 0.9 * 2.0**24 / 12 * np.c_[np.cos(angles), np.sin(angles)]
+        coords = np.vstack([rng.uniform(-1.0, 1.0, size=(12, 2)), ring])
+        seen = []
+        for scale in (1.0, 2.0**1000, 2.0**1001):
+            inst = MetricInstance(
+                pts.tolist(), list(range(12, 16)),
+                MatrixOracle(cdist(coords, coords) * scale), k=1, m=2,
+            )
+            space = CandidateSpace.subsets(inst.facilities, 1)
+            d = solvers._cost_block(inst.dist, pts, None, space.col_ids, 1.0)
+            with np.errstate(over="ignore"):  # full + 2 * width * max(row), width 2
+                full = d.sum(axis=0)
+                reach = full + 2 * 2 * d.max(axis=0)
+            assert np.isfinite(full).all() == (scale < 2.0**1001)
+            assert np.isfinite(reach).all() == (scale == 1.0)
+            best, _ = _row_major_best_exact(inst.dist, pts, np.ones(12), space, 1.0, _rows(stream))
+            if (best < 0).any():
+                with pytest.raises(CostOverflowError):
+                    per_subset_best_exact(inst.dist, pts, np.ones(12), space, 1.0, stream)
+                per_subset.calls.clear()
+                seen.append(None)
+                continue
+            got = per_subset_best_exact(inst.dist, pts, np.ones(12), space, 1.0, stream)
+            early = per_subset.first_occurrences(got, [space.centers_at(int(c)) for c in best])
+            assert not (early and scale > 1.0)
+            stopped += early
+            seen.append((got.centers, [T.tolist() for T in got.firsts]))
+        assert seen[1] == seen[0] and seen[2] is None
+    assert stopped
+    # a far client whose squared distances overflow gives both candidates an
+    # inf full sum, so no full is finite.  The first block evicts it, and
+    # each candidate answers some subset there by the rows it keeps; only
+    # the last subset keeps the far client, and the engine must reach it
+    inst = line_instance([0, 1, 2, 3, 4, 10, 1e300], [2.5, 3.5], k=1, m=2, z=2.0)
+    pts, space = np.arange(7), CandidateSpace.subsets(inst.facilities, 1)
+    stream = _stream([T for T in _all_subsets(7, 2) if 6 in T] + [()], 7)
+    best, _ = _row_major_best_exact(inst.dist, pts, np.ones(7), space, 2.0, _rows(stream))
+    assert best[:-1].tolist() == [1, 1, 1, 1, 1, 1, 0] and best[-1] < 0
+    with pytest.raises(CostOverflowError):
+        per_subset_best_exact(inst.dist, pts, np.ones(7), space, 2.0, stream)
 
 
 def _grid_line(rng, step):
@@ -1011,14 +1142,10 @@ def test_exact_prune_drops_most_candidates(monkeypatch):
     # block kept
     pruned = _count_live_columns(monkeypatch)
     for seed, k in ((6100, 1), (6101, 1), (6100, 2)):
-        inst, _ = generate_planted(PlantedConfig(
-            clusters=k, points_per_cluster=77 // k, spread=1.0, outlier_count=3,
-            outlier_distance_factor=30.0, dimension=2, seed=seed,
-        ))
-        ids = tuple(range(inst.dist.n_points))
-        inst = replace(inst, clients=ids, facilities=ids, k=k, m=3)
         start = len(pruned)
-        solve_with_outliers(inst, practical(60), SolverHandle.exact(), seed=1, rounds=1)
+        solve_with_outliers(
+            _exact_enum_instance(seed, k), practical(60), SolverHandle.exact(), seed=1, rounds=1
+        )
     *blocks, (final_kept, final_offered) = pruned[start:]
     assert len(blocks) > 2 and final_offered == sum(kept for kept, _ in blocks) > final_kept
     kept, offered = map(sum, zip(*pruned))
