@@ -45,7 +45,6 @@ from .solvers import (
     SolverBudgetExceeded,
     SolverHandle,
     exact_kmedian,
-    local_search_kmedian,
     solve_outlier_free,
 )
 from .reduction import (

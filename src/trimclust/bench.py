@@ -36,7 +36,7 @@ from .coreset import CoresetParams
 from .extensions import exact_outlier_oracle
 from .fileio import load_instance
 from .generate import PlantedConfig, generate_planted
-from .metric import MetricInstance, Solution
+from .metric import MetricInstance, Solution, _require_int
 from .reduction import ReductionReport, solve_with_outliers
 from .rng import TAG_EXPERIMENT, derived_seed
 from .solvers import DEFAULT_ENUMERATION_BUDGET, SolverBudgetExceeded, SolverHandle
@@ -103,8 +103,8 @@ def run_experiment(suite: dict[str, Any]) -> tuple[dict[str, Any], bool]:
     (otherwise the row is marked oracle_skipped and excluded from ratio
     statistics), then the pipeline runs with a per-instance derived seed.
     """
-    seed = int(suite["seed"])
-    rounds = int(suite.get("rounds", 2))
+    seed = _require_int(suite["seed"], "seed")
+    rounds = _require_int(suite.get("rounds", 2), "rounds")
     params_spec = dict(suite.get("params", {}))
     solver = solver_from_dict(suite.get("solver", {"kind": "exact"}))
     oracle_budget = int(suite.get("oracle_budget", DEFAULT_ENUMERATION_BUDGET))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,15 +31,17 @@ from .metric import (
     PointId,
     WeightedPointSet,
     _min_power_dists,
+    _require_int,
     diameter,
     set_distance,
     trimmed_cost,
 )
 from .solvers import (
+    CandidateSpace,
+    SolverBudgetExceeded,
     SolverHandle,
-    _cost_block,
-    _local_search,
-    exact_kmedian,
+    _exhaustive,
+    _single_swap,
 )
 
 DEFAULT_BASELINE_EXACT_BUDGET = 50_000
@@ -75,7 +77,7 @@ class CoresetParams:
         if self.mode not in ("theory", "practical"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "practical":
-            if self.practical_s is None or self.practical_s < 1:
+            if self.practical_s is None or _require_int(self.practical_s, "practical_s") < 1:
                 raise ValueError("practical mode needs practical_s >= 1")
 
     def sample_size(self, n: int, k: int, m: int, z: float) -> int:
@@ -114,32 +116,39 @@ def baseline_solve(
     inst_aug: MetricInstance,
     exact_budget: int = DEFAULT_BASELINE_EXACT_BUDGET,
 ) -> BaselineResult:
-    """Solve the (outlier-free) augmented instance, exactly when affordable.
-
-    Exhaustive search is used while the number of candidate center sets stays
-    within ``exact_budget`` (then ``tau_guarantee`` is 1); otherwise
-    single-swap local search, whose ``tau_guarantee`` is 5 for z = 1 when the
-    search converged, and ``None`` (no claimed factor) for z > 1 or a search
-    stopped at its iteration cap, whose centers need not be a local optimum.
-    This is the only place a solver's guarantee is stated.
-    """
+    """Solve the (outlier-free) augmented instance, exactly while its center
+    sets number at most ``exact_budget``, else by single-swap local search."""
     if inst_aug.m != 0:
         raise ValueError("baseline expects an outlier-free instance (m = 0)")
-    X = list(inst_aug.clients)
-    fac = tuple(sorted(int(f) for f in inst_aug.facilities))
-    if math.comb(len(fac), min(inst_aug.k, len(fac))) <= exact_budget:
-        centers = exact_kmedian(
-            inst_aug.dist, X, None, inst_aug.facilities, inst_aug.k, inst_aug.z,
-            budget=exact_budget,
+    try:
+        space = CandidateSpace.subsets(inst_aug.facilities, inst_aug.k, exact_budget)
+    except SolverBudgetExceeded:
+        space = None
+    return _baseline(inst_aug, space)
+
+
+def _baseline(
+    aug: MetricInstance,
+    space: CandidateSpace | None,
+    independent: Callable[[list[PointId]], bool] | None = None,
+) -> BaselineResult:
+    """The one baseline body, and the only place a solver's guarantee is
+    stated: the best set of ``space`` (tau = 1) or, without one, single-swap
+    local search under ``independent``, a 5-approximation only for z = 1, a
+    converged search and no independence test; otherwise no factor is
+    claimed (``None``), as a capped search need not be a local optimum."""
+    X = aug.clients
+    exact = space is not None
+    if exact:
+        centers, converged = _exhaustive(aug.dist, X, None, space, aug.z), True
+    else:
+        centers, converged = _single_swap(
+            aug.dist, X, None, aug.facilities, aug.k, aug.z,
+            SolverHandle.local_search(), independent,
         )
-        cost = trimmed_cost(inst_aug.dist, X, centers, 0, inst_aug.z)
-        return BaselineResult(tuple(centers), cost, "exact", 1.0, True)
-    d = _cost_block(inst_aug.dist, X, None, fac, inst_aug.z)
-    res = _local_search(d, min(inst_aug.k, len(fac)), SolverHandle.local_search())
-    centers = tuple(fac[i] for i in res.centers)
-    cost = trimmed_cost(inst_aug.dist, X, centers, 0, inst_aug.z)
-    guarantee = 5.0 if inst_aug.z == 1.0 and res.converged else None
-    return BaselineResult(centers, cost, "local_search", guarantee, res.converged)
+    tau = 1.0 if exact else 5.0 if aug.z == 1.0 and converged and independent is None else None
+    cost = trimmed_cost(aug.dist, X, centers, 0, aug.z)
+    return BaselineResult(centers, cost, "exact" if exact else "local_search", tau, converged)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ outlier problem's (`exact_outlier_oracle`) included.
 Under a matroid, the local-search black box (the lockstep engine of
 `reduction.per_subset_local_search`) and the heuristic baseline run the one
 single-swap search of `solvers._local_search`, restricted to swaps that keep
-the centers independent; no approximation factor is claimed.
+the centers independent; no approximation factor is claimed.  The matroid
+baseline builds only its candidates; `coreset._baseline` states its guarantee.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .coreset import (
     CoresetParams,
     RingPartition,
     WeightedCoreset,
+    _baseline,
     baseline_solve,
     build_augmented_instance,
     build_coreset,
@@ -40,8 +42,9 @@ from .metric import (
     PointId,
     Solution,
     WeightedPointSet,
+    _require_int,
     farthest_points,  # noqa: F401  (the benchmark's tracer wraps it here by name)
-    trimmed_cost,
+    trimmed_cost,  # noqa: F401  (the benchmark's tracer wraps it here by name)
 )
 from .reduction import (
     SubsetStream,
@@ -59,10 +62,9 @@ from .solvers import (
     CandidateSpace,
     SolverBudgetExceeded,
     SolverHandle,
-    _cost_block,
-    _local_search,
+    _exhaustive,
+    _single_swap,
     _up_to,
-    argmin_trimmed,
 )
 
 # ---------------------------------------------------------------------------
@@ -86,7 +88,8 @@ class ColorfulInstance:
     groups: tuple[tuple[np.ndarray, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
+        budgets = tuple(int(_require_int(b, "color budget")) for b in self.budgets)
+        object.__setattr__(self, "budgets", budgets)
         ell = len(self.budgets)
         if ell < 1:
             raise ValueError("need at least one color class")
@@ -265,31 +268,22 @@ def matroid_baseline(
     """Baseline for the matroid variant: centers independent in the direct sum.
 
     When (bases of the matroid) x (m-subsets of the clients) fits ``budget``,
-    every such union is a candidate and the best is found exactly (tau = 1).
-    Otherwise, or when the bases alone exceed ``budget``, it is the
-    independence-respecting local search over the direct sum, with no claimed
-    factor.  The client picks are counted before any of them is built.
+    every such union is a candidate, bases varying slowest, and the best is
+    found exactly (tau = 1).  Otherwise, or when the bases alone exceed
+    ``budget``, it is the independence-respecting local search over the
+    direct sum, with no claimed factor.  The client picks are counted before
+    any of them is built; `coreset._baseline` solves.
     """
-    X = list(inst.clients)
-    m = min(inst.m, len(X))
     try:
-        bases_f = matroid_bases(matroid, budget)
+        bases = matroid_bases(matroid, budget)
     except SolverBudgetExceeded:
-        bases_f = None
-    if bases_f is not None and len(bases_f) * math.comb(len(X), m) <= budget:
-        picks = list(combinations(sorted(inst.clients), m))
-        cands = [tuple(sorted(b + y)) for b in bases_f for y in picks]
-        space = CandidateSpace.from_center_sets(cands)
-        d = _cost_block(inst.dist, X, None, space.col_ids, inst.z)
-        best = space.centers_at(argmin_trimmed(d, space, [(slice(None), 0)]))
-        cost = trimmed_cost(inst.dist, X, best, 0, inst.z)
-        return BaselineResult(tuple(sorted(best)), cost, "exact", 1.0, True)
+        bases = None
+    space = None
+    if bases is not None and len(bases) * math.comb(len(inst.clients), inst.m) <= budget:
+        picks = list(combinations(sorted(inst.clients), inst.m))
+        space = CandidateSpace.from_center_sets([sorted(b + y) for b in bases for y in picks])
     m_aug = direct_sum_matroid(matroid, inst.clients, inst.m)
-    centers, converged = matroid_local_search(
-        inst.dist, X, None, m_aug, inst.z, SolverHandle.local_search()
-    )
-    cost = trimmed_cost(inst.dist, X, centers, 0, inst.z)
-    return BaselineResult(tuple(centers), cost, "local_search", None, converged)
+    return _baseline(build_augmented_instance(inst), space, m_aug.is_independent)
 
 
 def matroid_local_search(
@@ -302,18 +296,14 @@ def matroid_local_search(
 ) -> tuple[tuple[PointId, ...], bool]:
     """Single swaps among bases of the matroid; heuristic, no factor claimed.
 
-    The one single-swap search of `solvers._local_search`, restricted to
+    The one single-swap search of `solvers._single_swap`, restricted to
     independent swaps: it starts from the greedy basis (ascending ids) and
     makes the cheapest independent swap that clears the threshold until none
     does.  Returns the centers and whether the search converged.
     """
-    ground = matroid.ground_set
-    d = _cost_block(dist, points, weights, ground, z)
-    res = _local_search(
-        d, matroid.rank, handle,
-        independent=lambda cols: matroid.is_independent([ground[i] for i in cols]),
+    return _single_swap(
+        dist, points, weights, matroid.ground_set, matroid.rank, z, handle, matroid.is_independent
     )
-    return tuple(ground[i] for i in res.centers), res.converged
 
 
 def matroid_median_solve(
@@ -449,7 +439,6 @@ def _variant_oracle(
         _check_matroid_instance(inst, matroid)
     space = _candidates(inst, matroid, budget)
     groups = [(slice(None), inst.m)] if cinst is None else cinst.groups
-    d = _cost_block(inst.dist, inst.clients, None, space.col_ids, inst.z)
-    centers = space.centers_at(argmin_trimmed(d, space, groups))
+    centers = _exhaustive(inst.dist, inst.clients, None, space, inst.z, groups)
     cost, outliers = evaluate_candidate(centers, inst, groups)
     return Solution(centers=centers, outliers=outliers, cost=cost, candidate_tag="oracle")

@@ -46,6 +46,14 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite; entry {where} is {float(values[where])}")
 
 
+def _require_int(value, what: str):
+    """``value`` if it is an integer (numpy integers pass); a float size, count
+    or seed would otherwise fail deep inside a solve or be silently truncated."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class DistanceOracle:
     """Read-only pairwise distances over a fixed universe of points."""
 
@@ -174,9 +182,9 @@ class MetricInstance:
         for p in self.clients + self.facilities:
             if not 0 <= p < universe:
                 raise ValueError(f"point id {p} outside universe of size {universe}")
-        if self.k < 1:
+        if _require_int(self.k, "k") < 1:
             raise ValueError("k must be positive")
-        if not 0 <= self.m <= len(self.clients):
+        if not 0 <= _require_int(self.m, "m") <= len(self.clients):
             raise ValueError("m must satisfy 0 <= m <= |clients|")
         if not 1 <= self.z < math.inf:
             raise ValueError(f"z must be >= 1 and finite, got {self.z}")

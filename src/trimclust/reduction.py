@@ -94,6 +94,7 @@ from .metric import (
     MetricInstance,
     PointId,
     Solution,
+    _require_int,
     trimmed_score,
 )
 from .rng import TAG_ROUND, generator_for
@@ -734,8 +735,9 @@ def _run_rounds(
     ids (``None``: no constraint); local search only makes swaps it accepts,
     and a rejected candidate raises RuntimeError.
     """
+    _require_int(seed, "seed")
     rounds = default_rounds() if rounds is None else rounds
-    if rounds < 1:
+    if _require_int(rounds, "rounds") < 1:
         raise ValueError("rounds must be >= 1")
     if solver.kind == "exact":  # only the exact black box reads the candidate space
         cands = space()

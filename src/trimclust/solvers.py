@@ -6,11 +6,11 @@ explicit budget.  Local search is the classical single-swap heuristic, a
 5-approximation for the median objective (z=1) and a plain heuristic for
 z > 1.
 
-Every local search, here and in the variants, is `_local_search` over a
-weighted, powered cost block, or `reduction.per_subset_local_search`, which
-gives its answers for many subsets at once: with every swap allowed, or
-with only the swaps an independence test accepts (a heuristic under a
-matroid; no factor is claimed).
+Each kernel has one ids-level entry that builds the weighted, powered cost
+block: `_exhaustive` (`argmin_trimmed`) and `_single_swap` (`_local_search`).
+Any other local search is `reduction.per_subset_local_search`, which answers
+many subsets at once.  Either search makes every swap, or only those an
+independence test accepts (a heuristic under a matroid; no factor is claimed).
 
 Every exhaustive search over center sets walks its `CandidateSpace` with
 one generator, `_candidate_blocks`: blocks of about ``_TRIM_BLOCK_ELEMENTS``
@@ -63,7 +63,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .metric import DistanceOracle, PointId
+from .metric import DistanceOracle, PointId, _require_int
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -103,8 +103,10 @@ class SolverHandle:
     def __post_init__(self):
         if self.kind not in ("exact", "local_search"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
-        if self.iteration_cap < 1:
+        if _require_int(self.iteration_cap, "iteration_cap") < 1:
             raise ValueError("iteration_cap must be positive")
+        if _require_int(self.enumeration_budget, "enumeration_budget") < 1:
+            raise ValueError("enumeration_budget must be positive")
         if not 0 < self.improvement_threshold < 1:
             raise ValueError("improvement_threshold must be in (0, 1)")
 
@@ -387,6 +389,15 @@ def argmin_trimmed(
     return best_idx
 
 
+def _exhaustive(
+    dist: DistanceOracle, points, weights, space: CandidateSpace, z: float,
+    groups: Sequence[tuple[np.ndarray | slice, int]] = ((slice(None), 0),),
+) -> tuple[PointId, ...]:
+    """The ids of the first best set of ``space`` under ``groups`` (`argmin_trimmed`)."""
+    d = _cost_block(dist, points, weights, space.col_ids, z)
+    return space.centers_at(argmin_trimmed(d, space, groups))
+
+
 def exact_kmedian(
     dist: DistanceOracle,
     points: Sequence[PointId],
@@ -405,9 +416,7 @@ def exact_kmedian(
     ids = tuple(sorted(int(f) for f in facilities))
     if k >= len(ids):
         return ids
-    space = CandidateSpace.subsets(ids, k, budget)
-    d = _cost_block(dist, points, weights, space.col_ids, z)
-    return space.centers_at(argmin_trimmed(d, space, [(slice(None), 0)]))
+    return _exhaustive(dist, points, weights, CandidateSpace.subsets(ids, k, budget), z)
 
 
 @dataclass
@@ -422,30 +431,23 @@ def _local_search(
     d: np.ndarray,
     k: int,
     handle: SolverHandle,
-    initial: Sequence[int] | None = None,
     independent: Callable[[list[int]], bool] | None = None,
 ) -> LocalSearchResult:
     """Single-swap local search over the columns of a cost block.
 
     ``d`` holds one row per point and one column per facility (already
     powered and weighted, see `_cost_block`); centers are column indices.
-    Without ``initial`` the search starts from the greedy basis over
-    ascending columns under ``independent`` (the first ``k`` columns when
-    there is no test).  Each iteration prices every (position, outside
-    column) swap at once and makes the cheapest one that passes
-    ``independent`` and clears the improvement threshold, ties going to the
-    earliest (position, column); it stops when no swap does.
+    The search starts from the greedy basis over ascending columns under
+    ``independent`` (the first ``k`` columns when there is no test).  Each
+    iteration prices every (position, outside column) swap at once and makes
+    the cheapest one that passes ``independent`` and clears the improvement
+    threshold, ties going to the earliest (position, column); it stops when
+    no swap does.
     """
     n_cols = d.shape[1]
     if k == n_cols:
         return LocalSearchResult(tuple(range(n_cols)), float(d.min(axis=1).sum()), 0, True)
-    if initial is not None:
-        current = sorted(int(c) for c in initial)
-        if len(set(current)) != k:
-            raise ValueError("initial centers must be k distinct facilities")
-    else:
-        current = _greedy_basis(n_cols, k, independent)
-
+    current = _greedy_basis(n_cols, k, independent)
     cost = float(d[:, current].min(axis=1).sum())
     swap_costs = np.empty((k, n_cols - k))
     converged = False
@@ -518,31 +520,17 @@ def _warn_iteration_cap(handle: SolverHandle, stacklevel: int) -> None:
     )
 
 
-def local_search_kmedian(
-    dist: DistanceOracle,
-    points: Sequence[PointId],
-    weights: Sequence[float] | None,
-    facilities: Sequence[PointId],
-    k: int,
-    z: float = 1.0,
-    handle: SolverHandle | None = None,
-    initial: Sequence[PointId] | None = None,
-) -> tuple[PointId, ...]:
-    """Single-swap local search; deterministic from the default initialization.
-
-    The search starts from ``initial`` (facility ids) or, by default, from the
-    first k facilities in ascending id order.
-    """
-    handle = handle or SolverHandle.local_search()
-    fac = tuple(sorted(int(f) for f in facilities))
-    d = _cost_block(dist, points, weights, fac, z)
-    if initial is not None:
-        index_of = {f: i for i, f in enumerate(fac)}
-        if unknown := [int(f) for f in initial if int(f) not in index_of]:
-            raise ValueError(f"initial centers {unknown} are not facilities")
-        initial = [index_of[int(f)] for f in initial]
-    best = _local_search(d, min(k, len(fac)), handle, initial)
-    return tuple(fac[i] for i in best.centers)
+def _single_swap(
+    dist: DistanceOracle, points, weights, facilities, k: int, z: float,
+    handle: SolverHandle, independent: Callable[[list[PointId]], bool] | None = None,
+) -> tuple[tuple[PointId, ...], bool]:
+    """`_local_search` over the sorted ``facilities``, ``independent`` testing a
+    list of ids (``None``: no test): the centers (ids) and whether it converged."""
+    ids = tuple(sorted(int(f) for f in facilities))
+    d = _cost_block(dist, points, weights, ids, z)
+    test = None if independent is None else lambda cols: independent([ids[i] for i in cols])
+    res = _local_search(d, min(k, len(ids)), handle, test)
+    return tuple(ids[i] for i in res.centers), res.converged
 
 
 def solve_outlier_free(
@@ -559,5 +547,5 @@ def solve_outlier_free(
         return exact_kmedian(
             dist, points, weights, facilities, k, z, budget=handle.enumeration_budget
         )
-    return local_search_kmedian(dist, points, weights, facilities, k, z, handle)
+    return _single_swap(dist, points, weights, facilities, k, z, handle)[0]
 

@@ -30,7 +30,6 @@ from trimclust import (
     exact_kmedian,
     exact_outlier_oracle,
     generate_planted,
-    local_search_kmedian,
     matroid_median_oracle,
     matroid_median_solve,
     PartitionMatroid,
@@ -38,6 +37,7 @@ from trimclust import (
     UniformMatroid,
     ring_partition,
     sample_concentration_check,
+    solve_outlier_free,
     solve_with_outliers,
     trimmed_cost,
     verify_ring_bounds,
@@ -278,7 +278,9 @@ def test_criterion_08_local_search_quality():
             k=int(rng.integers(1, 4)), m=0,
         )
         k = min(inst.k, len(inst.facilities))
-        ls = local_search_kmedian(inst.dist, inst.clients, None, inst.facilities, k)
+        ls = solve_outlier_free(
+            inst.dist, inst.clients, None, inst.facilities, k, 1.0, SolverHandle.local_search()
+        )
         ex = exact_kmedian(inst.dist, inst.clients, None, inst.facilities, k)
         c_ls = trimmed_cost(inst.dist, inst.clients, ls, 0)
         c_ex = trimmed_cost(inst.dist, inst.clients, ex, 0)

@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("workload, trace", [
-    ("exact-enum", 0), ("local-search", 0), ("variants", 0), ("exact-enum", 1), ("variants", 1),
+    ("exact-enum", 0), ("local-search", 0), ("variants", 0),
+    ("exact-enum", 1), ("local-search", 1), ("variants", 1),
 ])
 def test_benchmark_runs_at_toy_size(tmp_path, workload, trace):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -31,8 +31,9 @@ from trimclust import (
     trimmed_score,
     trimmed_sum,
 )
-from trimclust import reduction
+from trimclust import BaselineResult, reduction
 from trimclust.bench import report_to_dict
+from trimclust.extensions import matroid_baseline
 from conftest import line_instance, random_instance, shared_point_instance
 
 
@@ -164,6 +165,23 @@ def test_colorful_validation(rng):
     line = line_instance([0, 1, 10, 11, 50], [0, 50], k=1, m=1)
     with pytest.raises(ValueError, match="client 4 has color 1.5, not an integer"):
         ColorfulInstance(base=line, colors={0: 1, 1: 1, 2: 2, 3: 2, 4: 1.5}, budgets=(1, 0))
+
+
+@pytest.mark.parametrize("budgets, error", [
+    # int(2.7) was 2, which m = 2 then accepted
+    ((2.7,), "color budget must be an integer, got 2.7"),
+    ((1.5, 0.5), "color budget must be an integer, got 1.5"),
+    ((np.int64(1), np.int32(1)), None),
+])
+def test_color_budgets_must_be_integers(budgets, error):
+    inst = line_instance([0, 1, 10, 11], [0, 10], k=1, m=2)
+    colors = {p: 1 + p % len(budgets) for p in inst.clients}
+    if error is None:
+        cinst = ColorfulInstance(base=inst, colors=colors, budgets=budgets)
+        assert cinst.budgets == (1, 1) and all(type(b) is int for b in cinst.budgets)
+        return
+    with pytest.raises(ValueError, match=error):
+        ColorfulInstance(base=inst, colors=colors, budgets=budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +356,19 @@ def test_matroid_local_search_solve_builds_no_bases(rng):
         sol = solve()
         assert matroid.is_independent(sol.centers) and len(sol.centers) == 3
         assert sol.cost >= oracle().cost - 1e-9
+
+
+@pytest.mark.parametrize("budget, want", [
+    # 2 x 3 bases times 8 one-client picks = 48 candidates: the exact branch
+    (48, BaselineResult((4, 8, 12), 5.5, "exact", 1.0, True)),
+    # one below the product: the independence-checked search, stuck at a local optimum
+    (47, BaselineResult((6, 8, 11), 6.0, "local_search", None, True)),
+])
+def test_matroid_baseline_exact_and_fallback(budget, want):
+    inst = line_instance([0, 1, 2, 10, 11, 12, 30, 31], [0.5, 1.5, 10.5, 11.5, 30.5], k=2, m=1)
+    fac = inst.facilities
+    matroid = PartitionMatroid([(fac[:3], 1), (fac[3:], 1)])
+    assert matroid_baseline(inst, matroid, budget) == want
 
 
 def test_dependent_candidate_is_a_named_error(rng, monkeypatch):

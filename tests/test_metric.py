@@ -278,6 +278,22 @@ def test_weighted_point_set_validation():
     assert wps.total_weight == 5  # duplicate entries stay distinct
 
 
+@pytest.mark.parametrize("k, m, error", [
+    (2.5, 1, "k must be an integer, got 2.5"),
+    (2.0, 1, "k must be an integer, got 2.0"),
+    (2, 1.5, "m must be an integer, got 1.5"),
+    (np.int64(2), np.int32(1), None),
+])
+def test_instance_sizes_must_be_integers(k, m, error):
+    # a float size used to fail only inside a solve, with a TypeError
+    oracle = EuclideanOracle(np.zeros((3, 1)))
+    if error is None:
+        assert MetricInstance((0, 1), (2,), oracle, k=k, m=m).k == 2
+        return
+    with pytest.raises(ValueError, match=error):
+        MetricInstance((0, 1), (2,), oracle, k=k, m=m)
+
+
 def test_instance_validation():
     coords = np.zeros((3, 1))
     oracle = EuclideanOracle(coords)

@@ -59,7 +59,7 @@ from trimclust.reduction import (
     per_subset_local_search,
 )
 from trimclust.solvers import SolverBudgetExceeded, argmin_trimmed, solve_outlier_free
-from trimclust.bench import report_to_dict, solution_to_dict
+from trimclust.bench import report_to_dict, run_experiment, solution_to_dict
 from trimclust.rng import generator_for
 from conftest import line_instance, random_instance, shared_point_instance
 
@@ -425,6 +425,32 @@ def test_rounds_below_one_refused_before_baseline(rng, monkeypatch, rounds, solv
     ):
         with pytest.raises(ValueError, match="rounds must be >= 1"):
             call()
+
+
+@pytest.mark.parametrize("setting, error", [
+    (lambda inst: practical(2.5), "practical_s must be an integer, got 2.5"),
+    (lambda inst: SolverHandle("local_search", iteration_cap=2.5),
+     "iteration_cap must be an integer, got 2.5"),
+    (lambda inst: SolverHandle.exact(enumeration_budget=1.5),
+     "enumeration_budget must be an integer, got 1.5"),
+    (lambda inst: SolverHandle.exact(enumeration_budget=0), "enumeration_budget must be positive"),
+    (lambda inst: solve_with_outliers(
+        inst, lossless_params(inst), SolverHandle.exact(), seed=1, rounds=1.5
+    ), "rounds must be an integer, got 1.5"),
+    (lambda inst: solve_with_outliers(
+        inst, lossless_params(inst), SolverHandle.local_search(), seed=1.5, rounds=1
+    ), "seed must be an integer, got 1.5"),
+    (lambda inst: run_experiment({"seed": 1.5, "instances": []}),
+     "seed must be an integer, got 1.5"),
+    (lambda inst: run_experiment({"seed": 1, "rounds": 1.5, "instances": []}),
+     "rounds must be an integer, got 1.5"),
+])
+def test_non_integer_settings_refused_where_they_enter(rng, monkeypatch, setting, error):
+    # a float would fail deep in a solve or be truncated (seed 1.5 ran as seed 1)
+    _no_baseline(monkeypatch)
+    inst = random_instance(rng, 10, 4, k=2, m=1)
+    with pytest.raises(ValueError, match=error):
+        setting(inst)
 
 
 def test_default_rounds():

@@ -23,7 +23,7 @@ from trimclust import (
     exact_kmedian,
     exact_outlier_oracle,
     generate_planted,
-    local_search_kmedian,
+    solve_outlier_free,
     trimmed_cost,
     weighted_trimmed_cost,
 )
@@ -117,20 +117,7 @@ def test_exact_kmedian_matches_bruteforce(rng):
 # local search
 # ---------------------------------------------------------------------------
 
-
-def test_local_search_fixpoint_at_optimum():
-    inst = line_instance([0.0, 1.0, 10.0, 11.0], [0.0, 1.0, 10.0, 11.0], k=2, m=0)
-    opt = exact_kmedian(inst.dist, inst.clients, None, inst.facilities, 2)
-    got = local_search_kmedian(
-        inst.dist, inst.clients, None, inst.facilities, 2, initial=opt
-    )
-    assert got == opt
-
-
-def test_local_search_initial_must_be_facilities():
-    inst = line_instance([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0, 4.0], k=2, m=0)
-    with pytest.raises(ValueError, match=r"initial centers \[99\] are not facilities"):
-        local_search_kmedian(inst.dist, inst.clients, None, inst.facilities, 2, initial=[5, 99])
+LS = SolverHandle.local_search()
 
 
 def test_local_search_within_factor_five(rng):
@@ -141,7 +128,7 @@ def test_local_search_within_factor_five(rng):
             k=int(rng.integers(1, 4)), m=0,
         )
         k = min(inst.k, len(inst.facilities))
-        ls = local_search_kmedian(inst.dist, inst.clients, None, inst.facilities, k)
+        ls = solve_outlier_free(inst.dist, inst.clients, None, inst.facilities, k, 1.0, LS)
         ex = exact_kmedian(inst.dist, inst.clients, None, inst.facilities, k)
         c_ls = trimmed_cost(inst.dist, inst.clients, ls, 0)
         c_ex = trimmed_cost(inst.dist, inst.clients, ex, 0)
@@ -154,8 +141,8 @@ def test_local_search_within_factor_five(rng):
 
 def test_local_search_deterministic(rng):
     inst = random_instance(rng, 30, 12, k=3, m=0)
-    a = local_search_kmedian(inst.dist, inst.clients, None, inst.facilities, 3)
-    b = local_search_kmedian(inst.dist, inst.clients, None, inst.facilities, 3)
+    a = solve_outlier_free(inst.dist, inst.clients, None, inst.facilities, 3, 1.0, LS)
+    b = solve_outlier_free(inst.dist, inst.clients, None, inst.facilities, 3, 1.0, LS)
     assert a == b
 
 
@@ -165,7 +152,7 @@ def test_local_search_iteration_cap_warns(rng):
         kind="local_search", iteration_cap=1, improvement_threshold=1e-9,
     )
     with pytest.warns(RuntimeWarning):
-        local_search_kmedian(inst.dist, inst.clients, None, inst.facilities, 4, handle=handle)
+        solve_outlier_free(inst.dist, inst.clients, None, inst.facilities, 4, 1.0, handle)
 
 
 def test_handle_validation():
