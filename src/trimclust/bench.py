@@ -107,7 +107,8 @@ def run_experiment(suite: dict[str, Any]) -> tuple[dict[str, Any], bool]:
     rounds = _require_int(suite.get("rounds", 2), "rounds")
     params_spec = dict(suite.get("params", {}))
     solver = solver_from_dict(suite.get("solver", {"kind": "exact"}))
-    oracle_budget = int(suite.get("oracle_budget", DEFAULT_ENUMERATION_BUDGET))
+    oracle_budget = suite.get("oracle_budget", DEFAULT_ENUMERATION_BUDGET)
+    _require_int(oracle_budget, "oracle_budget")
     threshold = suite.get("ratio_threshold")
     min_success = suite.get("min_success_fraction")
     include_timing = bool(suite.get("include_timing", False))

@@ -195,16 +195,15 @@ def ring_partition(inst: MetricInstance, A: Sequence[PointId], tau: float) -> Ri
 
     n_x = len(X)
     phi = max(0, math.ceil(math.log2(tau * n_x)))
-    rings: dict[tuple[int, int], list[PointId]] = {}
     if delta0 == 0.0:
         R = 0.0  # perfect baseline: every client sits in its center's band 0
-        for p, i in zip(X, assign):
-            rings.setdefault((int(i), 0), []).append(p)
+        bands = np.zeros(n_x, dtype=np.intp)
     else:
         R = (delta0 / (tau * n_x)) ** (1.0 / inst.z)
-        for p, i, dd in zip(X, assign, dists):
-            j = _band_index(float(dd), R, phi)
-            rings.setdefault((int(i), j), []).append(p)
+        bands = _bands(dists, R, phi)
+    rings: dict[tuple[int, int], list[PointId]] = {}
+    for p, key in zip(X, zip(assign.tolist(), bands.tolist())):
+        rings.setdefault(key, []).append(p)
 
     return RingPartition(
         baseline=A,
@@ -220,22 +219,15 @@ def ring_partition(inst: MetricInstance, A: Sequence[PointId], tau: float) -> Ri
     )
 
 
-def _band_index(d: float, R: float, phi: int) -> int:
-    if d <= R:
-        return 0
-    j = max(1, math.ceil(math.log2(d / R)))
-    # guard against log rounding at band boundaries
-    while j > 1 and d <= 2.0 ** (j - 1) * R:
-        j -= 1
-    while d > 2.0**j * R:
-        j += 1
-    if j > phi:
-        if d <= 2.0**phi * R * (1.0 + 1e-9):
-            return phi
-        raise RuntimeError(
-            f"distance {d} exceeds the outermost band 2**{phi} * {R}"
-        )
-    return j
+def _bands(dists: np.ndarray, R: float, phi: int) -> np.ndarray:
+    """Band of every distance: the least j with d <= 2**j R, so band 0 for
+    d <= R.  The outermost band 2**phi R tolerates relative rounding of
+    1e-9; a distance beyond that is a RuntimeError."""
+    bounds = R * 2.0 ** np.arange(phi + 1)
+    far = dists[dists > bounds[phi] * (1.0 + 1e-9)]
+    if len(far):
+        raise RuntimeError(f"distance {float(far[0])} exceeds the outermost band 2**{phi} * {R}")
+    return np.minimum(np.searchsorted(bounds, dists), phi)
 
 
 @dataclass(frozen=True)
@@ -287,14 +279,16 @@ def verify_ring_bounds(rp: RingPartition, inst: MetricInstance) -> RingBoundRepo
 class WeightedCoreset:
     """Per-ring weighted samples plus their flattened union.
 
-    ``entry_rings[e]`` is the ring that produced union entry e.  Entries keep
-    draw multiplicity: the same point drawn twice is two entries.
+    A ring is keyed (center, band), or (color, center, band) in the colorful
+    coreset of `extensions.build_colored_coreset`; ``entry_rings[e]`` is the
+    ring that produced union entry e.  Entries keep draw multiplicity: the
+    same point drawn twice is two entries.
     """
 
-    groups: dict[tuple[int, int], WeightedPointSet]
-    is_small: dict[tuple[int, int], bool]
+    groups: dict[tuple[int, ...], WeightedPointSet]
+    is_small: dict[tuple[int, ...], bool]
     union: WeightedPointSet
-    entry_rings: tuple[tuple[int, int], ...]
+    entry_rings: tuple[tuple[int, ...], ...]
     sample_size: int
 
     def __len__(self) -> int:

@@ -1,12 +1,14 @@
 """Variants of the outlier reduction: powered costs, per-color outlier
 budgets, matroid-constrained centers, and their combination.
 
-All variants share the round driver from `reduction`; they differ in how the
-coreset is grouped (per color), which center sets are candidates (matroid
-bases instead of all k-subsets), and how candidates are trimmed.  Every
-candidate, in a solve or an oracle, is scored by one `metric.trimmed_score`
-call through `reduction.evaluate_candidate`, under a colorful instance's
-``groups`` (a budget per color class) or by evicting the m farthest clients.
+All variants share the round driver from `reduction` and the one
+`WeightedCoreset`; they differ in how its rings are split (the colorful
+coreset is the plain coreset of the rings split by color, keyed (color,
+center, band)), which center sets are candidates (matroid bases instead of
+all k-subsets), and how candidates are trimmed.  Every candidate, in a solve
+or an oracle, is scored by one `metric.trimmed_score` call through
+`reduction.evaluate_candidate`, under a colorful instance's ``groups`` (a
+budget per color class) or by evicting the m farthest clients.
 Each solve has an exhaustive oracle counterpart for testing, the plain
 outlier problem's (`exact_outlier_oracle`) included.
 
@@ -123,70 +125,52 @@ def colorful_outliers(cinst: ColorfulInstance, C: Sequence[PointId]) -> tuple[Po
     return evaluate_candidate(C, cinst.base, cinst.groups)[1]
 
 
-@dataclass(frozen=True)
-class ColoredCoreset:
-    """Per-color coresets merged into one entry list with color provenance."""
-
-    per_color: dict[int, WeightedCoreset]
-    union: WeightedPointSet
-    entry_colors: tuple[int, ...]
-
-    @property
-    def lossless(self) -> bool:
-        return all(cs.lossless for cs in self.per_color.values())
-
-
-def _restrict_rings(rp: RingPartition, keep: frozenset[PointId]) -> RingPartition:
-    rings = {
-        key: kept
-        for key, pts in rp.rings.items()
-        if (kept := tuple(p for p in pts if p in keep))
-    }
-    assignment = {p: i for p, i in rp.assignment.items() if p in keep}
-    return replace(rp, rings=rings, assignment=assignment)
-
-
 def build_colored_coreset(
     rp: RingPartition,
     cinst: ColorfulInstance,
     params: CoresetParams,
     rng: np.random.Generator,
-) -> ColoredCoreset:
-    """Sample each (center, color, band) ring separately, colors in order."""
-    per_color: dict[int, WeightedCoreset] = {}
-    pts: list[PointId] = []
-    w: list[int] = []
-    colors: list[int] = []
-    for t, cls in enumerate(cinst.classes, start=1):
-        if not cls:
-            continue
-        cs = build_coreset(_restrict_rings(rp, frozenset(cls)), params, rng)
-        per_color[t] = cs
-        pts.extend(cs.union.points)
-        w.extend(cs.union.weights)
-        colors.extend([t] * len(cs.union))
-    return ColoredCoreset(
-        per_color=per_color,
-        union=WeightedPointSet(tuple(pts), tuple(w)),
-        entry_colors=tuple(colors),
+) -> WeightedCoreset:
+    """The coreset of the rings split by color: `build_coreset` samples each
+    color's share of the rings, colors in order, and the merged coreset is
+    keyed (color, center, band), color-major."""
+    split: dict[int, dict[tuple[int, int], list[PointId]]] = {}
+    for key, pts in rp.rings.items():
+        for p in pts:
+            split.setdefault(int(cinst.colors[p]), {}).setdefault(key, []).append(p)
+    parts = []
+    for t in sorted(split):
+        rings = {key: tuple(v) for key, v in split[t].items()}
+        parts.append((t, build_coreset(replace(rp, rings=rings), params, rng)))
+    return WeightedCoreset(
+        groups={(t, *key): g for t, cs in parts for key, g in cs.groups.items()},
+        is_small={(t, *key): v for t, cs in parts for key, v in cs.is_small.items()},
+        union=WeightedPointSet(
+            tuple(p for _, cs in parts for p in cs.union.points),
+            tuple(w for _, cs in parts for w in cs.union.weights),
+        ),
+        entry_rings=tuple((t, *key) for t, cs in parts for key in cs.entry_rings),
+        sample_size=params.sample_size(rp.n_instance, rp.k, rp.m, rp.z),
     )
 
 
-def enumerate_colorful_subsets(ccs: ColoredCoreset, budgets: Sequence[int]) -> SubsetStream:
+def enumerate_colorful_subsets(cs: WeightedCoreset, budgets: Sequence[int]) -> SubsetStream:
     """Entry subsets that respect every color budget, built per color.
 
-    Per color the subsets of size 0..budget are generated in (size, lex)
+    Each entry's color is the first field of its ring, ``cs.entry_rings[e]
+    = (color, center, band)`` as `build_colored_coreset` keys it.  Per color
+    the subsets of size 0..budget are generated in (size, lex)
     order (`_up_to`); the stream is their cartesian product across colors,
     the first color varying slowest, each subset's entries sorted.
     Budget-aware generation keeps the stream small and complete: any feasible
     eviction trace remains enumerable.  The layout is
     `enumerate_outlier_subsets`'s: a `SubsetStream` at least one entry wide,
-    padded with ``n = len(ccs.union)``, which sorts last.  Its length is the
+    padded with ``n = len(cs.union)``, which sorts last.  Its length is the
     product of the per-color counts; each block unranks its range of the
     product into the per-color choices and sorts each subset.
     """
-    n = len(ccs.union)
-    colors = np.asarray(ccs.entry_colors, dtype=np.intp)
+    n = len(cs.union)
+    colors = np.asarray([ring[0] for ring in cs.entry_rings], dtype=np.intp)
     options = []
     for t in range(1, len(budgets) + 1):
         idx = np.flatnonzero(colors == t)
@@ -404,7 +388,7 @@ def _solve_variant(
         enum_subsets = None
     else:
         build_cs = lambda rp, rng: build_colored_coreset(rp, cinst, params, rng)
-        enum_subsets = lambda ccs: enumerate_colorful_subsets(ccs, cinst.budgets)
+        enum_subsets = lambda cs: enumerate_colorful_subsets(cs, cinst.budgets)
     return _run_rounds(
         inst, params, solver, seed=seed, rounds=rounds,
         space=lambda: _candidates(inst, matroid, solver.enumeration_budget),

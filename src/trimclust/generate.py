@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import EuclideanOracle, MetricInstance
+from .metric import EuclideanOracle, MetricInstance, _require_int
 from .rng import TAG_GENERATE, generator_for
 
 _CENTER_SPACING = 20.0  # cluster centers sit this many spreads apart
@@ -38,6 +38,9 @@ class PlantedConfig:
     facility_fraction: float | None = None
 
     def __post_init__(self):
+        for name in "clusters points_per_cluster outlier_count dimension seed k m".split():
+            if getattr(self, name) is not None:  # k and m default to None
+                _require_int(getattr(self, name), name)
         if self.clusters < 1 or self.points_per_cluster < 1:
             raise ValueError("need at least one cluster with one point")
         if self.spread <= 0 or self.outlier_distance_factor <= 0:

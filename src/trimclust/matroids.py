@@ -11,7 +11,7 @@ import math
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .metric import PointId
+from .metric import PointId, _require_int
 from .solvers import DEFAULT_ENUMERATION_BUDGET, SolverBudgetExceeded
 
 
@@ -24,7 +24,7 @@ class MatroidOracle:
 
     def __init__(self, ground_set: Iterable[PointId], rank: int):
         self.ground_set: tuple[PointId, ...] = tuple(sorted({int(g) for g in ground_set}))
-        self.rank = int(rank)
+        self.rank = int(_require_int(rank, "matroid rank"))
         self._ground = frozenset(self.ground_set)
         self._cache: dict[frozenset, bool] = {}
 
@@ -59,7 +59,7 @@ class PartitionMatroid(MatroidOracle):
         seen: set[int] = set()
         for ids, cap in parts:
             ids_t = tuple(sorted(int(i) for i in ids))
-            if cap < 0:
+            if _require_int(cap, "part capacity") < 0:
                 raise ValueError("part capacity must be nonnegative")
             if seen & set(ids_t):
                 raise ValueError("parts must be disjoint")

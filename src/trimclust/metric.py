@@ -24,6 +24,7 @@ distance is cdist's float, ``inf`` past the float range included.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -168,8 +169,13 @@ class MetricInstance:
     z: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "clients", tuple(int(p) for p in self.clients))
-        object.__setattr__(self, "facilities", tuple(int(p) for p in self.facilities))
+        try:  # `operator.index` takes Python and numpy integers, not a float
+            object.__setattr__(self, "clients", tuple(map(operator.index, self.clients)))
+            object.__setattr__(self, "facilities", tuple(map(operator.index, self.facilities)))
+        except TypeError:
+            ids = (*self.clients, *self.facilities)
+            bad = next(p for p in ids if not isinstance(p, (int, np.integer)))
+            raise ValueError(f"point id {bad!r} is not an integer") from None
         if not self.clients:
             raise ValueError("instance needs at least one client")
         if not self.facilities:

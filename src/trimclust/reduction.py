@@ -394,8 +394,8 @@ def per_subset_best_exact(
     The engine runs in two phases.  First, of each block of
     `solvers._candidate_blocks`, only the columns that `_live_columns` keeps
     against the best column so far (the first with the least finite
-    ``full``) are copied out, and over several blocks the kept columns are
-    pruned once more against the best of all; the margin is ``_PRUNE_SLACK``
+    ``full``) are copied out, and then the kept columns are pruned once more
+    against the best of all; the margin is ``_PRUNE_SLACK``
     rounding bounds of the weighted cost block.  A dropped column costs
     every subset more than its reference, after rounding too, and a
     reference is kept or dropped against a later one, so the first least
@@ -433,9 +433,8 @@ def per_subset_best_exact(
         kept.append((lo + live, full[live], near[live]))
     del near  # a view that would keep the walk's buffer through the stream pass
     live, full, rows = map(np.concatenate, zip(*kept))
-    if len(kept) > 1:  # a lone block was pruned against its own best already
-        keep = _live_columns(full, rows.T, subsets.width, bound)
-        live, full, rows = live[keep], full[keep], rows[keep]
+    keep = _live_columns(full, rows.T, subsets.width, bound)
+    live, full, rows = live[keep], full[keep], rows[keep]
     # one contiguous row per live column, and the zero term the padding picks
     rows = np.hstack([rows, np.zeros((len(rows), 1))])
     finite = np.isfinite(full)
@@ -707,8 +706,8 @@ def _run_rounds(
     rounds: int | None,
     space: Callable[[], CandidateSpace],
     baseline: Callable[[], BaselineResult],
-    build_cs: Callable[[RingPartition, np.random.Generator], object],
-    enum_subsets: Callable[[object], SubsetStream] | None = None,
+    build_cs: Callable[[RingPartition, np.random.Generator], WeightedCoreset],
+    enum_subsets: Callable[[WeightedCoreset], SubsetStream] | None = None,
     independent: Callable[[Sequence[PointId]], bool] | None = None,
     groups: Sequence[tuple[np.ndarray, int]] | None = None,
 ) -> ReductionReport:
@@ -723,11 +722,11 @@ def _run_rounds(
     rescored once per round by `evaluate_candidate` under ``groups``, in the
     order of the first subset that gets it; that subset, its padding
     stripped, tags the candidate.
-    ``build_cs`` may return any coreset flavor exposing ``union`` (a
-    WeightedPointSet) and ``lossless``; ``enum_subsets`` receives it whole so
-    variant-specific enumeration (per-color budgets) can see the provenance,
-    and returns the round's `SubsetStream`; it defaults to every subset of
-    at most m entries.
+    ``build_cs`` returns the round's `WeightedCoreset`, its rings keyed
+    (center, band) or, split by color, (color, center, band);
+    ``enum_subsets`` receives it whole so per-color budgets can read each
+    entry's color, and returns the round's `SubsetStream`; it defaults to
+    every subset of at most m entries.
     The configured outlier-free solver answers a round in one batched call:
     `per_subset_best_exact` over the candidate space for the exact solver,
     and `per_subset_local_search` over one cost block of the facilities for

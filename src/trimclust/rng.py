@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .metric import _require_int
+
 TAG_ROUND = 1
 TAG_GENERATE = 3
 TAG_EXPERIMENT = 4
@@ -24,6 +26,7 @@ TAG_EXPERIMENT = 4
 
 def child_sequence(seed: int, *key: int) -> np.random.SeedSequence:
     """SeedSequence for the stream identified by ``key`` under ``seed``."""
+    _require_int(seed, "seed")
     if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in key):
         raise ValueError(f"spawn key must be nonnegative integers, got {key!r}")
     return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))

@@ -413,10 +413,7 @@ def exact_kmedian(
     Raises SolverBudgetExceeded instead of silently attempting an enumeration
     larger than ``budget``.
     """
-    ids = tuple(sorted(int(f) for f in facilities))
-    if k >= len(ids):
-        return ids
-    return _exhaustive(dist, points, weights, CandidateSpace.subsets(ids, k, budget), z)
+    return _exhaustive(dist, points, weights, CandidateSpace.subsets(facilities, k, budget), z)
 
 
 @dataclass

@@ -32,3 +32,4 @@ def test_benchmark_runs_at_toy_size(tmp_path, workload, trace):
     assert result["correct"] is True and result["failed"] == 0, result
     if trace:
         assert result["metrics"]["reduction.subsets"]["value"] > 0, result
+        assert result["metrics"]["coreset.entries"]["value"] > 0, result

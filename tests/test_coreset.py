@@ -6,6 +6,7 @@ import dataclasses
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from trimclust import (
@@ -24,7 +25,7 @@ from trimclust import (
     weighted_trimmed_cost,
 )
 from trimclust import coreset
-from trimclust.coreset import _band_index
+from trimclust.coreset import _bands
 from trimclust.rng import generator_for
 from conftest import line_instance, random_instance, shared_point_instance
 
@@ -157,11 +158,40 @@ def test_rings_closed_upper_boundary():
     assert band_of_1 == 1  # exactly 2^1 R belongs to band 1, not band 2
 
 
+def _reference_band_index(d: float, R: float, phi: int) -> int:
+    """The scalar rule `_bands` replaced, kept as its reference: a log2
+    guess corrected to the least j >= 1 with d <= 2**j R."""
+    if d <= R:
+        return 0
+    j = max(1, math.ceil(math.log2(d / R)))
+    while j > 1 and d <= 2.0 ** (j - 1) * R:
+        j -= 1
+    while d > 2.0**j * R:
+        j += 1
+    if j > phi:
+        if d <= 2.0**phi * R * (1.0 + 1e-9):
+            return phi
+        raise RuntimeError(f"distance {d} exceeds the outermost band 2**{phi} * {R}")
+    return j
+
+
+def test_bands_match_the_scalar_rule(rng):
+    for _ in range(50):
+        phi = int(rng.integers(0, 12))
+        R = float(rng.uniform(1e-3, 10.0))
+        edges = R * 2.0 ** np.arange(phi + 1)  # the closed boundaries themselves
+        near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+        d = np.concatenate([rng.uniform(0, edges[-1], size=200), near, [0.0]])
+        d = d[d <= edges[-1] * (1 + 1e-9)]
+        got = _bands(d, R, phi)
+        assert got.tolist() == [_reference_band_index(float(x), R, phi) for x in d]
+
+
 def test_band_index_beyond_outermost_band_is_a_named_error():
     # the outermost band 2**phi R tolerates relative rounding of 1e-9, no more
-    assert _band_index(8.0 * (1 + 1e-10), 1.0, 3) == 3
+    assert _bands(np.array([8.0 * (1 + 1e-10)]), 1.0, 3).tolist() == [3]
     with pytest.raises(RuntimeError, match=r"exceeds the outermost band 2\*\*3"):
-        _band_index(8.0 * (1 + 1e-6), 1.0, 3)
+        _bands(np.array([1.0, 8.0 * (1 + 1e-6)]), 1.0, 3)
 
 
 def test_rings_partition_properties(rng):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from trimclust import (
     PartitionMatroid,
     SolverHandle,
     UniformMatroid,
+    WeightedCoreset,
+    baseline_solve,
+    build_augmented_instance,
     colorful_cost,
     colorful_matroid_oracle,
     colorful_matroid_solve,
@@ -26,6 +30,7 @@ from trimclust import (
     exact_outlier_oracle,
     matroid_median_oracle,
     matroid_median_solve,
+    ring_partition,
     solve_with_outliers,
     trimmed_cost,
     trimmed_score,
@@ -33,7 +38,8 @@ from trimclust import (
 )
 from trimclust import BaselineResult, reduction
 from trimclust.bench import report_to_dict
-from trimclust.extensions import matroid_baseline
+from trimclust.extensions import build_colored_coreset, matroid_baseline
+from trimclust.rng import generator_for
 from conftest import line_instance, random_instance, shared_point_instance
 
 
@@ -143,6 +149,27 @@ def test_colorful_budgets_respected_in_sampled_regime(rng):
             by_color[colors[p]] += 1
         assert by_color[1] <= 2 and by_color[2] <= 1
         assert sol.cost == pytest.approx(colorful_cost(cinst, sol.centers), rel=1e-15)
+
+
+@pytest.mark.parametrize("s", [2, 100])
+def test_colored_coreset_is_the_coreset_of_rings_split_by_color(rng, s):
+    cinst = colorful(rng, 40, 6, k=2, budgets=(2, 1, 1))
+    inst = cinst.base
+    rp = ring_partition(inst, baseline_solve(build_augmented_instance(inst)).centers, tau=1.0)
+    cs = build_colored_coreset(rp, cinst, practical(s), generator_for(3, 1, 0))
+    assert isinstance(cs, WeightedCoreset)
+    shares = {
+        (t, *ring): count
+        for ring, pts in rp.rings.items()
+        for t, count in Counter(cinst.colors[p] for p in pts).items()
+    }
+    # every (color, center, band) group conserves that color's share of the ring
+    assert {key: g.total_weight for key, g in cs.groups.items()} == shares
+    assert cs.lossless == all(cs.is_small.values()) == all(n <= s for n in shares.values())
+    assert cs.lossless == (s == 100)
+    # the union is color-major, and each entry has its ring's color
+    assert list(cs.entry_rings) == sorted(cs.entry_rings)
+    assert [cinst.colors[p] for p in cs.union.points] == [ring[0] for ring in cs.entry_rings]
 
 
 def test_colorful_validation(rng):

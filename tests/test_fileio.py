@@ -183,6 +183,23 @@ def test_planted_shape_and_labels():
     assert set(inst.facilities) == set(inst.clients)  # co-located by default
 
 
+@pytest.mark.parametrize("field", [
+    "clusters", "points_per_cluster", "outlier_count", "dimension", "seed", "k", "m",
+])
+def test_planted_config_integers(field):
+    # clusters=2.0 used to die inside numpy with a TypeError, and seed=1.5
+    # gave seed 1's coordinates
+    cfg = dict(
+        clusters=2, points_per_cluster=2, spread=1.0, outlier_count=2,
+        outlier_distance_factor=20.0, dimension=2, seed=2, k=2, m=2,
+    )
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.0"):
+        PlantedConfig(**{**cfg, field: 2.0})
+    inst, labels = generate_planted(PlantedConfig(**{**cfg, field: np.int64(2)}))
+    want, want_labels = generate_planted(PlantedConfig(**cfg))
+    assert labels == want_labels and np.array_equal(inst.dist.coords, want.dist.coords)
+
+
 def test_planted_outliers_are_far():
     cfg = PlantedConfig(
         clusters=2, points_per_cluster=10, spread=1.0, outlier_count=3,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from trimclust import (
@@ -23,6 +24,22 @@ def test_uniform_matroid_basics():
     assert not m.is_independent([0, 99])  # outside the ground set
     ok, failures = check_matroid_axioms(m)
     assert ok, failures
+
+
+@pytest.mark.parametrize("build, rank, error", [
+    # a float rank or cap used to be truncated: rank 2.7 was rank 2
+    (lambda: UniformMatroid(range(5), 2.7), None, "matroid rank must be an integer, got 2.7"),
+    (lambda: PartitionMatroid([((0, 1, 2), 1.5)]), None,
+     "part capacity must be an integer, got 1.5"),
+    (lambda: UniformMatroid(range(5), np.int64(2)), 2, None),
+    (lambda: PartitionMatroid([((0, 1, 2), np.int32(1)), ((3, 4), 2)]), 3, None),
+])
+def test_rank_and_caps_must_be_integers(build, rank, error):
+    if error is None:
+        assert build().rank == rank
+        return
+    with pytest.raises(ValueError, match=error):
+        build()
 
 
 def test_partition_matroid():

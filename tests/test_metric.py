@@ -294,6 +294,23 @@ def test_instance_sizes_must_be_integers(k, m, error):
         MetricInstance((0, 1), (2,), oracle, k=k, m=m)
 
 
+@pytest.mark.parametrize("clients, facilities, error", [
+    ((0.7, 1.2), (2,), "point id 0.7 is not an integer"),
+    ((0, 1), (2.0,), "point id 2.0 is not an integer"),
+    (np.arange(2), (np.int32(2),), None),
+])
+def test_instance_ids_must_be_integers(clients, facilities, error):
+    # a float id used to be truncated: clients (0.7, 1.2) became (0, 1)
+    oracle = EuclideanOracle(np.zeros((3, 1)))
+    if error is None:
+        inst = MetricInstance(clients, facilities, oracle, k=1)
+        assert (inst.clients, inst.facilities) == ((0, 1), (2,))
+        assert all(type(p) is int for p in inst.clients + inst.facilities)
+        return
+    with pytest.raises(ValueError, match=error):
+        MetricInstance(clients, facilities, oracle, k=1)
+
+
 def test_instance_validation():
     coords = np.zeros((3, 1))
     oracle = EuclideanOracle(coords)

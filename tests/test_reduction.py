@@ -25,6 +25,7 @@ from trimclust import (
     MatrixOracle,
     MetricInstance,
     SolverHandle,
+    WeightedCoreset,
     baseline_solve,
     build_augmented_instance,
     build_coreset,
@@ -41,7 +42,6 @@ from trimclust import (
 )
 from trimclust import extensions, reduction, solvers
 from trimclust.extensions import (
-    ColoredCoreset,
     ColorfulInstance,
     build_colored_coreset,
     colorful_matroid_solve,
@@ -157,11 +157,19 @@ def test_enumeration_rejects_m_over_entries(rng):
         enumerate_outlier_subsets(cs, 4)
 
 
+def _colored(colors):
+    """A colorful coreset of unit entries whose entry e has color colors[e]."""
+    return WeightedCoreset(
+        groups={}, is_small={}, union=WeightedPointSet.unit(range(len(colors))),
+        entry_rings=tuple((c, 0, 0) for c in colors), sample_size=1,
+    )
+
+
 def _reference_colorful_subsets(ccs, budgets):
     """The tuple generator the array stream replaced, kept as its reference."""
     per_color_options = []
     for t in range(1, len(budgets) + 1):
-        idx = tuple(i for i, c in enumerate(ccs.entry_colors) if c == t)
+        idx = tuple(i for i, ring in enumerate(ccs.entry_rings) if ring[0] == t)
         cap = min(budgets[t - 1], len(idx))
         per_color_options.append([c for size in range(cap + 1) for c in combinations(idx, size)])
     for chosen in product(*per_color_options):
@@ -202,9 +210,7 @@ def test_plain_stream_matches_the_array_builders(monkeypatch, block):
 ])
 def test_colorful_enumeration_matches_tuple_reference(budgets):
     colors = (2, 1, 2, 2, 1, 2, 4, 2)
-    ccs = ColoredCoreset(
-        per_color={}, union=WeightedPointSet.unit(range(len(colors))), entry_colors=colors
-    )
+    ccs = _colored(colors)
     rows = enumerate_colorful_subsets(ccs, budgets)
     want = list(_reference_colorful_subsets(ccs, budgets))
     _assert_stream_layout(rows, len(colors), max(1, max(map(len, want))))
@@ -216,7 +222,7 @@ def _product_then_sort_subsets(ccs, budgets):
     the per-color option arrays multiplied out with `np.repeat` and
     `np.tile`, then each row sorted."""
     n = len(ccs.union)
-    colors = np.asarray(ccs.entry_colors, dtype=np.intp)
+    colors = np.asarray([ring[0] for ring in ccs.entry_rings], dtype=np.intp)
     rows = np.empty((1, 0), dtype=np.intp)
     for t in range(1, len(budgets) + 1):
         idx = np.flatnonzero(colors == t)
@@ -238,9 +244,7 @@ def test_colorful_stream_matches_the_array_builder(monkeypatch, block):
     for _ in range(30):
         colors = tuple(rng.integers(1, 4, size=int(rng.integers(0, 10))).tolist())
         budgets = tuple(rng.integers(0, 4, size=int(rng.integers(1, 4))).tolist())
-        ccs = ColoredCoreset(
-            per_color={}, union=WeightedPointSet.unit(range(len(colors))), entry_colors=colors
-        )
+        ccs = _colored(colors)
         want = _product_then_sort_subsets(ccs, budgets)
         stream = enumerate_colorful_subsets(ccs, budgets)
         assert len(stream) == len(want)
@@ -444,6 +448,10 @@ def test_rounds_below_one_refused_before_baseline(rng, monkeypatch, rounds, solv
      "seed must be an integer, got 1.5"),
     (lambda inst: run_experiment({"seed": 1, "rounds": 1.5, "instances": []}),
      "rounds must be an integer, got 1.5"),
+    # an oracle budget of 2.9 ran as 2 and skipped every oracle
+    (lambda inst: run_experiment({"seed": 1, "oracle_budget": 2.9, "instances": []}),
+     "oracle_budget must be an integer, got 2.9"),
+    (lambda inst: generator_for(1.5, 1, 0), "seed must be an integer, got 1.5"),
 ])
 def test_non_integer_settings_refused_where_they_enter(rng, monkeypatch, setting, error):
     # a float would fail deep in a solve or be truncated (seed 1.5 ran as seed 1)
