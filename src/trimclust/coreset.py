@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .matroids import MatroidOracle
 from .metric import (
     DistanceOracle,
     MetricInstance,
@@ -130,13 +131,14 @@ def baseline_solve(
 def _baseline(
     aug: MetricInstance,
     space: CandidateSpace | None,
-    independent: Callable[[list[PointId]], bool] | None = None,
+    matroid: MatroidOracle | None = None,
 ) -> BaselineResult:
     """The one baseline body, and the only place a solver's guarantee is
     stated: the best set of ``space`` (tau = 1) or, without one, single-swap
-    local search under ``independent``, a 5-approximation only for z = 1, a
-    converged search and no independence test; otherwise no factor is
-    claimed (``None``), as a capped search need not be a local optimum."""
+    local search with its swaps kept independent in ``matroid``, a
+    5-approximation only for z = 1, a converged search and no matroid;
+    otherwise no factor is claimed (``None``), as a capped search need not
+    be a local optimum."""
     X = aug.clients
     exact = space is not None
     if exact:
@@ -144,9 +146,9 @@ def _baseline(
     else:
         centers, converged = _single_swap(
             aug.dist, X, None, aug.facilities, aug.k, aug.z,
-            SolverHandle.local_search(), independent,
+            SolverHandle.local_search(), matroid,
         )
-    tau = 1.0 if exact else 5.0 if aug.z == 1.0 and converged and independent is None else None
+    tau = 1.0 if exact else 5.0 if aug.z == 1.0 and converged and matroid is None else None
     cost = trimmed_cost(aug.dist, X, centers, 0, aug.z)
     return BaselineResult(centers, cost, "exact" if exact else "local_search", tau, converged)
 

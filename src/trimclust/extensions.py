@@ -15,16 +15,22 @@ outlier problem's (`exact_outlier_oracle`) included.
 Under a matroid, the local-search black box (the lockstep engine of
 `reduction.per_subset_local_search`) and the heuristic baseline run the one
 single-swap search of `solvers._local_search`, restricted to swaps that keep
-the centers independent; no approximation factor is claimed.  The matroid
-baseline builds only its candidates; `coreset._baseline` states its guarantee.
+the centers independent; no approximation factor is claimed.  Which swaps
+those are, and which sets are bases, is decided by part counts for a
+partition matroid (uniform, partition and direct sums of those; see
+`matroids`) and by `is_independent` otherwise.  A solve enumerates the
+matroid's bases at most once, for the candidate space and the baseline
+together.  The matroid baseline builds only its candidates;
+`coreset._baseline` states its guarantee.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -188,7 +194,9 @@ def enumerate_colorful_subsets(cs: WeightedCoreset, budgets: Sequence[int]) -> S
             for opt in reversed(options):  # the last color varies fastest
                 rank, pick = np.divmod(rank, opt.shape[1])
                 row -= len(opt)
-                block[row : row + len(opt)] = opt[:, pick]
+                # take gathers along axis 1 several times faster than fancy
+                # indexing (2 x 16,384 entries: 23 against 157 us)
+                np.take(opt, pick, axis=1, out=block[row : row + len(opt)], mode="clip")
             _sort_columns(block)
             yield block
 
@@ -248,6 +256,8 @@ def matroid_baseline(
     inst: MetricInstance,
     matroid: MatroidOracle,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
+    *,
+    bases: Callable[[], list[tuple[PointId, ...]]] | None = None,
 ) -> BaselineResult:
     """Baseline for the matroid variant: centers independent in the direct sum.
 
@@ -256,18 +266,20 @@ def matroid_baseline(
     found exactly (tau = 1).  Otherwise, or when the bases alone exceed
     ``budget``, it is the independence-respecting local search over the
     direct sum, with no claimed factor.  The client picks are counted before
-    any of them is built; `coreset._baseline` solves.
+    any of them is built; `coreset._baseline` solves.  ``bases`` returns
+    ``matroid_bases(matroid, budget)``; a solve passes the one list its
+    candidate space reads.
     """
     try:
-        bases = matroid_bases(matroid, budget)
+        found = matroid_bases(matroid, budget) if bases is None else bases()
     except SolverBudgetExceeded:
-        bases = None
+        found = None
     space = None
-    if bases is not None and len(bases) * math.comb(len(inst.clients), inst.m) <= budget:
+    if found is not None and len(found) * math.comb(len(inst.clients), inst.m) <= budget:
         picks = list(combinations(sorted(inst.clients), inst.m))
-        space = CandidateSpace.from_center_sets([sorted(b + y) for b in bases for y in picks])
+        space = CandidateSpace.from_center_sets([sorted(b + y) for b in found for y in picks])
     m_aug = direct_sum_matroid(matroid, inst.clients, inst.m)
-    return _baseline(build_augmented_instance(inst), space, m_aug.is_independent)
+    return _baseline(build_augmented_instance(inst), space, m_aug)
 
 
 def matroid_local_search(
@@ -286,7 +298,7 @@ def matroid_local_search(
     does.  Returns the centers and whether the search converged.
     """
     return _single_swap(
-        dist, points, weights, matroid.ground_set, matroid.rank, z, handle, matroid.is_independent
+        dist, points, weights, matroid.ground_set, matroid.rank, z, handle, matroid
     )
 
 
@@ -350,12 +362,15 @@ def colorful_matroid_oracle(
 
 
 def _candidates(
-    inst: MetricInstance, matroid: MatroidOracle | None, budget: int
+    inst: MetricInstance, matroid: MatroidOracle | None, budget: int, bases=None
 ) -> CandidateSpace:
-    """Every k-subset of the facilities, or the matroid's bases (refused over budget)."""
+    """Every k-subset of the facilities, or the matroid's bases (refused over
+    budget; ``bases`` returns them, as in `matroid_baseline`)."""
     if matroid is None:
         return CandidateSpace.subsets(inst.facilities, inst.k, budget)
-    return CandidateSpace.from_center_sets(matroid_bases(matroid, budget))
+    if bases is None:
+        return CandidateSpace.from_center_sets(matroid_bases(matroid, budget))
+    return CandidateSpace.from_center_sets(bases())
 
 
 def _solve_variant(
@@ -372,17 +387,19 @@ def _solve_variant(
 
     Budgets choose the coreset flavor, the subset stream and the trimming;
     a matroid chooses the baseline (under the solver's enumeration budget),
-    the candidate space and the independence test of the local-search
-    black box, and every candidate is checked for independence.
+    the candidate space and the swaps of the local-search black box, and
+    every candidate is checked for independence.  The matroid's bases are
+    enumerated at most once: by the candidate space, which the exact black
+    box builds before the baseline runs, or else by the baseline.
     """
+    budget = solver.enumeration_budget
+    bases = None
     if matroid is None:
         baseline = lambda: baseline_solve(build_augmented_instance(inst))
-        independent = None
     else:
         _check_matroid_instance(inst, matroid)
-        baseline = lambda: matroid_baseline(inst, matroid, solver.enumeration_budget)
-        # looked up per call, so a wrapped `is_independent` sees every check
-        independent = lambda C: matroid.is_independent(C)
+        bases = cache(lambda: matroid_bases(matroid, budget))
+        baseline = lambda: matroid_baseline(inst, matroid, budget, bases=bases)
     if cinst is None:
         build_cs = lambda rp, rng: build_coreset(rp, params, rng)
         enum_subsets = None
@@ -391,11 +408,13 @@ def _solve_variant(
         enum_subsets = lambda cs: enumerate_colorful_subsets(cs, cinst.budgets)
     return _run_rounds(
         inst, params, solver, seed=seed, rounds=rounds,
-        space=lambda: _candidates(inst, matroid, solver.enumeration_budget),
+        space=lambda: _candidates(inst, matroid, budget, bases),
         baseline=baseline,
         build_cs=build_cs,
         enum_subsets=enum_subsets,
-        independent=independent,
+        # `is_independent` is looked up per call, so a wrapped one sees the
+        # rescored candidates, and every test of a matroid without a part form
+        matroid=matroid,
         groups=None if cinst is None else cinst.groups,
     ).best
 

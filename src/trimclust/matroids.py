@@ -3,6 +3,15 @@
 Oracles answer "is this subset of the ground set independent" and memoize
 the answers.  The axioms (empty set independent, downward closure, exchange)
 can be verified exhaustively on small ground sets with `check_matroid_axioms`.
+
+Every oracle here but `ExplicitMatroid` is a partition matroid, and says so
+by its part form (`MatroidOracle._part_form`): a part label per id and a cap
+per part, ids outside the ground set in a part of cap 0.  A set is
+independent iff no part holds more of it than its cap.  A uniform matroid is
+one part, a direct sum adds its uniform part to the inner matroid's form
+(none if the inner matroid has none).  `solvers.ColumnTest` answers the
+searches' and `matroid_bases`' questions by these counts, and asks
+`is_independent` set by set only of a matroid without a form.
 """
 
 from __future__ import annotations
@@ -11,15 +20,19 @@ import math
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .metric import PointId, _require_int
-from .solvers import DEFAULT_ENUMERATION_BUDGET, SolverBudgetExceeded
+from .solvers import DEFAULT_ENUMERATION_BUDGET, ColumnTest, SolverBudgetExceeded, _combinations
 
 
 class MatroidOracle:
     """Base class: caches `is_independent` over frozensets.
 
     Subclasses implement `_independent(fs)`; elements outside the ground set
-    make a set dependent.
+    make a set dependent.  A partition matroid also gives its `_part_form`,
+    which must agree with `_independent`: a subclass that changes one
+    changes the other.
     """
 
     def __init__(self, ground_set: Iterable[PointId], rank: int):
@@ -38,6 +51,12 @@ class MatroidOracle:
     def _independent(self, fs: frozenset) -> bool:
         raise NotImplementedError
 
+    def _part_form(self, ids: Sequence[PointId]) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(part, caps)``: the part of each of ``ids`` and the cap of each
+        part, ids outside the ground set in a part of cap 0, if the matroid
+        is a partition matroid; ``None`` (ask `is_independent`) otherwise."""
+        return None
+
 
 class UniformMatroid(MatroidOracle):
     """Any subset of the ground set with at most `rank` elements."""
@@ -49,6 +68,10 @@ class UniformMatroid(MatroidOracle):
 
     def _independent(self, fs):
         return len(fs) <= self.rank
+
+    def _part_form(self, ids):
+        part = np.array([int(i) not in self._ground for i in ids], dtype=np.intp)
+        return part, np.array([self.rank, 0], dtype=np.intp)
 
 
 class PartitionMatroid(MatroidOracle):
@@ -79,6 +102,11 @@ class PartitionMatroid(MatroidOracle):
             if counts[pi] > self._caps[pi]:
                 return False
         return True
+
+    def _part_form(self, ids):
+        outside = len(self._caps)
+        part = np.array([self._part_of.get(int(i), outside) for i in ids], dtype=np.intp)
+        return part, np.array(self._caps + (0,), dtype=np.intp)
 
 
 class ExplicitMatroid(MatroidOracle):
@@ -116,7 +144,7 @@ class DirectSumMatroid(MatroidOracle):
         extra = tuple(sorted({int(x) for x in extra_ground}))
         if set(extra) & set(inner.ground_set):
             raise ValueError("direct sum needs disjoint ground sets")
-        if not 0 <= extra_rank <= len(extra):
+        if not 0 <= _require_int(extra_rank, "uniform part rank") <= len(extra):
             raise ValueError("uniform part rank out of range")
         super().__init__(inner.ground_set + extra, inner.rank + extra_rank)
         self.inner = inner
@@ -129,6 +157,14 @@ class DirectSumMatroid(MatroidOracle):
             return False
         return self.inner.is_independent(fs - self._extra)
 
+    def _part_form(self, ids):
+        form = self.inner._part_form(ids)
+        if form is None:
+            return None
+        part, caps = form
+        extra = np.array([int(i) in self._extra for i in ids], dtype=bool)
+        return np.where(extra, len(caps), part), np.append(caps, self._extra_rank)
+
 
 def direct_sum_matroid(
     matroid: MatroidOracle, clients: Sequence[PointId], m: int
@@ -138,7 +174,7 @@ def direct_sum_matroid(
     Used to pose the outlier-free baseline problem for matroid-constrained
     clustering: the m "virtual centers" are client points.
     """
-    if m > len(set(clients)):
+    if _require_int(m, "uniform part rank") > len(set(clients)):
         raise ValueError("m exceeds the number of clients")
     return DirectSumMatroid(matroid, clients, m)
 
@@ -149,7 +185,11 @@ def matroid_bases(
     """All maximal independent sets, as sorted tuples in lexicographic order.
 
     Since clustering costs only drop when centers are added, optimizing over
-    bases is equivalent to optimizing over all independent sets.
+    bases is equivalent to optimizing over all independent sets.  The
+    ``rank``-subsets of the ground set are counted against ``budget`` before
+    any is built, then built in lexicographic order (`solvers._combinations`)
+    and kept where `ColumnTest.fits`: by part counts, or by `is_independent`
+    for a matroid without a part form.
     """
     n, r = len(matroid.ground_set), matroid.rank
     if r < 1:
@@ -158,11 +198,9 @@ def matroid_bases(
         raise SolverBudgetExceeded(
             f"{math.comb(n, r)} candidate bases exceed budget {budget}"
         )
-    out = [
-        combo
-        for combo in combinations(matroid.ground_set, r)
-        if matroid.is_independent(combo)
-    ]
+    rows = _combinations(n, r)
+    rows = rows[ColumnTest(matroid, matroid.ground_set).fits(rows)]
+    out = list(map(tuple, np.asarray(matroid.ground_set, dtype=np.intp)[rows].tolist()))
     if not out:
         raise ValueError("matroid rank is inconsistent: no independent set of that size")
     return out

@@ -7,7 +7,7 @@ the original instance.
 black box only), runs the baseline and the ring partition, and then the
 rounds; the entry points only choose its pieces: the baseline, the coreset
 flavor, the subset stream, the candidate space, the black box, the
-independence test and the trimming groups (one per color).
+matroid and the trimming groups (one per color).
 
 Candidate selection always re-evaluates centers on the full original instance
 (`evaluate_candidate`, one `trimmed_score` call), never on coreset costs, so
@@ -66,7 +66,7 @@ answers are the same, bit for bit.
   of one call per subset.
 
 The two engines serve every variant: a matroid gives the exact engine its
-bases as candidates, and local search an independence test.
+bases as candidates, and local search a `ColumnTest` of its swaps.
 """
 
 from __future__ import annotations
@@ -97,10 +97,12 @@ from .metric import (
     _require_int,
     trimmed_score,
 )
+from .matroids import MatroidOracle
 from .rng import TAG_ROUND, generator_for
 from .solvers import (
     _PRUNE_SLACK,
     CandidateSpace,
+    ColumnTest,
     SolverBudgetExceeded,
     SolverHandle,
     _candidate_blocks,
@@ -543,16 +545,16 @@ def per_subset_local_search(
     subsets: np.ndarray,
     k: int,
     handle: SolverHandle,
-    independent: Callable[[list[int]], bool] | None = None,
+    test: ColumnTest | None = None,
 ) -> Answers:
     """Single-swap local search answers for every evicted subset, in lockstep.
 
     ``D`` is the weighted, powered cost block of all coreset entries (rows)
     to the sorted facilities (columns).  For each subset T of the stream the
     answer is the column tuple that
-    ``_local_search(D[keep], k, handle, independent=independent)`` returns
-    from its cold start, where ``keep`` drops T's rows; ``independent`` tests
-    a column set (``None``: no test).
+    ``_local_search(D[keep], k, handle, test)`` returns from its cold
+    start, where ``keep`` drops T's rows; ``test`` is the `ColumnTest` of
+    the columns (``None``: no constraint).
 
     Every subset starts from the same greedy basis, so the subsets of one
     block of the stream still searching share the iteration count and fall
@@ -563,10 +565,10 @@ def per_subset_local_search(
     state; T's swap costs and its current cost are then ``full`` minus T's
     rows, one gather-sum over the state's subsets of the block (padding
     picks the zero row of the terms, `_evicted_sums`).
-    Whether a swap is allowed depends only on the state, so each swap is
-    tested once per state, and a dependent swap's sum is ``+inf``: best and
-    runner-up below are taken over the allowed swaps, as the kernel takes its
-    move.
+    Whether a swap is allowed depends only on the state, so the swaps are
+    tested once per state, in one `ColumnTest.swaps` mask, and a dependent
+    swap's sum is ``+inf``: best and runner-up below are taken over the
+    allowed swaps, as the kernel takes its move.
 
     These costs differ from the kernel's own sums only by rounding.  Every
     finite compared value of either path is a sum of at most ``n`` =
@@ -613,7 +615,7 @@ def per_subset_local_search(
     def kernel(T: np.ndarray) -> int:
         keep = np.ones(len(D), dtype=bool)
         keep[T[T < len(D)]] = False  # the padding is not a row of D
-        return state_id(_local_search(D[keep], k, handle, independent=independent).centers)
+        return state_id(_local_search(D[keep], k, handle, test).centers)
 
     def swapped(current: tuple[int, ...], jj: int, outside: np.ndarray) -> list[int]:
         at, col = divmod(jj, len(outside))
@@ -627,18 +629,15 @@ def per_subset_local_search(
             current = states[s]
             terms, outside = _swap_terms(D, current)
             full = terms[:-1].sum(axis=0)
-            if independent is not None:
-                allowed = [
-                    independent(swapped(current, jj, outside)) for jj in range(len(full) - 1)
-                ]
-                full[:-1][np.logical_not(allowed)] = np.inf
+            if test is not None:
+                full[:-1][~test.swaps(current, outside).ravel()] = np.inf
             # the swaps that can still be a best, then the current column
             live = _live_columns(full[:-1], terms[:-1, :-1], subsets.width, bound)
             cols = np.append(live, len(full) - 1)
             priced[s] = live, outside, full[cols], np.ascontiguousarray(terms[:, cols])
         return priced[s]
 
-    start = state_id(_greedy_basis(n_cols, k, independent))
+    start = state_id(_greedy_basis(n_cols, k, test))
     for block in subsets.blocks():
         state = np.full(block.shape[1], start, dtype=np.intp)  # -1 once answered
         answer = np.full(block.shape[1], -1, dtype=np.intp)
@@ -708,7 +707,7 @@ def _run_rounds(
     baseline: Callable[[], BaselineResult],
     build_cs: Callable[[RingPartition, np.random.Generator], WeightedCoreset],
     enum_subsets: Callable[[WeightedCoreset], SubsetStream] | None = None,
-    independent: Callable[[Sequence[PointId]], bool] | None = None,
+    matroid: MatroidOracle | None = None,
     groups: Sequence[tuple[np.ndarray, int]] | None = None,
 ) -> ReductionReport:
     """The one solve driver behind every solve entry point.
@@ -730,9 +729,11 @@ def _run_rounds(
     The configured outlier-free solver answers a round in one batched call:
     `per_subset_best_exact` over the candidate space for the exact solver,
     and `per_subset_local_search` over one cost block of the facilities for
-    local search, for every variant.  ``independent`` tests a set of facility
-    ids (``None``: no constraint); local search only makes swaps it accepts,
-    and a rejected candidate raises RuntimeError.
+    local search, for every variant.  Under a ``matroid`` (``None``: no
+    constraint) local search only makes swaps its `ColumnTest` over the
+    sorted facilities accepts, built once per solve, and every rescored
+    candidate is checked by ``matroid.is_independent``; a dependent one
+    raises RuntimeError.
     """
     _require_int(seed, "seed")
     rounds = default_rounds() if rounds is None else rounds
@@ -742,9 +743,7 @@ def _run_rounds(
         cands = space()
     else:
         fac = tuple(sorted(int(f) for f in inst.facilities))
-        test = None if independent is None else (
-            lambda cols: independent([fac[i] for i in cols])
-        )
+        test = None if matroid is None else ColumnTest(matroid, fac)
     base = baseline()
     rp = ring_partition(inst, base.centers, params.tau)
     if enum_subsets is None:
@@ -777,7 +776,7 @@ def _run_rounds(
 
         # in the order of each answer's first subset
         for centers, T in zip(found, answers.firsts):
-            if independent is not None and not independent(centers):
+            if matroid is not None and not matroid.is_independent(centers):
                 raise RuntimeError(f"candidate {centers} is not independent in the matroid")
             cost, outliers = evaluate_candidate(centers, inst, groups)
             if round_best is None or cost < round_best:

@@ -9,8 +9,10 @@ z > 1.
 Each kernel has one ids-level entry that builds the weighted, powered cost
 block: `_exhaustive` (`argmin_trimmed`) and `_single_swap` (`_local_search`).
 Any other local search is `reduction.per_subset_local_search`, which answers
-many subsets at once.  Either search makes every swap, or only those an
-independence test accepts (a heuristic under a matroid; no factor is claimed).
+many subsets at once.  Either search makes every swap, or only those that
+keep the centers independent in a matroid (a heuristic; no factor is
+claimed), as one `ColumnTest` mask per step: by part counts for a partition
+matroid, by ``is_independent`` per set otherwise.
 
 Every exhaustive search over center sets walks its `CandidateSpace` with
 one generator, `_candidate_blocks`: blocks of about ``_TRIM_BLOCK_ELEMENTS``
@@ -59,7 +61,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -416,6 +418,66 @@ def exact_kmedian(
     return _exhaustive(dist, points, weights, CandidateSpace.subsets(facilities, k, budget), z)
 
 
+class ColumnTest:
+    """Which sets of columns are independent in ``matroid``, column ``i``
+    standing for ``ids[i]``: by part counts when the matroid has a part form
+    (`matroids.MatroidOracle._part_form`: a part per id, a cap per part),
+    else by ``matroid.is_independent``, looked up per call, on each set.
+    Built once per solve over the sorted facility ids; the answers are
+    ``is_independent``'s.
+    """
+
+    def __init__(self, matroid, ids: Sequence[PointId]):
+        self._matroid = matroid
+        self._ids = tuple(ids)
+        form = matroid._part_form(self._ids)
+        self._part, self._caps = (None, None) if form is None else form
+
+    def _independent(self, cols) -> bool:
+        return self._matroid.is_independent([self._ids[i] for i in cols])
+
+    def fits(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each row of ``rows`` (column indices, no repeats) is independent."""
+        if self._part is None:
+            return np.array([self._independent(row) for row in rows.tolist()], dtype=bool)
+        labels = self._part[rows]
+        ok = np.ones(len(rows), dtype=bool)
+        for p, cap in enumerate(self._caps.tolist()):
+            ok &= (labels == p).sum(axis=1) <= cap
+        return ok
+
+    def basis(self, k: int) -> list[int]:
+        """The greedy cold start: ascending columns, each kept while fewer
+        than ``k`` are and the set stays independent (possibly short)."""
+        current: list[int] = []
+        if self._part is None:
+            for j in range(len(self._ids)):
+                if len(current) < k and self._independent(current + [j]):
+                    current.append(j)
+            return current
+        room = self._caps.tolist()
+        for j, p in enumerate(self._part.tolist()):
+            if len(current) < k and room[p] > 0:
+                room[p] -= 1
+                current.append(j)
+        return current
+
+    def swaps(self, current: Sequence[int], outside: np.ndarray) -> np.ndarray:
+        """``(len(current), len(outside))`` bools: whether swapping
+        ``current[pos]`` out for column ``outside[j]`` keeps the independent
+        set ``current`` (every search's is) independent, in `_local_search`'s
+        swap order.  By counts: iff the new column's part is the old one's,
+        or has room under its cap.
+        """
+        if self._part is None:
+            rest = [[*current[:pos], *current[pos + 1 :]] for pos in range(len(current))]
+            allowed = [self._independent(r + [y]) for r in rest for y in outside.tolist()]
+            return np.array(allowed, dtype=bool).reshape(len(current), len(outside))
+        a, b = self._part[list(current)], self._part[outside]
+        room = np.bincount(a, minlength=len(self._caps)) < self._caps
+        return (a[:, None] == b) | room[b]
+
+
 @dataclass
 class LocalSearchResult:
     centers: tuple[PointId, ...]
@@ -428,23 +490,23 @@ def _local_search(
     d: np.ndarray,
     k: int,
     handle: SolverHandle,
-    independent: Callable[[list[int]], bool] | None = None,
+    test: ColumnTest | None = None,
 ) -> LocalSearchResult:
     """Single-swap local search over the columns of a cost block.
 
     ``d`` holds one row per point and one column per facility (already
     powered and weighted, see `_cost_block`); centers are column indices.
     The search starts from the greedy basis over ascending columns under
-    ``independent`` (the first ``k`` columns when there is no test).  Each
-    iteration prices every (position, outside column) swap at once and makes
-    the cheapest one that passes ``independent`` and clears the improvement
-    threshold, ties going to the earliest (position, column); it stops when
-    no swap does.
+    ``test`` (the first ``k`` columns when there is no test).  Each
+    iteration prices every (position, outside column) swap at once, masks
+    the swaps ``test`` rejects (`ColumnTest.swaps`) and makes the first
+    least swap left below the improvement bar, in (position, column) order;
+    it stops when none is.
     """
     n_cols = d.shape[1]
     if k == n_cols:
         return LocalSearchResult(tuple(range(n_cols)), float(d.min(axis=1).sum()), 0, True)
-    current = _greedy_basis(n_cols, k, independent)
+    current = _greedy_basis(n_cols, k, test)
     cost = float(d[:, current].min(axis=1).sum())
     swap_costs = np.empty((k, n_cols - k))
     converged = False
@@ -455,28 +517,25 @@ def _local_search(
         for pos, fallback in enumerate(fallbacks):
             swap_costs[pos] = np.minimum(fallback[:, None], d_out).sum(axis=0)
         flat = swap_costs.ravel()
-        below = np.flatnonzero(flat < (1.0 - handle.improvement_threshold) * cost)
-        for idx in below[np.argsort(flat[below], kind="stable")]:
-            pos, j = divmod(int(idx), len(outside))
-            trial = current[:pos] + current[pos + 1 :] + [int(outside[j])]
-            if independent is None or independent(trial):
-                current = sorted(trial)
-                cost = float(flat[idx])
-                break
-        else:
+        ok = flat < (1.0 - handle.improvement_threshold) * cost
+        if test is not None:
+            ok &= test.swaps(current, outside).ravel()
+        if not ok.any():
             converged = True
             break
+        idx = int(np.argmin(np.where(ok, flat, np.inf)))
+        pos, j = divmod(idx, len(outside))
+        current = sorted(current[:pos] + current[pos + 1 :] + [int(outside[j])])
+        cost = float(flat[idx])
     if not converged:
         _warn_iteration_cap(handle, stacklevel=3)
     return LocalSearchResult(tuple(current), cost, it, converged)
 
 
-def _greedy_basis(n_cols: int, k: int, independent: Callable | None) -> list[int]:
-    """The cold start: ascending columns, each kept if ``independent`` accepts it."""
-    current: list[int] = []
-    for j in range(n_cols):
-        if len(current) < k and (independent is None or independent(current + [j])):
-            current.append(j)
+def _greedy_basis(n_cols: int, k: int, test: ColumnTest | None) -> list[int]:
+    """The cold start: ascending columns, each kept if the set stays
+    independent under ``test`` (`ColumnTest.basis`; no test: the first ``k``)."""
+    current = list(range(min(k, n_cols))) if test is None else test.basis(k)
     if len(current) < k:
         raise ValueError("could not build a basis greedily; oracle inconsistent")
     return current
@@ -519,13 +578,14 @@ def _warn_iteration_cap(handle: SolverHandle, stacklevel: int) -> None:
 
 def _single_swap(
     dist: DistanceOracle, points, weights, facilities, k: int, z: float,
-    handle: SolverHandle, independent: Callable[[list[PointId]], bool] | None = None,
+    handle: SolverHandle, matroid=None,
 ) -> tuple[tuple[PointId, ...], bool]:
-    """`_local_search` over the sorted ``facilities``, ``independent`` testing a
-    list of ids (``None``: no test): the centers (ids) and whether it converged."""
+    """`_local_search` over the sorted ``facilities``, its swaps kept
+    independent in ``matroid`` (``None``: no constraint): the centers (ids)
+    and whether it converged."""
     ids = tuple(sorted(int(f) for f in facilities))
     d = _cost_block(dist, points, weights, ids, z)
-    test = None if independent is None else lambda cols: independent([ids[i] for i in cols])
+    test = None if matroid is None else ColumnTest(matroid, ids)
     res = _local_search(d, min(k, len(ids)), handle, test)
     return tuple(ids[i] for i in res.centers), res.converged
 

@@ -33,3 +33,7 @@ def test_benchmark_runs_at_toy_size(tmp_path, workload, trace):
     if trace:
         assert result["metrics"]["reduction.subsets"]["value"] > 0, result
         assert result["metrics"]["coreset.entries"]["value"] > 0, result
+        # as benchmarks/selftest.py checks: only `variants` runs the matroid layer,
+        # whose rescored candidates are checked by `is_independent`
+        checks = result["metrics"]["matroids.independence_checks"]["value"]
+        assert (checks > 0) == (workload == "variants"), result

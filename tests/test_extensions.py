@@ -36,7 +36,7 @@ from trimclust import (
     trimmed_score,
     trimmed_sum,
 )
-from trimclust import BaselineResult, reduction
+from trimclust import BaselineResult, extensions, matroids, reduction
 from trimclust.bench import report_to_dict
 from trimclust.extensions import build_colored_coreset, matroid_baseline
 from trimclust.rng import generator_for
@@ -383,6 +383,49 @@ def test_matroid_local_search_solve_builds_no_bases(rng):
         sol = solve()
         assert matroid.is_independent(sol.centers) and len(sol.centers) == 3
         assert sol.cost >= oracle().cost - 1e-9
+
+
+def test_matroid_solve_enumerates_bases_once(rng, monkeypatch):
+    # the exact black box's candidate space and the matroid baseline share
+    # one list (each enumerated its own before); local search over budget
+    # refuses the list before building any row of it
+    calls, built = [], []
+    real_bases, real_rows = extensions.matroid_bases, matroids._combinations
+
+    def bases(matroid, budget):
+        calls.append(budget)
+        return real_bases(matroid, budget)
+
+    monkeypatch.setattr(extensions, "matroid_bases", bases)
+    monkeypatch.setattr(
+        matroids, "_combinations", lambda n, r: built.append((n, r)) or real_rows(n, r)
+    )
+    inst, matroid = _matroid_instance(rng, 8, [[0, 1], [2, 3]], k=2, m=1)
+    cinst = ColorfulInstance(
+        base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(1, 0)
+    )
+    for solve in (
+        lambda: matroid_median_solve(inst, matroid, lossless(inst), SolverHandle.exact(),
+                                     seed=1, rounds=1),
+        lambda: colorful_matroid_solve(cinst, matroid, lossless(inst), SolverHandle.exact(),
+                                       seed=1, rounds=1),
+    ):
+        calls.clear()
+        solve()
+        assert len(calls) == 1
+    # 4 bases x 8 one-client picks fit the budget: the baseline is exact, on that list
+    assert matroid_baseline(inst, matroid).method == "exact"
+
+    inst = random_instance(rng, 12, 30, k=3, m=1)
+    fac = inst.facilities
+    matroid = PartitionMatroid([(fac[0:10], 1), (fac[10:20], 1), (fac[20:30], 1)])
+    calls.clear()
+    built.clear()
+    matroid_median_solve(
+        inst, matroid, lossless(inst), SolverHandle(kind="local_search", enumeration_budget=1000),
+        seed=1, rounds=1,
+    )
+    assert calls == [1000] and built == []  # C(30, 3) = 4,060 bases refused before any row
 
 
 @pytest.mark.parametrize("budget, want", [

@@ -1028,7 +1028,7 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
             black_box = lambda p, ww: extensions.matroid_local_search(
                 inst.dist, p, ww, matroid, inst.z, solver
             )[0]
-            test = lambda cols: matroid.is_independent([facs.col_ids[c] for c in cols])
+            test = solvers.ColumnTest(matroid, facs.col_ids)
         with warnings.catch_warnings(record=True) as old:
             warnings.simplefilter("always")
             want = list(_per_subset_generic(inst, pts, w, subsets, black_box, solver))
@@ -1323,9 +1323,7 @@ def test_prune_changes_no_answer(rng, monkeypatch):
         inst, pts, subsets, matroid = builders[i % len(builders)](rng)
         w = rng.integers(1, 4, size=len(pts)).astype(float)
         facs = CandidateSpace.subsets(inst.facilities, inst.k)
-        test = None if matroid is None else (
-            lambda cols: matroid.is_independent([facs.col_ids[c] for c in cols])
-        )
+        test = None if matroid is None else solvers.ColumnTest(matroid, facs.col_ids)
         D = solvers._cost_block(inst.dist, pts, w, facs.col_ids, inst.z)
         rows = _stream(subsets, len(pts))
         solver = SolverHandle.local_search(iteration_cap=200)

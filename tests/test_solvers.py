@@ -14,6 +14,7 @@ import pytest
 from trimclust import (
     ColorfulInstance,
     EuclideanOracle,
+    ExplicitMatroid,
     PartitionMatroid,
     PlantedConfig,
     SolverBudgetExceeded,
@@ -23,6 +24,7 @@ from trimclust import (
     exact_kmedian,
     exact_outlier_oracle,
     generate_planted,
+    matroid_bases,
     solve_outlier_free,
     trimmed_cost,
     weighted_trimmed_cost,
@@ -303,7 +305,12 @@ def test_matroid_local_search_matches_swap_loop(rng):
             [(p, len(p) if full else int(rng.integers(1, len(p) + 1))) for p in parts]
         )
         m = int(rng.integers(0, len(X)))
-        for matroid, w in ((part_m, weights), (direct_sum_matroid(part_m, X, m), None)):
+        # the same independent sets listed, so with no part form: every set is asked
+        explicit = ExplicitMatroid(fac, matroid_bases(part_m))
+        for matroid, w in (
+            (part_m, weights), (direct_sum_matroid(part_m, X, m), None),
+            (explicit, weights), (direct_sum_matroid(explicit, X, m), None),
+        ):
             want = _matroid_swap_loop(inst.dist, X, w, matroid, inst.z, handle)
             got, warned = _run_warned(
                 lambda: matroid_local_search(inst.dist, X, w, matroid, inst.z, handle)
