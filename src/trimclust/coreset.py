@@ -52,8 +52,11 @@ DEFAULT_BASELINE_EXACT_BUDGET = 50_000
 class CoresetParams:
     """Knobs of the coreset construction.
 
-    ``mode="theory"`` sizes samples by the analysis formula (huge; useful only
-    to inspect), ``mode="practical"`` uses the explicit ``practical_s``.
+    ``mode="theory"`` sizes samples by the analysis formula,
+    ``mode="practical"`` uses the explicit ``practical_s``.  At z = 1 the
+    formula's s is modest (73 to 86 per ring with the default constants
+    for n from 203 to 5,002, k = 2 or 3 and m = 2); only the ``2**(c_prime
+    * z)`` factor for z > 1 makes it huge (about 2 * 10**7 at z = 2).
     ``tau`` is the guarantee assumed of the baseline solver, ``lam`` the
     failure probability budget, ``c_theory``/``c_prime`` the two free
     constants of the theory sizing.  The exponent z is the instance's:

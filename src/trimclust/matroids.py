@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .metric import PointId, _require_int
-from .solvers import DEFAULT_ENUMERATION_BUDGET, ColumnTest, SolverBudgetExceeded, _combinations
+from .solvers import DEFAULT_ENUMERATION_BUDGET, CandidateSpace, ColumnTest, SolverBudgetExceeded
 
 
 class MatroidOracle:
@@ -185,12 +185,19 @@ def matroid_bases(
     """All maximal independent sets, as sorted tuples in lexicographic order.
 
     Since clustering costs only drop when centers are added, optimizing over
-    bases is equivalent to optimizing over all independent sets.  The
-    ``rank``-subsets of the ground set are counted against ``budget`` before
-    any is built, then built in lexicographic order (`solvers._combinations`)
-    and kept where `ColumnTest.fits`: by part counts, or by `is_independent`
-    for a matroid without a part form.
+    bases is equivalent to optimizing over all independent sets.  These are
+    the ids of `_basis_rows`, which a solve reads as they are.
     """
+    ground = np.asarray(matroid.ground_set, dtype=np.intp)
+    return list(map(tuple, ground[_basis_rows(matroid, budget)].tolist()))
+
+
+def _basis_rows(matroid: MatroidOracle, budget: int) -> np.ndarray:
+    """The bases as rows of indices into ``matroid.ground_set``, in
+    lexicographic order.  The ``rank``-subsets of the ground set are counted
+    against ``budget`` before any is built, then written block by block
+    (`CandidateSpace.subsets`) and kept where `ColumnTest.fits`: by part
+    counts, or by `is_independent` for a matroid without a part form."""
     n, r = len(matroid.ground_set), matroid.rank
     if r < 1:
         raise ValueError("matroid has no independent set of positive rank")
@@ -198,12 +205,12 @@ def matroid_bases(
         raise SolverBudgetExceeded(
             f"{math.comb(n, r)} candidate bases exceed budget {budget}"
         )
-    rows = _combinations(n, r)
-    rows = rows[ColumnTest(matroid, matroid.ground_set).fits(rows)]
-    out = list(map(tuple, np.asarray(matroid.ground_set, dtype=np.intp)[rows].tolist()))
-    if not out:
+    test = ColumnTest(matroid, matroid.ground_set)
+    sets = CandidateSpace.subsets(range(n), r, budget).sets
+    rows = np.concatenate([b.T[test.fits(b.T)] for b in sets.blocks()])
+    if not len(rows):
         raise ValueError("matroid rank is inconsistent: no independent set of that size")
-    return out
+    return rows
 
 
 def check_matroid_axioms(matroid: MatroidOracle, max_ground: int = 12) -> tuple[bool, list[str]]:

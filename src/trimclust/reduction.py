@@ -25,8 +25,10 @@ it starts, and the subsets come in column-major blocks of at most
 ``_BLOCK_ELEMENTS``, written into one reused buffer.  Shorter subsets are
 padded with the index ``n`` of a zero row that each per-row term array
 carries past its ``n`` real rows, so a block is one set of numpy gathers
-whatever its subset sizes.  Nothing of a round is n_T long: memory is
-bounded by the block, the candidate space and the subsets of size below m.
+whatever its subset sizes.  Nothing of a round is n_T long, and the
+candidate space is walked in blocks too (`solvers.CandidateSpace`), so
+memory is bounded by the blocks, the subsets of size below m and the
+candidates that survive the exact engine's prune.
 The two engines lay the gathers out differently (see the list below).  Each
 merges its per-block answers as it goes (`_FirstAnswers`) and returns each
 distinct answer once, in the order of its first subset, with that subset's
@@ -72,9 +74,7 @@ bases as candidates, and local search a `ColumnTest` of its swaps.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -100,14 +100,17 @@ from .metric import (
 from .matroids import MatroidOracle
 from .rng import TAG_ROUND, generator_for
 from .solvers import (
+    _BLOCK_ELEMENTS,
     _PRUNE_SLACK,
     CandidateSpace,
     ColumnTest,
     SolverBudgetExceeded,
     SolverHandle,
+    SubsetStream,
     _candidate_blocks,
     _cost_block,
     _greedy_basis,
+    _layer_writer,
     _local_search,
     _rounding_bound,
     _swap_basis,
@@ -118,60 +121,10 @@ from .solvers import (
 
 DEFAULT_FAILURE_TARGET = 0.05
 
-# elements of each temporary of a block: subsets per block of the exact engine,
-# whose temporaries hold one value per subset, and costs per row block of
-# `_evicted_sums`; larger blocks fall out of the cache and run slower
-_BLOCK_ELEMENTS = 16_384
-
 
 def default_rounds(failure_target: float = DEFAULT_FAILURE_TARGET) -> int:
     """Repetitions needed to push a constant per-round failure odds below target."""
     return max(1, math.ceil(math.log2(1.0 / failure_target)))
-
-
-class SubsetStream:
-    """A round's outlier subsets, counted before any is built and built in blocks.
-
-    ``len`` is the number of subsets, taken from the stream's definition
-    (binomials, or a product of per-color counts) before any row exists.
-    `blocks` yields them in order as column-major ``(width, rows)`` intp
-    blocks of at most ``_BLOCK_ELEMENTS`` subsets, one subset per column:
-    its entries increasing, then the padding, the index ``n`` of the zero row
-    that each per-row term array carries past its ``n`` real rows.  Every
-    block of one pass is a view of one buffer that the next block
-    overwrites, so a consumer copies what it keeps.  Iterating the stream
-    yields its subsets as rows instead, which is how the benchmark's tracer
-    drains it; nothing in the library iterates rows.
-    """
-
-    def __init__(self, count: int, width: int, blocks: Callable[[int], Iterator[np.ndarray]]):
-        self.count = count
-        self.width = width
-        self._blocks = blocks
-
-    def __len__(self) -> int:
-        return self.count
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        return self._blocks(min(_BLOCK_ELEMENTS, self.count))
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        for block in self.blocks():
-            yield from block.T.copy()
-
-    @classmethod
-    def from_rows(cls, rows) -> "SubsetStream":
-        """The stream of the given subset rows, one padded subset each."""
-        rows = np.stack(list(rows))
-
-        def blocks(per):
-            buf = np.empty((rows.shape[1], per), dtype=np.intp)
-            for lo in range(0, len(rows), per):
-                block = buf[:, : len(rows) - lo]
-                block[...] = rows[lo : lo + per].T
-                yield block
-
-        return cls(len(rows), rows.shape[1], blocks)
 
 
 def enumerate_outlier_subsets(cs: WeightedCoreset, m: int) -> SubsetStream:
@@ -182,44 +135,28 @@ def enumerate_outlier_subsets(cs: WeightedCoreset, m: int) -> SubsetStream:
     len(cs.union)``.  The order is stable across runs.
 
     The subsets of size below m are one `_up_to` array, whose largest size
-    has C(n, m - 1) rows, copied into the blocks as they are.  Those of size
-    m are written into each block from it: the ones that start with ``a``
-    are ``a`` followed by the last ``C(n - a - 1, m - 1)`` subsets of size
-    ``m - 1``, whose entries all exceed ``a``.  Per block, the first entries
-    are one `np.repeat` and the rest one copy per first entry.
+    has C(n, m - 1) columns, copied into the blocks as they are.  Those of size
+    m are written into each block from it by `solvers._layer_writer`.
     """
     n = len(cs.union)
     if m > n:
         raise ValueError(f"m={m} exceeds the {n} coreset entries")
     width = max(1, m)
-    # the size-m subsets of each first entry a, and where they end in size m
-    counts = [math.comb(n - a - 1, m - 1) for a in range(n - m + 1)] if m else []
-    ends = list(accumulate(counts))
 
-    def blocks(per):
-        buf = np.empty((width, per), dtype=np.intp)
-        low = _up_to(n, max(0, m - 1), width, n)  # its last rows: the subsets of size m - 1
-        for lo in range(0, count, per):
-            block = buf[:, : min(per, count - lo)]
-            cut = max(0, min(len(low) - lo, block.shape[1]))  # subsets from ``low``
-            block[:, :cut] = low[lo : lo + cut].T
-            r0, r1 = lo + cut - len(low), lo + block.shape[1] - len(low)
-            if r1 > r0:  # the size-m subsets of ranks r0..r1 - 1
-                firsts, lens, col, rest = [], [], cut, block[1:]
-                for a in range(bisect_right(ends, r0), n - m + 1):
-                    b, e = max(r0, ends[a] - counts[a]), min(r1, ends[a])
-                    src = len(low) - ends[a] + b  # rank b among a's subsets
-                    rest[:, col : col + e - b] = low[src : src + e - b, : m - 1].T
-                    col += e - b
-                    firsts.append(a)
-                    lens.append(e - b)
-                    if e == r1:
-                        break
-                block[0, cut:] = np.repeat(firsts, lens)
-            yield block
+    def writer():
+        low = _up_to(n, max(0, m - 1), width, n)  # its last columns: the subsets of size m - 1
+        write_m, below = _layer_writer(low, n, m), low.shape[1]
+
+        def write(block, lo):
+            cut = max(0, min(below - lo, block.shape[1]))  # subsets from ``low``
+            block[:, :cut] = low[:, lo : lo + cut]
+            if cut < block.shape[1]:  # the size-m subsets from rank lo + cut - below on
+                write_m(block[:, cut:], lo + cut - below)
+
+        return write
 
     count = sum(math.comb(n, size) for size in range(m + 1))
-    return SubsetStream(count, width, blocks)
+    return SubsetStream(count, width, writer)
 
 
 def evaluate_candidate(
@@ -396,8 +333,8 @@ def per_subset_best_exact(
     The engine runs in two phases.  First, of each block of
     `solvers._candidate_blocks`, only the columns that `_live_columns` keeps
     against the best column so far (the first with the least finite
-    ``full``) are copied out, and then the kept columns are pruned once more
-    against the best of all; the margin is ``_PRUNE_SLACK``
+    ``full``) are copied out with their sets, and then the kept columns are
+    pruned once more against the best of all; the margin is ``_PRUNE_SLACK``
     rounding bounds of the weighted cost block.  A dropped column costs
     every subset more than its reference, after rounding too, and a
     reference is kept or dropped against a later one, so the first least
@@ -426,17 +363,17 @@ def per_subset_best_exact(
     d = _cost_block(dist, points, weights, space.col_ids, z)
     bound = _rounding_bound(d)
     best, kept = (math.inf, None), []  # the best column so far: its full and its terms
-    for lo, _, near in _candidate_blocks(d, space.combos):
+    for block, near in _candidate_blocks(d, space.sets):
         full = near.sum(axis=1)
         j = int(np.argmin(full))
         if full[j] < best[0]:
             best = float(full[j]), near[j].copy()
         live = _live_columns(full, near.T, subsets.width, bound, best)
-        kept.append((lo + live, full[live], near[live]))
+        kept.append((block[:, live].T, full[live], near[live]))
     del near  # a view that would keep the walk's buffer through the stream pass
-    live, full, rows = map(np.concatenate, zip(*kept))
+    sets, full, rows = map(np.concatenate, zip(*kept))
     keep = _live_columns(full, rows.T, subsets.width, bound)
-    live, full, rows = live[keep], full[keep], rows[keep]
+    sets, full, rows = sets[keep], full[keep], rows[keep]
     # one contiguous row per live column, and the zero term the padding picks
     rows = np.hstack([rows, np.zeros((len(rows), 1))])
     finite = np.isfinite(full)
@@ -446,7 +383,7 @@ def per_subset_best_exact(
     first = _FirstAnswers()
     per = min(_BLOCK_ELEMENTS, len(subsets))
     work = np.empty((3, per)), np.empty(per, dtype=np.intp), np.empty(per, dtype=bool)
-    for block in subsets.blocks():
+    for block in subsets.blocks(_BLOCK_ELEMENTS):
         val, arg = _first_minimum(full, rows, block, work)
         if not np.isfinite(val).all():
             # the distance oracles accept only finite input, so only an
@@ -456,9 +393,10 @@ def per_subset_best_exact(
                 "no finite cost; rescale the coordinates or distances"
             )
         first.add(block, arg)
-        if stop and len(first.keys) == len(live):
+        if stop and len(first.keys) == len(sets):
             break
-    return replace(first.answers(lambda j: space.centers_at(int(live[j]))), count=len(subsets))
+    centers = lambda j: tuple(space.col_ids[i] for i in sets[j].tolist())
+    return replace(first.answers(centers), count=len(subsets))
 
 
 def _first_minimum(
@@ -595,7 +533,7 @@ def per_subset_local_search(
     n_cols = D.shape[1]
     first = _FirstAnswers()
     if k == n_cols:
-        for block in subsets.blocks():
+        for block in subsets.blocks(_BLOCK_ELEMENTS):
             first.add(block, np.zeros(block.shape[1], dtype=np.intp))
         return first.answers(lambda _: tuple(range(n_cols)))
     bound = _rounding_bound(D)
@@ -638,7 +576,7 @@ def per_subset_local_search(
         return priced[s]
 
     start = state_id(_greedy_basis(n_cols, k, test))
-    for block in subsets.blocks():
+    for block in subsets.blocks(_BLOCK_ELEMENTS):
         state = np.full(block.shape[1], start, dtype=np.intp)  # -1 once answered
         answer = np.full(block.shape[1], -1, dtype=np.intp)
         for _ in range(handle.iteration_cap):

@@ -44,24 +44,27 @@ every subset more than ``1024 - 6 - 6`` bounds more than its reference,
 after rounding too: never a best, nor a runner-up within the local search's
 ``tol`` of 256 bounds.
 
-A `CandidateSpace` is an index array, one center set per row.  Subsets of
-``range(n)`` have one builder, `_extend`, which writes the subsets of one
-size from those one smaller by suffix copies.  `_up_to` runs it size after
-size straight into one padded array: the outlier subsets of size below m,
-which the reduction's subset stream copies into its blocks and writes the
-size-m ones from by the same suffix rule, and each color's choices of the
-colorful stream.  `_combinations`, the k-subsets of the facilities, is the
-last block of that build, keeping of each smaller size only the rows the
-next reads.  `CandidateSpace.subsets` refuses a space over the enumeration
-budget before it builds any row.
+Subsets of ``range(n)`` come as a `SubsetStream`: counted before any is
+built, then written block by block into one reused buffer, one subset per
+column.  One rule writes them, `_layer_writer`: the subsets of one size
+that start with ``a`` are ``a`` followed by a suffix of those one smaller.
+It writes each size of `_up_to` (the outlier subsets of size below m, each
+color's choices of the colorful stream), the size-m outlier subsets of
+`reduction.enumerate_outlier_subsets` per block, and the k-subsets of the
+facilities of `CandidateSpace.subsets` per block, so no search holds all
+C(|F|, k) of them; a space over the enumeration budget is refused before
+any is built.  Explicit sets, such as matroid bases, are one array
+(``SubsetStream.from_rows``).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import accumulate
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,6 +76,12 @@ DEFAULT_ENUMERATION_BUDGET = 2_000_000
 # temporaries of both exhaustive searches hold one block each, and larger
 # blocks fall out of the cache
 _TRIM_BLOCK_ELEMENTS = 65_536
+
+# elements of each temporary of a block: subsets per block of a subset
+# stream's pass and of the exact engine, whose temporaries hold one value per
+# subset, and costs per row block of `reduction._evicted_sums`; larger blocks
+# fall out of the cache and run slower
+_BLOCK_ELEMENTS = 16_384
 
 # a candidate or column is dropped only if its lower bound exceeds a computed
 # cost by this many rounding bounds (`_rounding_bound`; the count is in the
@@ -127,103 +136,137 @@ class SolverHandle:
         )
 
 
+class SubsetStream:
+    """Subsets of ``range(n)``, counted before any is built and built in blocks.
+
+    ``len`` is the number of subsets, taken from the stream's definition
+    (binomials, or a product of per-color counts) before any row exists.
+    ``blocks(per)`` yields them in order as column-major ``(width, rows)``
+    intp blocks of at most ``per`` subsets (by default ``_BLOCK_ELEMENTS``),
+    one subset per column: its entries increasing, then any padding.  Every
+    block of one pass is a view of one buffer that the next block
+    overwrites, so a consumer copies what it keeps.  ``writer()`` starts a
+    pass: it returns ``write(block, lo)``, which fills ``block`` with the
+    subsets of ranks ``lo`` on.  Iterating the stream yields its subsets as
+    rows instead, which is how the benchmark's tracer drains it; nothing in
+    the library iterates rows.
+    """
+
+    def __init__(self, count: int, width: int, writer: Callable[[], Callable]):
+        self.count = count
+        self.width = width
+        self._writer = writer
+
+    def __len__(self) -> int:
+        return self.count
+
+    def blocks(self, per: int = _BLOCK_ELEMENTS) -> Iterator[np.ndarray]:
+        per = min(per, self.count)
+        write, buf = self._writer(), np.empty((self.width, per), dtype=np.intp)
+        for lo in range(0, self.count, per):
+            block = buf[:, : min(per, self.count - lo)]
+            write(block, lo)
+            yield block
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for block in self.blocks():
+            yield from block.T.copy()
+
+    @classmethod
+    def from_rows(cls, rows) -> "SubsetStream":
+        """The stream of the given rows, one subset each, in the given order."""
+        rows = np.stack(list(rows))
+
+        def write(block, lo):
+            block[...] = rows[lo : lo + block.shape[1]].T
+
+        return cls(len(rows), rows.shape[1], lambda: write)
+
+
 @dataclass(frozen=True, eq=False)
 class CandidateSpace:
-    """The center sets a solver may return, one per row of ``combos``.
+    """The center sets a solver may return: ``sets``, a `SubsetStream` of
+    indices into ``col_ids``, one set per column of its blocks.
 
-    Row ``i`` of the ``(count, set_size)`` intp array ``combos`` holds the
-    indices into ``col_ids`` of candidate ``i``, in enumeration order:
-    every ``min(k, |F|)``-subset of the sorted facilities in lexicographic
-    order (`subsets`, refused over budget before any is built), or the
-    given center sets in the given order (`from_center_sets`, used for
-    matroid bases).
+    Either every ``min(k, |F|)``-subset of the sorted facilities in
+    lexicographic order (`subsets`, refused over budget before any is
+    built, and written block by block), or given rows in the given order
+    (``SubsetStream.from_rows``, used for matroid bases).
     """
 
     col_ids: tuple[PointId, ...]
-    combos: np.ndarray
+    sets: SubsetStream
 
     @classmethod
     def subsets(
         cls, facilities: Sequence[PointId], k: int, budget: int = DEFAULT_ENUMERATION_BUDGET
     ) -> "CandidateSpace":
         ids = tuple(sorted(int(f) for f in facilities))
-        size = min(k, len(ids))
-        if (count := math.comb(len(ids), size)) > budget:
+        n, size = len(ids), min(k, len(ids))
+        if (count := math.comb(n, size)) > budget:
             raise SolverBudgetExceeded(f"{count} candidate center sets exceed budget {budget}")
-        return cls(col_ids=ids, combos=_combinations(len(ids), size))
 
-    @classmethod
-    def from_center_sets(
-        cls, center_sets: Sequence[Sequence[PointId]]
-    ) -> "CandidateSpace":
-        ids = tuple(sorted({int(c) for cset in center_sets for c in cset}))
-        index = {c: i for i, c in enumerate(ids)}
-        rows = [[index[int(c)] for c in sorted(cset)] for cset in center_sets]
-        width = len(rows[0]) if rows else 0
-        return cls(col_ids=ids, combos=np.array(rows, dtype=np.intp).reshape(len(rows), width))
+        def writer():
+            # of the j-subsets, only those of range(size - j, n), which the next size reads
+            prev = np.empty((0, 1), dtype=np.intp)
+            for j in range(1, size):
+                prev, last = np.empty((j, math.comb(n - size + j, j)), dtype=np.intp), prev
+                _layer_writer(last, n, j, size - j)(prev, 0)
+            return _layer_writer(prev, n, size)
+
+        return cls(col_ids=ids, sets=SubsetStream(count, size, writer))
 
     @property
     def count(self) -> int:
-        return len(self.combos)
-
-    def centers_at(self, idx: int) -> tuple[PointId, ...]:
-        return tuple(self.col_ids[i] for i in self.combos[idx].tolist())
+        return len(self.sets)
 
 
-def _extend(prev: np.ndarray, out: np.ndarray, n: int, size: int, low: int) -> None:
-    """Write every ``size``-subset of ``range(low, n)`` into ``out[:, :size]``,
-    one increasing row each, in lexicographic order.
+def _layer_writer(prev: np.ndarray, n: int, size: int, low: int = 0) -> Callable:
+    """``write(out, r0)``, which writes the ``size``-subsets of ``range(low,
+    n)`` of lexicographic ranks ``r0`` to ``r0 + out.shape[1] - 1`` into the
+    ``(size, rows)`` ``out``, one increasing subset per column.
 
-    ``prev[:, :size - 1]`` holds the ``(size - 1)``-subsets of ``range(low +
-    1, n)`` or more, in that order.  The ``size``-subsets that start with
-    ``a`` are ``a`` followed by the ``(size - 1)``-subsets whose first entry
-    exceeds ``a``, which are the last ``C(n - a - 1, size - 1)`` rows of
-    ``prev``: one suffix copy per ``a``.  ``prev`` and ``out`` are row
-    blocks of C-contiguous arrays of one width, so each copy is one flat
-    move of those rows, one column to the right; it carries each row's last
-    entry into the next row's first column, which is written last.  Columns
-    past ``size`` get ``prev``'s columns past ``size - 1``.
+    The subsets that start with ``a`` are ``a`` followed by the ``(size -
+    1)``-subsets of ``range(a + 1, n)``: the last ``C(n - a - 1, size - 1)``
+    columns of ``prev[:size - 1]``, which holds the ``(size - 1)``-subsets of
+    ``range(low + 1, n)`` or more, one per column in lexicographic order.  Per
+    call the first entries are one `np.repeat` and the rest one copy per
+    first entry; a subset of one entry is ``low`` plus its rank.
     """
-    firsts = np.arange(low, n - size + 1)
-    counts = [math.comb(n - a - 1, size - 1) for a in firsts.tolist()]
-    if size > 1:
-        src, dst, width = prev.reshape(-1), out.reshape(-1), out.shape[1]
-        lo = 0
-        for count in counts:
-            dst[lo * width + 1 : (lo + count) * width] = src[len(src) - count * width : -1]
-            lo += count
-    out[:, 0] = np.repeat(firsts, counts)
+    counts = (math.comb(n - a - 1, size - 1) for a in range(low, n - size + 1))
+    ends = list(accumulate(counts)) if size > 1 else []
 
+    def write(out: np.ndarray, r0: int) -> None:
+        r1 = r0 + out.shape[1]
+        if size <= 1:
+            out[:] = np.arange(low + r0, low + r1)
+            return
+        first = i = bisect_right(ends, r0)
+        b, lens = r0, []
+        while b < r1:  # ranks b..e - 1 start with low + i
+            e = min(r1, ends[i])
+            src = prev.shape[1] - ends[i]  # the rank among them, counted from prev's end
+            out[1:, b - r0 : e - r0] = prev[: size - 1, src + b : src + e]
+            lens.append(e - b)
+            b, i = e, i + 1
+        out[0] = np.repeat(np.arange(low + first, low + i), lens)
 
-def _combinations(n: int, size: int) -> np.ndarray:
-    """Every ``size``-subset of ``range(n)`` (``size <= n``), one increasing
-    row each, in lexicographic order: the last block of `_up_to`'s build.
-
-    Only the rows the next size reads are built: of the ``j``-subsets, those
-    of ``range(size - j, n)``, each from the block before it (`_extend`).
-    """
-    block = np.empty((1, size), dtype=np.intp)
-    for j in range(1, size + 1):
-        block, prev = np.empty((math.comb(n - size + j, j), size), dtype=np.intp), block
-        _extend(prev, block, n, j, size - j)
-    return block
+    return write
 
 
 def _up_to(n: int, cap: int, width: int, pad: int) -> np.ndarray:
     """Every subset of ``range(n)`` of size 0..cap (``cap <= min(n, width)``),
-    in (size, lexicographic) order, one per row of ``width`` columns, padded
-    with ``pad``.
-
-    Each size is written straight into the padded array from the block
-    before it (`_extend`), so no block is built twice.
-    """
+    in (size, lexicographic) order, one per column of ``width`` rows, padded
+    with ``pad``: each size written whole from the one before
+    (`_layer_writer`)."""
     counts = [math.comb(n, size) for size in range(cap + 1)]
-    rows = np.full((sum(counts), width), pad, dtype=np.intp)
-    lo = 1  # the empty subset is the first row, all padding
+    cols = np.full((width, sum(counts)), pad, dtype=np.intp)
+    lo = 1  # the empty subset is the first column, all padding
     for size in range(1, cap + 1):
-        _extend(rows[lo - counts[size - 1] : lo], rows[lo : lo + counts[size]], n, size, 0)
+        write = _layer_writer(cols[:, lo - counts[size - 1] : lo], n, size)
+        write(cols[:size, lo : lo + counts[size]], 0)
         lo += counts[size]
-    return rows
+    return cols
 
 
 def _cost_block(dist: DistanceOracle, points, weights, cols, z: float) -> np.ndarray:
@@ -250,11 +293,12 @@ def _rounding_bound(block: np.ndarray) -> float:
     return (len(block) + 1) * 2.0**-52 * float(row_max.sum())
 
 
-def _nearest(dT: np.ndarray, combos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _nearest(dT: np.ndarray, sets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each point's least distance to each candidate set, one C-contiguous
-    row per row of ``combos`` and one column per point: for ``dT`` the cost
-    block transposed (one row per column), ``d[:, combos].min(axis=2).T``,
-    whose layout it also has.  Per position of the sets, one 2-D gather of
+    row per column of ``sets`` (a block of a `CandidateSpace`'s stream) and
+    one column per point: for ``dT`` the cost block transposed (one row per
+    column), ``d[:, sets.T].min(axis=2).T``, whose layout it also has.  Per
+    position of the sets (a row of ``sets``), one 2-D gather of
     rows of ``dT`` (columns of ``d``), folded by `np.minimum`; a minimum is
     exact, so these are ``min``'s floats.  ``out`` takes the result in
     ``out[0]`` and, for sets of two or more, each gather in ``out[1]``.  A
@@ -265,27 +309,29 @@ def _nearest(dT: np.ndarray, combos: np.ndarray, out: np.ndarray | None = None) 
     afresh, about 1 ms a matroid solve of the `variants` benchmark.
     """
     if out is None:
-        out = np.empty((min(2, combos.shape[1]), len(combos), dT.shape[1]))
-    vals = np.take(dT, combos[:, 0], axis=0, out=out[0], mode="clip")  # "raise" would buffer
-    for j in range(1, combos.shape[1]):
-        np.minimum(vals, np.take(dT, combos[:, j], axis=0, out=out[1], mode="clip"), out=vals)
+        out = np.empty((min(2, len(sets)), sets.shape[1], dT.shape[1]))
+    vals = np.take(dT, sets[0], axis=0, out=out[0], mode="clip")  # "raise" would buffer
+    for pos in sets[1:]:
+        np.minimum(vals, np.take(dT, pos, axis=0, out=out[1], mode="clip"), out=vals)
     return vals
 
 
 def _candidate_blocks(
-    d: np.ndarray, combos: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """``(lo, block, near)`` for each block of about ``_TRIM_BLOCK_ELEMENTS``
-    (points x candidates) distances, in order: ``block`` the rows of
-    ``combos`` from ``lo`` on, and ``near`` its `_nearest` over the cost
-    block ``d``, a view of one buffer that the next block overwrites, so a
-    consumer copies what it keeps."""
+    d: np.ndarray, sets: SubsetStream
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(block, near)`` for each block of about ``_TRIM_BLOCK_ELEMENTS``
+    (points x candidates) distances, in order: ``block`` the next sets of
+    the stream ``sets``, one per column, and ``near`` its `_nearest` over
+    the cost block ``d``.  Both are views of buffers that the next block
+    overwrites, so a consumer copies what it keeps.  The stream writes about
+    ``_BLOCK_ELEMENTS`` sets at a time, a whole number of blocks."""
     per = max(1, _TRIM_BLOCK_ELEMENTS // max(1, d.shape[0]))
     dT = np.ascontiguousarray(d.T)
-    buf = np.empty((min(2, combos.shape[1]), min(per, len(combos)), d.shape[0]))
-    for lo in range(0, len(combos), per):
-        block = combos[lo : lo + per]
-        yield lo, block, _nearest(dT, block, buf[:, : len(block)])
+    buf = np.empty((min(2, sets.width), min(per, len(sets)), d.shape[0]))
+    for run in sets.blocks(per * max(1, _BLOCK_ELEMENTS // per)):
+        for lo in range(0, run.shape[1], per):
+            block = run[:, lo : lo + per]
+            yield block, _nearest(dT, block, buf[:, : block.shape[1]])
 
 
 def _trimmed_costs(vals: np.ndarray, groups) -> np.ndarray:
@@ -318,12 +364,12 @@ def _contenders(
     slack: float,
     groups,
 ) -> np.ndarray:
-    """Indices of the candidates of one block that may still be the first
-    minimum, ascending; ``near`` is the block's `_nearest`, ``group_max[c,
-    g]`` column ``c``'s largest distance in the ``g``-th group that drops
-    rows, and ``drops[g]`` that group's drop.  A group's ``drop`` largest
-    distances are each at most ``max_{i in g} d[i, c]`` for every center c
-    of a candidate C, so
+    """Indices of the candidates of one block (its columns) that may still
+    be the first minimum, ascending; ``near`` is the block's `_nearest`,
+    ``group_max[c, g]`` column ``c``'s largest distance in the ``g``-th group
+    that drops rows, and ``drops[g]`` that group's drop.  A group's
+    ``drop`` largest distances are each at most ``max_{i in g} d[i, c]`` for
+    every center c of a candidate C, so
 
         cost(C) >= colsum(C) - sum_g drop_g * min_{c in C} max_{i in g} d[i, c],
 
@@ -343,8 +389,8 @@ def argmin_trimmed(
     d: np.ndarray,
     space: CandidateSpace,
     groups: Sequence[tuple[np.ndarray | slice, int]],
-) -> int:
-    """Index in ``space`` of the candidate set with the least trimmed cost.
+) -> tuple[PointId, ...]:
+    """The ids of the candidate set of ``space`` with the least trimmed cost.
 
     ``d`` holds one row per point and one column per ``space.col_ids`` entry
     (already powered and weighted, so nonnegative).  Each group ``(rows,
@@ -370,10 +416,9 @@ def argmin_trimmed(
             group_max[:, g] = d[rows].max(axis=0, initial=0.0)
         drops = np.array([drop for _, drop in pruned], dtype=float)
         slack = _PRUNE_SLACK * _rounding_bound(d)
-    best_cost = math.inf
-    best_idx = -1
-    for lo, block, near in _candidate_blocks(d, space.combos):
-        live = range(len(block))
+    best_cost, best = math.inf, None
+    for block, near in _candidate_blocks(d, space.sets):
+        live = range(block.shape[1])
         if bounded:
             live = _contenders(near, block, group_max, drops, best_cost, slack, groups)
             if len(live) == 0:
@@ -385,10 +430,10 @@ def argmin_trimmed(
         j = int(np.argmin(costs))
         if costs[j] < best_cost:
             best_cost = float(costs[j])
-            best_idx = lo + int(live[j])
-    if best_idx < 0:
+            best = block[:, live[j]].tolist()
+    if best is None:
         raise ValueError("no candidate center set has a finite cost")
-    return best_idx
+    return tuple(space.col_ids[i] for i in best)
 
 
 def _exhaustive(
@@ -396,8 +441,7 @@ def _exhaustive(
     groups: Sequence[tuple[np.ndarray | slice, int]] = ((slice(None), 0),),
 ) -> tuple[PointId, ...]:
     """The ids of the first best set of ``space`` under ``groups`` (`argmin_trimmed`)."""
-    d = _cost_block(dist, points, weights, space.col_ids, z)
-    return space.centers_at(argmin_trimmed(d, space, groups))
+    return argmin_trimmed(_cost_block(dist, points, weights, space.col_ids, z), space, groups)
 
 
 def exact_kmedian(

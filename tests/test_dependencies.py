@@ -68,6 +68,18 @@ def test_no_blas_product_in_the_package():
     assert not found, found
 
 
+def test_no_assert_in_the_package():
+    # ``python -O`` strips every ``assert``, so no behaviour may depend on
+    # one: a check the package needs raises an exception of its own
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
 FAILING_PROPERTY = """\
 from hypothesis import given, strategies as st
 

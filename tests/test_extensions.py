@@ -387,19 +387,23 @@ def test_matroid_local_search_solve_builds_no_bases(rng):
 
 def test_matroid_solve_enumerates_bases_once(rng, monkeypatch):
     # the exact black box's candidate space and the matroid baseline share
-    # one list (each enumerated its own before); local search over budget
-    # refuses the list before building any row of it
+    # one array of basis rows (each enumerated its own before); local search
+    # over budget refuses the bases before building any row of them
     calls, built = [], []
-    real_bases, real_rows = extensions.matroid_bases, matroids._combinations
+    real_bases, real_space = extensions._basis_rows, matroids.CandidateSpace
 
     def bases(matroid, budget):
         calls.append(budget)
         return real_bases(matroid, budget)
 
-    monkeypatch.setattr(extensions, "matroid_bases", bases)
-    monkeypatch.setattr(
-        matroids, "_combinations", lambda n, r: built.append((n, r)) or real_rows(n, r)
-    )
+    class Space:
+        @staticmethod
+        def subsets(ids, r, budget):
+            built.append((len(ids), r))
+            return real_space.subsets(ids, r, budget)
+
+    monkeypatch.setattr(extensions, "_basis_rows", bases)
+    monkeypatch.setattr(matroids, "CandidateSpace", Space)
     inst, matroid = _matroid_instance(rng, 8, [[0, 1], [2, 3]], k=2, m=1)
     cinst = ColorfulInstance(
         base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(1, 0)
@@ -411,8 +415,9 @@ def test_matroid_solve_enumerates_bases_once(rng, monkeypatch):
                                        seed=1, rounds=1),
     ):
         calls.clear()
+        built.clear()
         solve()
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(built) == 1
     # 4 bases x 8 one-client picks fit the budget: the baseline is exact, on that list
     assert matroid_baseline(inst, matroid).method == "exact"
 
@@ -448,7 +453,7 @@ def test_dependent_candidate_is_a_named_error(rng, monkeypatch):
 
     def dependent(D, subsets, *a):
         first = reduction._FirstAnswers()
-        for block in subsets.blocks():
+        for block in subsets.blocks(reduction._BLOCK_ELEMENTS):
             first.add(block, np.zeros(block.shape[1], dtype=np.intp))
         return first.answers(lambda _: (0, 1))
 

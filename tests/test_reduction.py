@@ -61,7 +61,14 @@ from trimclust.reduction import (
 from trimclust.solvers import SolverBudgetExceeded, argmin_trimmed, solve_outlier_free
 from trimclust.bench import report_to_dict, run_experiment, solution_to_dict
 from trimclust.rng import generator_for
-from conftest import line_instance, random_instance, shared_point_instance
+from conftest import (
+    explicit_space,
+    line_instance,
+    random_instance,
+    shared_point_instance,
+    space_rows,
+    space_sets,
+)
 
 
 def practical(s, epsilon=0.5):
@@ -106,7 +113,7 @@ def _stream(subsets, n):
 def _rows(stream):
     """A stream's subsets as one padded array, one subset per row, built from
     its blocks; checks each block's shape and the stream's ``len``."""
-    blocks = [block.T.copy() for block in stream.blocks()]  # each overwrites the last
+    blocks = [block.T.copy() for block in stream.blocks(reduction._BLOCK_ELEMENTS)]
     assert all(b.shape[1] == stream.width for b in blocks)
     assert all(0 < len(b) <= reduction._BLOCK_ELEMENTS for b in blocks)
     rows = np.vstack(blocks)
@@ -198,7 +205,7 @@ def test_plain_stream_matches_the_array_builders(monkeypatch, block):
             stream = enumerate_outlier_subsets(cs, m)
             assert len(stream) == sum(math.comb(n, size) for size in range(m + 1))
             rows = _rows(stream)
-            np.testing.assert_array_equal(rows, solvers._up_to(n, m, max(1, m), n))
+            np.testing.assert_array_equal(rows, solvers._up_to(n, m, max(1, m), n).T)
             assert _tuples(rows, n) == _all_subsets(n, m), (n, m)
 
 
@@ -228,7 +235,7 @@ def _product_then_sort_subsets(ccs, budgets):
         idx = np.flatnonzero(colors == t)
         cap = min(budgets[t - 1], len(idx))
         # positions in the class, padded with len(idx), which maps to n
-        options = np.append(idx, n)[solvers._up_to(len(idx), cap, cap, len(idx))]
+        options = np.append(idx, n)[solvers._up_to(len(idx), cap, cap, len(idx)).T]
         rows = np.hstack([
             np.repeat(rows, len(options), axis=0), np.tile(options, (len(rows), 1))
         ])
@@ -384,9 +391,21 @@ def test_exact_budget_decided_before_baseline(rng, monkeypatch):
     "solver", [SolverHandle.exact(), SolverHandle.local_search()], ids=["exact", "local"]
 )
 def test_round_over_budget_refused_before_any_block(rng, monkeypatch, solver):
-    # every block a stream builds is recorded with the stream's length
-    built, blocks = [], SubsetStream.blocks
-    monkeypatch.setattr(SubsetStream, "blocks", lambda self: built.append(len(self)) or blocks(self))
+    # every block a round's stream builds is recorded with the stream's length
+    built = []
+
+    def spied(enumerate_subsets):
+        def enumerate_recorded(*args):
+            stream = enumerate_subsets(*args)
+            blocks = stream.blocks
+            stream.blocks = lambda per: built.append(len(stream)) or blocks(per)
+            return stream
+        return enumerate_recorded
+
+    for module, name in (
+        (reduction, "enumerate_outlier_subsets"), (extensions, "enumerate_colorful_subsets")
+    ):
+        monkeypatch.setattr(module, name, spied(getattr(module, name)))
     inst = random_instance(rng, 12, 4, k=2, m=2)  # C(4, 2) = 6 candidate sets
     cinst = ColorfulInstance(
         base=inst, colors={p: 1 + p % 2 for p in inst.clients}, budgets=(1, 1)
@@ -598,13 +617,14 @@ def _reference_best_exact(dist, points, weights, space, z, subsets):
     d = dist.pairwise(points, space.col_ids)
     if z != 1.0:
         d = d**z
-    wm = np.asarray(weights, dtype=float)[:, None] * d[:, space.combos].min(axis=2)
+    wm = np.asarray(weights, dtype=float)[:, None] * d[:, space_rows(space)].min(axis=2)
     full = wm.sum(axis=0)
     best_idx = []
     for T in subsets:
         costs = full - wm[list(T)].sum(axis=0) if T else full
         best_idx.append(int(np.argmin(costs)))
-    return [space.centers_at(i) for i in best_idx]
+    sets = space_sets(space)
+    return [sets[i] for i in best_idx]
 
 
 def _with_twin_facilities(inst):
@@ -647,7 +667,7 @@ def _matroid_case(rng, twins=True):
     fac = inst.facilities
     matroid = PartitionMatroid([(fac[0:3], 1), (fac[3:6], 1), (fac[6:9], 1)])
     cs = _coreset_for(inst, s=3, seed=int(rng.integers(1 << 16)))
-    space = CandidateSpace.from_center_sets(matroid_bases(matroid))
+    space = explicit_space(matroid_bases(matroid))
     return inst, cs, enumerate_outlier_subsets(cs, 2), space
 
 
@@ -687,7 +707,7 @@ def _row_major_best_exact(dist, points, weights, space, z, rows):
     d = solvers._cost_block(dist, points, None, space.col_ids, z)
     w = np.asarray(weights, dtype=float)
     wm = np.zeros((len(w) + 1, space.count))
-    wm[:-1] = w[:, None] * d[:, space.combos].min(axis=2)
+    wm[:-1] = w[:, None] * d[:, space_rows(space)].min(axis=2)
     full = np.ascontiguousarray(wm[:-1].T).sum(axis=1)
     live = reduction._live_columns(
         full, wm[:-1], rows.shape[1], reduction._rounding_bound(wm[:-1])
@@ -710,7 +730,7 @@ def _row_major_best_exact(dist, points, weights, space, z, rows):
 def _candidate_block_count(space, n_points):
     """How many blocks `solvers._candidate_blocks` walks ``space`` in."""
     d = np.zeros((n_points, len(space.col_ids)))
-    return sum(1 for _ in solvers._candidate_blocks(d, space.combos))
+    return sum(1 for _ in solvers._candidate_blocks(d, space.sets))
 
 
 def _far_facility_case(rng):
@@ -757,7 +777,8 @@ def test_exact_engine_matches_the_row_major_reference(rng, monkeypatch):
             continue
         got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, stream)
         # subset by subset, each block's answers are the reference's
-        assert per_subset.expand(got) == [space.centers_at(int(c)) for c in want]
+        sets = space_sets(space)
+        assert per_subset.expand(got) == [sets[c] for c in want.tolist()]
     # a subset that evicts the far client from a candidate without the far
     # facility is costed by its kept rows, so every case answers every subset
     assert kept_rule > 0 and overflowed == 0
@@ -780,13 +801,13 @@ def test_exact_engine_ties_go_to_the_earliest_candidate(rng, monkeypatch):
         lone += space.count % 4 == 1
         d = solvers._cost_block(inst.dist, pts, w, space.col_ids, inst.z)
         terms = np.zeros((len(pts) + 1, space.count))
-        terms[:-1] = d[:, space.combos].min(axis=2)
+        terms[:-1] = d[:, space_rows(space)].min(axis=2)
         full = np.ascontiguousarray(terms[:-1].T).sum(axis=1)
         rows = _rows(stream)
         want = []
         for _, costs in reduction._evicted_sums(full, terms, np.arange(len(rows)), rows.T):
             ties += ((costs == costs.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum()
-            want += [space.centers_at(int(j)) for j in costs.argmin(axis=1)]
+            want += [space_sets(space)[j] for j in costs.argmin(axis=1).tolist()]
         empty = enumerate_outlier_subsets(cs, 0)
         for per, blocks in ((1, space.count), (4, -(-space.count // 4)), (space.count, 1)):
             monkeypatch.setattr(solvers, "_TRIM_BLOCK_ELEMENTS", per * len(pts))
@@ -794,9 +815,7 @@ def test_exact_engine_ties_go_to_the_earliest_candidate(rng, monkeypatch):
             got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, stream)
             assert per_subset.expand(got) == want, per
             alone = per_subset_best_exact(inst.dist, pts, w, space, inst.z, empty)
-            assert per_subset.expand(alone) == [
-                space.centers_at(argmin_trimmed(d, space, [(slice(None), 0)]))
-            ], per
+            assert per_subset.expand(alone) == [argmin_trimmed(d, space, [(slice(None), 0)])], per
     assert ties > 0 and lone
 
 
@@ -816,7 +835,7 @@ def test_exact_engine_stops_once_every_live_column_has_answered(rng, monkeypatch
                 pts, _ = cs.union.as_arrays()
                 w = rng.uniform(0.5, 3.0, size=len(pts))
                 best, _ = _row_major_best_exact(inst.dist, pts, w, space, inst.z, _rows(stream))
-                want = [space.centers_at(int(c)) for c in best]
+                want = [space_sets(space)[c] for c in best.tolist()]
                 for block in stopped:
                     monkeypatch.setattr(reduction, "_BLOCK_ELEMENTS", block)
                     got = per_subset_best_exact(inst.dist, pts, w, space, inst.z, stream)
@@ -892,7 +911,8 @@ def test_exact_engine_reads_every_block_where_a_cost_could_overflow(rng, monkeyp
                 seen.append(None)
                 continue
             got = per_subset_best_exact(inst.dist, pts, np.ones(12), space, 1.0, stream)
-            early = per_subset.first_occurrences(got, [space.centers_at(int(c)) for c in best])
+            want = [space_sets(space)[c] for c in best.tolist()]
+            early = per_subset.first_occurrences(got, want)
             assert not (early and scale > 1.0)
             stopped += early
             seen.append((got.centers, [T.tolist() for T in got.firsts]))
@@ -963,7 +983,7 @@ def _partition(inst, dealt):
     in turn, the greedy basis is the first k columns, the start without a
     matroid too; in consecutive blocks, it is not."""
     space = CandidateSpace.subsets(inst.facilities, inst.k)
-    cols, k = space.col_ids, space.combos.shape[1]
+    cols, k = space.col_ids, space.sets.width
     parts = [cols[p::k] for p in range(k)] if dealt else np.array_split(cols, k)
     return PartitionMatroid([(part, 1) for part in parts])
 
@@ -1022,7 +1042,7 @@ def test_lockstep_local_search_matches_per_subset_calls(rng, monkeypatch):
             improvement_threshold=float(rng.choice([1e-3, 0.25])),
         )
         facs = CandidateSpace.subsets(inst.facilities, inst.k)
-        k = facs.combos.shape[1]
+        k = facs.sets.width
         black_box = test = None
         if matroid is not None:
             black_box = lambda p, ww: extensions.matroid_local_search(
@@ -1143,7 +1163,7 @@ def test_local_search_prune_keeps_the_current_column(monkeypatch):
         reduction, "_evicted_sums",
         lambda full, per_row, *a: offered.append((full, per_row)) or evicted(full, per_row, *a),
     )
-    per_subset_local_search(D, rows, facs.combos.shape[1], SolverHandle.local_search())
+    per_subset_local_search(D, rows, facs.sets.width, SolverHandle.local_search())
     assert len(seen) == len(offered) > 1
     for (terms, _), (full, per_row) in zip(seen, offered):
         np.testing.assert_array_equal(per_row[:, -1], terms[:, -1])
@@ -1328,7 +1348,7 @@ def test_prune_changes_no_answer(rng, monkeypatch):
         rows = _stream(subsets, len(pts))
         solver = SolverHandle.local_search(iteration_cap=200)
         run = lambda: engine_answers(
-            lambda: reduction.per_subset_local_search(D, rows, facs.combos.shape[1], solver, test)
+            lambda: reduction.per_subset_local_search(D, rows, facs.sets.width, solver, test)
         )
         _assert_same_answers(run(), _unpruned(monkeypatch, run))
     assert sum(offered - kept for kept, offered in pruned) > 0  # the prune dropped columns
@@ -1355,7 +1375,7 @@ def test_live_columns_keep_every_subsets_best():
         bound = reduction._rounding_bound(terms[:-1])
         live = set(reduction._live_columns(full, terms[:-1], width, bound).tolist())
         dropped += n_cols - len(live)
-        rows = reduction._up_to(n, min(width, n), width, n)
+        rows = reduction._up_to(n, min(width, n), width, n).T
         with np.errstate(invalid="ignore"):  # inf - inf
             for _, costs in reduction._evicted_sums(full, terms, np.arange(len(rows)), rows.T):
                 first = costs.argmin(axis=1)
@@ -1427,7 +1447,7 @@ def test_candidate_space_unrank(rng):
     space = CandidateSpace.subsets(range(10, 20), 3)
     combos = list(combinations(range(10), 3))
     for rank in [0, 1, 17, 50, len(combos) - 1]:
-        assert space.centers_at(rank) == tuple(10 + i for i in combos[rank])
+        assert space_sets(space)[rank] == tuple(10 + i for i in combos[rank])
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from trimclust.extensions import (
     matroid_local_search,
     matroid_median_oracle,
 )
-from trimclust.solvers import CandidateSpace, argmin_trimmed
-from conftest import line_instance, random_instance
+from trimclust.solvers import CandidateSpace, SubsetStream, argmin_trimmed
+from conftest import explicit_space, line_instance, random_instance, space_rows, space_sets
 
 
 def expand_unweighted(wps: WeightedPointSet) -> tuple[int, ...]:
@@ -385,30 +385,36 @@ def _argmin_loop(d, space, groups):
     """Plain per-candidate reference for argmin_trimmed."""
     col = {c: j for j, c in enumerate(space.col_ids)}
     all_rows = np.arange(d.shape[0])
+    sets = space_sets(space)
     best, best_idx = math.inf, -1
     for i in range(space.count):
-        cols = [col[c] for c in space.centers_at(i)]
+        cols = [col[c] for c in sets[i]]
         cost = 0.0
         for rows, drop in groups:
             mins = sorted(float(d[r, cols].min()) for r in all_rows[rows])
             cost += sum(mins[: len(mins) - drop])
         if cost < best:
             best, best_idx = cost, i
-    return best_idx
+    return sets[best_idx]
 
 
 def test_combinations_match_itertools():
+    # the candidate stream of every n < 10 and size <= n, in blocks of 1 and
+    # 7 sets, which split the sets of one first entry, and of the default
     for n in range(10):
         for size in range(n + 1):
-            got = solvers._combinations(n, size)
+            stream = CandidateSpace.subsets(range(n), size).sets
+            assert len(stream) == math.comb(n, size) and stream.width == size
             want = np.array(list(combinations(range(n), size)), dtype=np.intp)
-            assert got.dtype == np.intp and got.shape == (math.comb(n, size), size)
-            np.testing.assert_array_equal(got, want.reshape(got.shape))
+            for per in (1, 7, solvers._BLOCK_ELEMENTS):
+                blocks = [block.T.copy() for block in stream.blocks(per)]  # each overwrites the last
+                assert all(b.dtype == np.intp and 0 < len(b) <= per for b in blocks)
+                np.testing.assert_array_equal(np.vstack(blocks), want.reshape(len(want), size))
 
 
 def test_subsets_up_to_a_cap_match_itertools():
-    # every size 0..cap in (size, lexicographic) order, padded; the colorful
-    # enumeration pads with a value other than n
+    # every size 0..cap in (size, lexicographic) order, one per column,
+    # padded; the colorful enumeration pads with a value other than n
     for n in range(10):
         for cap in range(n + 1):
             for width in (max(1, cap), cap + 2):
@@ -420,12 +426,10 @@ def test_subsets_up_to_a_cap_match_itertools():
                     got = solvers._up_to(n, cap, width, pad)
                     assert got.dtype == np.intp and got.flags.c_contiguous
                     np.testing.assert_array_equal(
-                        got, np.array(want, dtype=np.intp).reshape(len(want), width)
+                        got, np.array(want, dtype=np.intp).reshape(len(want), width).T
                     )
-    combos = CandidateSpace.subsets(range(7), 3).combos
-    assert combos.dtype == np.intp and combos.flags.c_contiguous and combos.shape == (35, 3)
     # near n, only the rows the last size reads are built, not all 2**40 subsets
-    assert solvers._combinations(40, 38).shape == (780, 38)
+    assert space_rows(CandidateSpace.subsets(range(40), 38)).shape == (780, 38)
 
 
 def test_candidate_space_refused_before_it_is_built():
@@ -435,12 +439,13 @@ def test_candidate_space_refused_before_it_is_built():
 
 
 def test_candidate_space_keeps_the_given_order():
-    sets = [(9, 4), (2, 7), (4, 2), (7, 9), (2, 9)]
-    space = CandidateSpace.from_center_sets(sets)
-    assert space.col_ids == (2, 4, 7, 9) and space.count == 5
-    assert [space.centers_at(i) for i in range(5)] == [tuple(sorted(c)) for c in sets]
-    rows = [tuple(space.col_ids[i] for i in row) for row in space.combos.tolist()]
-    assert rows == [tuple(sorted(c)) for c in sets]
+    rows = [(3, 1), (0, 2), (1, 0), (2, 3), (0, 3)]
+    space = CandidateSpace((2, 4, 7, 9), SubsetStream.from_rows(np.array(rows)))
+    assert space.count == 5 and space.sets.width == 2
+    for per in (1, 2, 5):
+        np.testing.assert_array_equal(space_rows(space, per), rows)
+    assert space_sets(space) == [(9, 4), (2, 7), (4, 2), (7, 9), (2, 9)]
+    assert list(map(tuple, space.sets)) == rows  # the rows it iterates
 
 
 @pytest.mark.parametrize("explicit", [False, True])
@@ -457,7 +462,7 @@ def test_argmin_trimmed_matches_per_candidate_loop(rng, monkeypatch, explicit):
         if explicit:
             combos = list(combinations(fac, 3))
             picks = rng.permutation(len(combos))[:30]
-            space = CandidateSpace.from_center_sets([combos[i] for i in picks])
+            space = explicit_space([combos[i] for i in picks])
         else:
             space = CandidateSpace.subsets(fac, 3)
         d = EuclideanOracle(coords).pairwise(inst.clients, space.col_ids)
@@ -476,7 +481,7 @@ def _whole_chunk_argmin(d, space, groups):
     """The kernel before blocks and the bound, kept as the reference: the
     minima of the whole (points x candidates x k) block, every candidate
     trimmed."""
-    vals = d[:, space.combos].min(axis=2)
+    vals = d[:, space_rows(space)].min(axis=2)
     costs = np.zeros(vals.shape[1])
     for rows, drop in groups:
         sub = vals[rows]
@@ -490,7 +495,7 @@ def _whole_chunk_argmin(d, space, groups):
     j = int(np.argmin(costs))
     if not costs[j] < math.inf:
         raise ValueError("no candidate center set has a finite cost")
-    return j
+    return space_sets(space)[j]
 
 
 @pytest.mark.parametrize("block", [40, 200])
@@ -514,9 +519,7 @@ def test_blocked_kernel_matches_the_whole_chunk_one(rng, monkeypatch, block):
             coords[b] = coords[a]
         if i % 2:
             combos = list(combinations(fac, k))
-            space = CandidateSpace.from_center_sets(
-                [combos[j] for j in rng.permutation(len(combos))[:60]]
-            )
+            space = explicit_space([combos[j] for j in rng.permutation(len(combos))[:60]])
         else:
             space = CandidateSpace.subsets(fac, k)
         d = EuclideanOracle(coords).pairwise(inst.clients, space.col_ids) ** 2
@@ -537,21 +540,23 @@ def test_blocked_kernel_matches_the_whole_chunk_one(rng, monkeypatch, block):
 
 def test_exhaustive_oracle_memory_stays_within_blocks():
     # 162 clients, k = 2: the 13,041 candidate sets were one 34 MB
-    # (points x candidates x k) block; in blocks the traced peak is ~1.6 MB
+    # (points x candidates x k) block; in blocks the traced peak is ~1.6 MB.
+    # k = 3: the 695,520 sets were one 16.7 MB index array (a traced peak
+    # of 21.5 MiB); written block by block, no set outlives its block
     inst, _ = generate_planted(PlantedConfig(
         clusters=2, points_per_cluster=80, spread=1.0, outlier_count=2,
         outlier_distance_factor=30.0, dimension=2, seed=6201,
     ))
     ids = tuple(range(inst.dist.n_points))
-    inst = replace(inst, clients=ids, facilities=ids, k=2, m=2)
     assert len(ids) == 162
-    tracemalloc.start()
-    try:
-        exact_outlier_oracle(inst)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    for k in (2, 3):
+        tracemalloc.start()
+        try:
+            exact_outlier_oracle(replace(inst, clients=ids, facilities=ids, k=k, m=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (k, peak)
 
 
 @pytest.mark.parametrize(
